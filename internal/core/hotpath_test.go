@@ -253,6 +253,61 @@ func BenchmarkWriteBatchHotPath(b *testing.B) {
 	}
 }
 
+// coldMemory returns a populated write-back memory whose 512-entry
+// metadata cache holds a fraction of a percent of its 65 536 lines'
+// paths, plus a uniform line stream: nearly every access misses, walks,
+// fills and evicts. The same shape as bench/'s engine_cold, at a quarter
+// of the size.
+func coldMemory(b *testing.B) (*Memory, func() uint64) {
+	b.Helper()
+	const lines = 65536
+	m, err := New(Config{DataLines: lines, MetadataCache: 512})
+	if err != nil {
+		b.Fatal(err)
+	}
+	line := fillLine(0x44)
+	for i := uint64(0); i < lines; i++ {
+		if err := m.Write(i, line); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(14))
+	return m, func() uint64 { return uint64(rng.Intn(lines)) }
+}
+
+// BenchmarkReadColdPath measures the single-line read that misses the
+// metadata cache: leaf and tree fetches, their MAC checks, the fills
+// and the evictions they force (dirty victims left by the populate
+// phase drain in the first few thousand iterations).
+func BenchmarkReadColdPath(b *testing.B) {
+	m, next := coldMemory(b)
+	buf := make([]byte, LineSize)
+	b.SetBytes(LineSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Read(next(), buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteColdPath measures the single-line write-back write that
+// misses: the path walk and verify, and one dirty-victim seal and store
+// per entry it pushes out.
+func BenchmarkWriteColdPath(b *testing.B) {
+	m, next := coldMemory(b)
+	line := fillLine(0x45)
+	b.SetBytes(LineSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Write(next(), line); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWriteStageBreakdown times every write at stage granularity
 // (SampleEvery(1)) and reports the mean nanoseconds spent per stage —
 // the write-side Fig. 5-style breakdown. The ns/op column includes the

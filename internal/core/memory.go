@@ -1,12 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -156,7 +157,7 @@ type Memory struct {
 	// operation; pooling only avoids per-access garbage.
 	pathBuf  []pathEntry
 	pcandBuf []pathEntry
-	wbBuf    []*cachedNode
+	flushBuf []*cachedNode
 	lineBufs [2][LineSize]byte
 
 	// Shared-lock optimistic read machinery (fastread.go). gens holds
@@ -486,22 +487,22 @@ func (m *Memory) FlushNodeCache() error {
 // depend on it (parent counters are bumped eagerly, so every dirty
 // entry seals under its parent's final counter regardless of order).
 func (m *Memory) flushMetadata() error {
-	dirty := m.ncache.dirtyEntries()
-	if len(dirty) == 0 {
-		m.stats.MetaFlushes++
-		return nil
-	}
-	sort.Slice(dirty, func(a, b int) bool { return dirty[a].addr < dirty[b].addr })
+	dirty := m.ncache.appendDirty(m.flushBuf[:0])
+	slices.SortFunc(dirty, func(a, b *cachedNode) int { return cmp.Compare(a.addr, b.addr) })
+	var err error
 	for _, cn := range dirty {
-		if !cn.dirty {
-			continue
-		}
-		if err := m.flushEntry(cn); err != nil {
-			return err
+		if err = m.flushEntry(cn); err != nil {
+			break
 		}
 	}
-	m.stats.MetaFlushes++
-	return nil
+	// Keep the scratch's capacity, not its pointers: callers go on to
+	// drop the cache these entries belong to.
+	clear(dirty)
+	m.flushBuf = dirty[:0]
+	if err == nil {
+		m.stats.MetaFlushes++
+	}
+	return err
 }
 
 // flushEntry seals one dirty entry under its parent's current counter
@@ -638,10 +639,15 @@ type pathEntry struct {
 	node  integrity.Node
 	split integrity.SplitNode // leaf only, when split counters are on
 	raw   dimm.Line
-	// trusted marks an entry served from the on-chip node cache: it
-	// was verified when cached and lives inside the trust boundary, so
-	// the walk stops here (Fig. 7b) and no verification is needed.
-	trusted bool
+	// cached is the on-chip node cache entry this level was served
+	// from, nil when it came from memory. A cached entry was verified
+	// when it was cached and lives inside the trust boundary, so the
+	// walk stops here (Fig. 7b) and no verification is needed. Its
+	// counters are read through the handle (leafCounter,
+	// parentCounterOf) — node, split and raw stay zero — and the handle
+	// is only valid inside the exclusive-lock section that loaded the
+	// path, up to that section's trimCache.
+	cached *cachedNode
 }
 
 // isSplitLeaf reports whether entry e carries a split-counter leaf.
@@ -692,10 +698,14 @@ func (m *Memory) writeEntry(e *pathEntry) error {
 // leafCounter returns the effective encryption counter for slot s of
 // the leaf entry.
 func (m *Memory) leafCounter(e *pathEntry, slot int) uint64 {
-	if m.isSplitLeaf(e) {
-		return e.split.Counter(slot)
+	node, split := &e.node, &e.split
+	if e.cached != nil {
+		node, split = &e.cached.node, &e.cached.split
 	}
-	return e.node.Counters[slot]
+	if m.isSplitLeaf(e) {
+		return split.Counter(slot)
+	}
+	return node.Counters[slot]
 }
 
 // loadPath reads the counter line for data line i and every tree node
@@ -722,8 +732,7 @@ func (m *Memory) loadPath(i uint64, stopAtCache bool) (entries []pathEntry, err 
 		e.slot = slot
 		if stopAtCache {
 			if cn, hit := m.ncache.get(e.addr); hit {
-				e.node, e.split = cn.node, cn.split
-				e.trusted = true
+				e.cached = cn
 				m.stats.NodeCacheStops++
 				m.stats.MetaCacheHits++
 				entries = append(entries, e)
@@ -765,8 +774,7 @@ func (m *Memory) loadWritePath(i uint64) (entries []pathEntry, err error) {
 		pl, pi, slot, ok := m.geo.Parent(level, index)
 		e.slot = slot
 		if cn, hit := m.ncache.get(e.addr); hit {
-			e.node, e.split = cn.node, cn.split
-			e.trusted = true
+			e.cached = cn
 			m.stats.MetaCacheHits++
 		} else {
 			m.stats.MetaCacheMisses++
@@ -785,12 +793,15 @@ func (m *Memory) loadWritePath(i uint64) (entries []pathEntry, err error) {
 	}
 }
 
-// cachePath inserts a fully trusted path into the on-chip node cache
-// and trims to capacity (in write-back mode a dirty victim seals and
-// writes back first — the error return).
+// cachePath inserts the memory-sourced levels of a fully trusted path
+// into the on-chip node cache (a level served from the cache already
+// holds these values) and trims to capacity (in write-back mode a dirty
+// victim seals and writes back first — the error return).
 func (m *Memory) cachePath(path []pathEntry) error {
 	for k := range path {
-		m.ncache.insert(path[k].addr, path[k].level, path[k].index, path[k].node, path[k].split)
+		if path[k].cached == nil {
+			m.ncache.insert(path[k].addr, path[k].level, path[k].index, path[k].node, path[k].split)
+		}
 	}
 	return m.trimCache()
 }
@@ -800,6 +811,9 @@ func (m *Memory) cachePath(path []pathEntry) error {
 func parentCounterOf(path []pathEntry, k int, root uint64) uint64 {
 	if k == len(path)-1 {
 		return root
+	}
+	if cn := path[k+1].cached; cn != nil {
+		return cn.node.Counters[path[k].slot]
 	}
 	return path[k+1].node.Counters[path[k].slot]
 }
@@ -1086,7 +1100,7 @@ func (m *Memory) readLocked(i uint64, dst []byte, pad []byte, padCtr uint64) (Re
 	// than declaring an attack immediately (Fig. 7b).
 	anyMismatch := false
 	for k := 0; k < len(path); k++ {
-		if path[k].trusted {
+		if path[k].cached != nil {
 			continue // on-chip entry: the walk stopped here
 		}
 		parentCtr := parentCounterOf(path, k, m.root)
@@ -1112,7 +1126,7 @@ func (m *Memory) readLocked(i uint64, dst []byte, pad []byte, padCtr uint64) (Re
 	// line itself.
 	if anyMismatch || !dataOK {
 		for k := len(path) - 1; k >= 0; k-- {
-			if path[k].trusted {
+			if path[k].cached != nil {
 				continue
 			}
 			parentCtr := parentCounterOf(path, k, m.root)
@@ -1390,7 +1404,7 @@ func (m *Memory) writeBackLocked(i uint64, plain []byte, pad []byte, padCtr uint
 	// fine — their counters are current by construction, and the stale
 	// stored copies below them are never read (the cache probe wins).
 	for k := len(path) - 1; k >= 0; k-- {
-		if path[k].trusted {
+		if path[k].cached != nil {
 			continue
 		}
 		parentCtr := parentCounterOf(path, k, m.root)
@@ -1414,17 +1428,16 @@ func (m *Memory) writeBackLocked(i uint64, plain []byte, pad []byte, padCtr uint
 	}
 	m.st.Mark(telemetry.StageCounterFetch)
 
-	// Pin the whole path in the cache and bump counters in the cached
-	// copies (for already-cached entries, insert refreshes with the
-	// identical values it handed loadWritePath and preserves dirtiness).
-	cns := m.wbBuf[:0]
+	// Pin the whole path in the cache — only the levels that came from
+	// memory need inserting — and bump counters in the cached copies.
 	for k := range path {
-		cns = append(cns, m.ncache.insert(path[k].addr, path[k].level, path[k].index, path[k].node, path[k].split))
+		if path[k].cached == nil {
+			path[k].cached = m.ncache.insert(path[k].addr, path[k].level, path[k].index, path[k].node, path[k].split)
+		}
 	}
-	m.wbBuf = cns
 
 	_, ctrSlot := m.layout.CounterAddr(i)
-	leaf := cns[0]
+	leaf := path[0].cached
 	var newCtr uint64
 	var reencrypt bool
 	oldLeaf := leaf.split // pre-bump counters, for group re-encryption
@@ -1441,10 +1454,10 @@ func (m *Memory) writeBackLocked(i uint64, plain []byte, pad []byte, padCtr uint
 		leaf.node.Counters[ctrSlot] = newCtr
 	}
 	m.ncache.markDirty(leaf)
-	for k := 1; k < len(cns); k++ {
-		cns[k].node.Counters[path[k-1].slot] =
-			(cns[k].node.Counters[path[k-1].slot] + 1) & integrity.CounterMask
-		m.ncache.markDirty(cns[k])
+	for k := 1; k < len(path); k++ {
+		cn, slot := path[k].cached, path[k-1].slot
+		cn.node.Counters[slot] = (cn.node.Counters[slot] + 1) & integrity.CounterMask
+		m.ncache.markDirty(cn)
 	}
 	m.root = (m.root + 1) & integrity.CounterMask
 	m.st.Mark(telemetry.StageMetaUpdate)
@@ -1538,7 +1551,7 @@ func (m *Memory) Poisoned() []uint64 {
 	for i := range m.poisoned {
 		out = append(out, i)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -1554,7 +1567,7 @@ func (m *Memory) tryPreemptive(i uint64, dl *dimm.Line, path []pathEntry) (uint6
 		return 0, false, err
 	}
 	for k := 0; k < len(pcand); k++ {
-		if pcand[k].trusted {
+		if pcand[k].cached != nil {
 			continue
 		}
 		m.stats.MACComputations++
@@ -1576,7 +1589,7 @@ func (m *Memory) tryPreemptive(i uint64, dl *dimm.Line, path []pathEntry) (uint6
 		}
 	}
 	for k := range pcand {
-		if !pcand[k].trusted && pcand[k].raw != path[k].raw {
+		if pcand[k].cached == nil && pcand[k].raw != path[k].raw {
 			if err := m.writeEntry(&pcand[k]); err != nil {
 				return 0, false, err
 			}

@@ -38,14 +38,23 @@ import (
 //
 // # Replacement policy
 //
-// Recency is CLOCK (second chance), not LRU: each entry carries an
-// atomic access bit that hits set and the eviction hand clears. The
+// Recency is plain CLOCK (second chance), not LRU: each entry carries
+// an atomic access bit that hits set and the eviction hand clears. The
 // choice is what makes the shared-lock read fast path legal — a cache
 // hit under Memory's RLock touches nothing but its entry's own atomic
 // bit, so concurrent readers never contend on list pointers the way a
 // move-to-front LRU would force them to. Structural mutation (insert,
 // remove, the hand sweep) still happens only under the owning Memory's
 // exclusive lock.
+//
+// The hand takes the first unreferenced entry it meets, dirty or clean
+// (the owner flushes a dirty victim before removing it), so every hand
+// step either evicts or consumes a reference bit some hit paid for:
+// eviction is amortised O(1). It deliberately does not sweep on for a
+// clean victim: under write-back churn that evicts the clean entries
+// first, the cache converges to all-dirty, and every eviction then
+// walks the whole ring and wipes every reference bit on the way, which
+// turns CLOCK into an O(capacity) FIFO (DESIGN.md §9).
 //
 // The cache has no lock of its own: insert/remove/victim/get require
 // the owning Memory's exclusive lock; peek (and the access-bit set
@@ -61,6 +70,7 @@ type nodeCache struct {
 
 	dirty int         // number of dirty entries
 	free  *cachedNode // evicted entries recycled by insert (linked via next)
+	steps uint64      // hand steps taken by victim; read only by the cost test
 }
 
 type cachedNode struct {
@@ -128,16 +138,17 @@ func (c *nodeCache) peek(addr uint64) (*cachedNode, bool) {
 	return n, ok
 }
 
-// insert adds or refreshes a trusted entry. A refresh preserves an
-// existing entry's dirty flag (the write-back path re-inserts entries
-// it just loaded; a concurrent earlier dirtying must not be lost), and
-// markDirty is the only way an entry becomes dirty. insert never
-// evicts — the owning Memory trims after its operation completes, so
-// mid-operation inserts (ancestor loads during a flush) can
-// transiently overflow cap. New entries join the ring just behind the
-// hand with their access bit set: a full sweep passes them last, and
-// the second chance keeps a just-inserted path from being its own
-// trim's first victim.
+// insert adds or refreshes a trusted entry. Only the write-through
+// write refreshes (it reloads its whole path from memory and re-inserts
+// it); the write-back paths insert just the levels they found missing.
+// A refresh preserves the entry's dirty flag all the same — it must
+// never lose a pending writeback — and markDirty is the only way an
+// entry becomes dirty. insert never evicts — the owning Memory trims
+// after its operation completes, so mid-operation inserts (ancestor
+// loads during a flush) can transiently overflow cap. New entries join
+// the ring just behind the hand with their access bit set: a full
+// sweep passes them last, and the second chance keeps a just-inserted
+// path from being its own trim's first victim.
 func (c *nodeCache) insert(addr uint64, level int, index uint64, node integrity.Node, split integrity.SplitNode) *cachedNode {
 	if c.cap == 0 {
 		return nil
@@ -194,37 +205,28 @@ func (c *nodeCache) markClean(n *cachedNode) {
 	}
 }
 
-// victim proposes an eviction candidate by sweeping the CLOCK hand:
-// entries with the access bit set get a second chance (bit cleared,
-// hand advances), the first clean unreferenced entry wins, and if a
-// bounded sweep finds only dirty entries the oldest dirty one is
-// returned (the caller must flush it before remove). ok is false on an
-// empty cache. Requires the owning Memory's exclusive lock.
+// victim advances the CLOCK hand to the next eviction candidate: an
+// entry whose access bit is set gets its second chance (bit cleared,
+// hand moves on) and the first entry whose bit is clear is returned,
+// dirty or clean — the caller must flush a dirty victim before remove.
+// Hits cannot set bits while the exclusive lock is held, so after one
+// revolution every bit is clear: a call takes at most size()+1 steps,
+// and each step beyond the last spends a bit some earlier hit set. ok
+// is false on an empty cache. Requires the owning Memory's exclusive
+// lock.
 func (c *nodeCache) victim() (*cachedNode, bool) {
-	if c.hand == nil {
+	v := c.hand
+	if v == nil {
 		return nil, false
 	}
-	var fallback *cachedNode
-	// Two full revolutions bound the sweep: the first may spend every
-	// step clearing access bits, the second must then find an
-	// unreferenced entry.
-	for i := 0; i < 2*len(c.nodes)+1; i++ {
-		v := c.hand
-		c.hand = v.next
-		if v.accessed.Swap(0) != 0 {
-			continue // second chance
-		}
-		if !v.dirty {
-			return v, true
-		}
-		if fallback == nil {
-			fallback = v
-		}
+	for v.accessed.Load() != 0 {
+		v.accessed.Store(0) // second chance
+		v = v.next
+		c.steps++
 	}
-	if fallback != nil {
-		return fallback, true
-	}
-	return c.hand, true
+	c.steps++
+	c.hand = v.next
+	return v, true
 }
 
 // remove drops an entry from the cache and parks it on the free list
@@ -249,26 +251,21 @@ func (c *nodeCache) remove(n *cachedNode) {
 	c.free = n
 }
 
-// dirtyEntries returns every dirty entry (unordered).
-func (c *nodeCache) dirtyEntries() []*cachedNode {
+// appendDirty appends every dirty entry (in ring order) to buf.
+func (c *nodeCache) appendDirty(buf []*cachedNode) []*cachedNode {
 	if c.dirty == 0 {
-		return nil
-	}
-	out := make([]*cachedNode, 0, c.dirty)
-	if c.hand == nil {
-		return out
+		return buf
 	}
 	n := c.hand
 	for {
 		if n.dirty {
-			out = append(out, n)
+			buf = append(buf, n)
 		}
 		n = n.next
 		if n == c.hand {
-			break
+			return buf
 		}
 	}
-	return out
 }
 
 // size reports occupancy.

@@ -105,38 +105,102 @@ func TestNodeCacheClockEviction(t *testing.T) {
 	}
 }
 
-func TestNodeCacheVictimPrefersClean(t *testing.T) {
-	c := newNodeCache(2)
-	old := c.insert(1, -1, 1, integrity.Node{}, integrity.SplitNode{})
-	c.markDirty(old)
-	c.insert(2, -1, 2, integrity.Node{}, integrity.SplitNode{})
-	// Entry 1 is dirty: the sweep should settle on the clean entry 2
-	// (after clearing access bits) rather than force a writeback.
-	v, ok := c.victim()
-	if !ok || v.addr != 2 {
-		t.Fatalf("victim addr = %d, want clean entry 2", v.addr)
-	}
-	if c.dirty != 1 {
-		t.Fatalf("dirty = %d, want 1", c.dirty)
-	}
-	c.markClean(old)
-	if c.dirty != 0 {
-		t.Fatalf("dirty after markClean = %d, want 0", c.dirty)
-	}
-	if got := c.dirtyEntries(); got != nil {
-		t.Fatalf("dirtyEntries = %v, want nil", got)
+// TestNodeCacheSecondChanceIgnoresDirtiness pins the policy: a set
+// access bit buys one pass of the hand whether the entry is dirty or
+// clean, and an unreferenced dirty entry is not skipped in favour of a
+// clean one further round the ring.
+func TestNodeCacheSecondChanceIgnoresDirtiness(t *testing.T) {
+	for _, dirtyHot := range []bool{false, true} {
+		c := newNodeCache(3)
+		var n [3]*cachedNode
+		for k := range n {
+			n[k] = c.insert(uint64(k+1), -1, uint64(k+1), integrity.Node{}, integrity.SplitNode{})
+			n[k].accessed.Store(0)
+		}
+		// Ring order from the hand: 1, 2, 3. Entry 1 is referenced; of
+		// the unreferenced two, the nearer one is dirty.
+		c.get(1)
+		if dirtyHot {
+			c.markDirty(n[0])
+		}
+		c.markDirty(n[1])
+		v, ok := c.victim()
+		if !ok || v != n[1] {
+			t.Fatalf("dirtyHot=%v: victim = %d, want unreferenced dirty entry 2 (not clean entry 3)", dirtyHot, v.addr)
+		}
+		if n[0].accessed.Load() != 0 {
+			t.Fatalf("dirtyHot=%v: the hand passed entry 1 without consuming its access bit", dirtyHot)
+		}
+		// Its second chance spent, entry 1 goes next time round.
+		c.victim() // entry 3
+		if v, _ := c.victim(); v != n[0] {
+			t.Fatalf("dirtyHot=%v: victim = %d, want entry 1 after its second chance", dirtyHot, v.addr)
+		}
 	}
 }
 
-func TestNodeCacheAllDirtyFallsBackToDirtyVictim(t *testing.T) {
+// TestNodeCacheDirtyVictimReturnedDirty pins the caller's half of the
+// contract: victim hands a dirty entry back untouched — still dirty,
+// still counted, still in the cache — and it is the caller that seals,
+// writes back and marks it clean before remove (which panics otherwise,
+// see TestNodeCacheRemoveDirtyPanics).
+func TestNodeCacheDirtyVictimReturnedDirty(t *testing.T) {
 	c := newNodeCache(2)
 	a := c.insert(1, -1, 1, integrity.Node{}, integrity.SplitNode{})
 	b := c.insert(2, -1, 2, integrity.Node{}, integrity.SplitNode{})
 	c.markDirty(a)
 	c.markDirty(b)
 	v, ok := c.victim()
-	if !ok || !v.dirty {
-		t.Fatalf("victim = %v/%v, want a dirty fallback", v, ok)
+	if !ok || !v.dirty || c.dirty != 2 || c.size() != 2 {
+		t.Fatalf("victim = %v/%v dirty=%d size=%d, want a dirty entry left in place", v, ok, c.dirty, c.size())
+	}
+	if got := c.appendDirty(nil); len(got) != 2 {
+		t.Fatalf("appendDirty = %d entries, want 2", len(got))
+	}
+	c.markClean(v)
+	c.remove(v)
+	if c.dirty != 1 || c.size() != 1 {
+		t.Fatalf("after flush+remove: dirty=%d size=%d, want 1/1", c.dirty, c.size())
+	}
+	c.markClean(a)
+	c.markClean(b)
+	if got := c.appendDirty(nil); got != nil {
+		t.Fatalf("appendDirty on a clean cache = %v, want nil", got)
+	}
+}
+
+// TestNodeCacheEvictionCostBound pins the cost of eviction, not its
+// preference: on an all-dirty cache at capacity, insert → victim →
+// clean → remove cycles spend at most two hand steps per eviction (one
+// to consume the bit the evicted entry's insert set, one to take it)
+// plus one revolution of slack. A sweep that goes looking for a clean
+// victim takes 2×capacity+1 steps per eviction here. It counts steps,
+// not time, so it cannot flake.
+func TestNodeCacheEvictionCostBound(t *testing.T) {
+	const capacity, evictions = 512, 10000
+	c := newNodeCache(capacity)
+	addr := uint64(0)
+	fill := func() {
+		addr++
+		c.markDirty(c.insert(addr, -1, addr, integrity.Node{}, integrity.SplitNode{}))
+	}
+	for c.size() < capacity {
+		fill()
+	}
+	for k := 0; k < evictions; k++ {
+		fill()
+		v, ok := c.victim()
+		if !ok || !v.dirty {
+			t.Fatalf("eviction %d: victim = %v/%v, want a dirty entry", k, v, ok)
+		}
+		c.markClean(v)
+		c.remove(v)
+	}
+	if c.size() != capacity || c.dirty != capacity {
+		t.Fatalf("size=%d dirty=%d, want %d/%d", c.size(), c.dirty, capacity, capacity)
+	}
+	if bound := uint64(2*evictions + capacity); c.steps > bound {
+		t.Fatalf("%d evictions took %d hand steps, want ≤ %d", evictions, c.steps, bound)
 	}
 }
 

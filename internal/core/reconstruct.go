@@ -171,7 +171,7 @@ func (m *Memory) preemptNode(path []pathEntry) {
 		return
 	}
 	for k := range path {
-		if path[k].trusted {
+		if path[k].cached != nil {
 			continue // on-chip copy: not subject to DRAM chip faults
 		}
 		rebuildSlice(path[k].raw.Data[:], m.knownBad, path[k].raw.ECC[:])

@@ -24,9 +24,19 @@ import (
 // climb) during a run.
 const diffLines = 192
 
-func newDiffPair(tb testing.TB, split bool) (wb, wt *Memory) {
+// The write-back twin's cache size. diffCache keeps a few paths
+// resident; diffMinCache asks for one entry and gets New's clamp,
+// 2*(Levels+1), where nearly every operation evicts and CLOCK's dirty
+// victims make "flush an entry whose dirty ancestors already left" the
+// common case rather than the exception.
+const (
+	diffCache    = 24
+	diffMinCache = 1
+)
+
+func newDiffPair(tb testing.TB, split bool, cache int) (wb, wt *Memory) {
 	tb.Helper()
-	wb, err := New(Config{DataLines: diffLines, SplitCounters: split, MetadataCache: 24})
+	wb, err := New(Config{DataLines: diffLines, SplitCounters: split, MetadataCache: cache})
 	if err != nil {
 		tb.Fatalf("New write-back: %v", err)
 	}
@@ -195,13 +205,14 @@ func diffFinish(tb testing.TB, wb, wt *Memory) {
 }
 
 // runDiff interprets ops as (op, arg, val) triples against a fresh pair.
-func runDiff(tb testing.TB, split bool, ops []byte) {
+func runDiff(tb testing.TB, split bool, cache int, ops []byte) (wb, wt *Memory) {
 	tb.Helper()
-	wb, wt := newDiffPair(tb, split)
+	wb, wt = newDiffPair(tb, split, cache)
 	for step := 0; step+2 < len(ops) && step/3 < 96; step += 3 {
 		diffApply(tb, wb, wt, step/3, ops[step], ops[step+1], ops[step+2])
 	}
 	diffFinish(tb, wb, wt)
+	return wb, wt
 }
 
 // diffScript builds a deterministic op tape from a linear congruential
@@ -217,23 +228,45 @@ func diffScript(seed uint32, n int) []byte {
 }
 
 func TestWriteBackDifferentialMonolithic(t *testing.T) {
-	runDiff(t, false, diffScript(1, 96))
+	runDiff(t, false, diffCache, diffScript(1, 96))
 }
 
 func TestWriteBackDifferentialSplit(t *testing.T) {
-	runDiff(t, true, diffScript(2, 96))
+	runDiff(t, true, diffCache, diffScript(2, 96))
 }
+
+// The min-cache runs also check their own premise: the pair really ran
+// at 2*(Levels+1) entries, and eviction — not just the tape's Flush
+// ops — sealed and wrote back dirty entries.
+func runDiffMinCache(t *testing.T, split bool, seed uint32) {
+	t.Helper()
+	wb, _ := runDiff(t, split, diffMinCache, diffScript(seed, 96))
+	if want := 2 * (wb.geo.Levels() + 1); wb.ncache.cap != want {
+		t.Fatalf("cache capacity %d, want the clamp %d", wb.ncache.cap, want)
+	}
+	if st := wb.Stats(); st.MetaWritebacks <= uint64(wb.ncache.cap)*st.MetaFlushes {
+		t.Fatalf("%d writebacks over %d flushes of a %d-entry cache: eviction never flushed a dirty victim",
+			st.MetaWritebacks, st.MetaFlushes, wb.ncache.cap)
+	}
+}
+
+func TestWriteBackDifferentialMinCacheMonolithic(t *testing.T) { runDiffMinCache(t, false, 5) }
+
+func TestWriteBackDifferentialMinCacheSplit(t *testing.T) { runDiffMinCache(t, true, 6) }
 
 // FuzzWriteBackDifferential lets the fuzzer search for an op
 // interleaving where deferred metadata sealing changes any observable.
 // `go test` runs the seed corpus; `go test -fuzz=FuzzWriteBackDifferential`
 // explores.
 func FuzzWriteBackDifferential(f *testing.F) {
-	f.Add(false, diffScript(3, 24))
-	f.Add(true, diffScript(4, 24))
+	f.Add(false, false, diffScript(3, 24))
+	f.Add(true, false, diffScript(4, 24))
+	// The same engine at the clamped minimum cache: every op evicts.
+	f.Add(false, true, diffScript(7, 48))
+	f.Add(true, true, diffScript(8, 48))
 	// Hand-picked seed: write, flush, inject double fault, read
 	// (poison), scrub, heal by write, repair, read.
-	f.Add(false, []byte{
+	f.Add(false, false, []byte{
 		0, 5, 10,
 		9, 0, 0,
 		9, 2, 7,
@@ -243,11 +276,15 @@ func FuzzWriteBackDifferential(f *testing.F) {
 		9, 3, 1,
 		4, 5, 0,
 	})
-	f.Fuzz(func(t *testing.T, split bool, ops []byte) {
+	f.Fuzz(func(t *testing.T, split, minCache bool, ops []byte) {
 		if len(ops) > 3*64 {
 			ops = ops[:3*64]
 		}
-		runDiff(t, split, ops)
+		cache := diffCache
+		if minCache {
+			cache = diffMinCache
+		}
+		runDiff(t, split, cache, ops)
 	})
 }
 
@@ -293,6 +330,44 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("ReadBatchInto steady state allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestChurnZeroAllocSteadyState is the same budget where the cache
+// cannot hold the working set: every single-line Read and Write misses,
+// fills and evicts (flushing dirty victims on the way), and still
+// allocates nothing, because insert recycles the entries remove parks on
+// the free list.
+func TestChurnZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; exact counts only hold without -race")
+	}
+	const lines = 8192
+	m, err := New(Config{DataLines: lines, MetadataCache: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := fillLine(0x33)
+	next := uint64(0)
+	step := func() uint64 { next = (next + 2731) % lines; return next } // coprime stride: no locality
+	churn := func() {
+		if err := m.Write(step(), buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Read(step(), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*lines; i++ { // warm: fill the cache, the free list and the scratch
+		churn()
+	}
+	before := m.Stats()
+	if avg := testing.AllocsPerRun(2000, churn); avg != 0 {
+		t.Errorf("churning Write+Read allocates %.2f objects/op, want 0", avg)
+	}
+	after := m.Stats()
+	if after.MetaCacheMisses == before.MetaCacheMisses || after.MetaWritebacks == before.MetaWritebacks {
+		t.Fatalf("the measured phase never missed or wrote back: %+v", after)
 	}
 }
 
