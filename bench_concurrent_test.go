@@ -129,8 +129,7 @@ func BenchmarkConcurrentThroughput(b *testing.B) {
 
 // BenchmarkBatchedThroughput compares line-at-a-time against batched
 // reads from a single client: the batch variant pays one lock
-// acquisition and one rank fan-out per 64 lines instead of one lock per
-// line.
+// acquisition per rank per 64 lines instead of one lock per line.
 func BenchmarkBatchedThroughput(b *testing.B) {
 	const ranks = 4
 	const dataLines = 1024

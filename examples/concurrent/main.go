@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// Populate with batched writes: one WriteBatch per 256-line chunk
-	// fans each chunk out across all four ranks.
+	// spreads each chunk across all four ranks, one lock grab per rank.
 	const chunk = 256
 	src := make([]byte, chunk*synergy.LineSize)
 	lines := make([]uint64, chunk)

@@ -27,8 +27,10 @@ import (
 // each rank carries its own lock, and the router holds no state of its
 // own, so requests to different ranks proceed fully in parallel. Within
 // one rank, accesses serialize the way a per-rank controller queue
-// would. ReadBatch/WriteBatch group lines by rank, acquire each rank
-// lock once, and fan the per-rank batches out concurrently.
+// would. ReadBatch/WriteBatch group lines by rank and run the groups one
+// after another on the caller's goroutine, acquiring each rank lock
+// once; parallelism across ranks comes from concurrent callers, not
+// from one batch.
 type Array struct {
 	ranks        []*Memory
 	linesPerRank uint64
@@ -42,8 +44,9 @@ type Array struct {
 
 // NewArray builds an Array of cfg.Ranks independent Synergy ranks
 // (default 1), with cfg.DataLines total capacity split across them.
-// Keys are shared (one memory controller); per-rank state is
-// independent.
+// Keys are shared (one memory controller), and so are the pad engine
+// and MAC built from them: one 16 KB multiply table stays in cache
+// instead of one per rank. Per-rank state is independent.
 func NewArray(cfg Config) (*Array, error) {
 	ranks := cfg.Ranks
 	if ranks == 0 {
@@ -55,6 +58,10 @@ func NewArray(cfg Config) (*Array, error) {
 	if cfg.DataLines == 0 {
 		return nil, errors.New("core: Config.DataLines must be positive")
 	}
+	enc, mac, err := newCrypto(cfg)
+	if err != nil {
+		return nil, err
+	}
 	perRank := (cfg.DataLines + uint64(ranks) - 1) / uint64(ranks)
 	a := &Array{linesPerRank: perRank, dataLines: cfg.DataLines}
 	for r := 0; r < ranks; r++ {
@@ -62,7 +69,7 @@ func NewArray(cfg Config) (*Array, error) {
 		rcfg.Ranks = 1
 		rcfg.DataLines = perRank
 		rcfg.TelemetryRank = r
-		m, err := New(rcfg)
+		m, err := newRank(rcfg, enc, mac)
 		if err != nil {
 			return nil, fmt.Errorf("core: rank %d: %w", r, err)
 		}
@@ -145,42 +152,57 @@ type batchPlan struct {
 	at    []int
 }
 
-// plan validates every line and groups the batch by rank.
-func (a *Array) plan(lines []uint64, buf []byte, perLine int) ([]batchPlan, error) {
-	if len(buf) != len(lines)*perLine {
-		return nil, fmt.Errorf("core: batch needs %d×%d bytes, got %d: %w",
-			len(lines), perLine, len(buf), ErrBadLineSize)
-	}
-	plans := make([]batchPlan, len(a.ranks))
-	for k, line := range lines {
-		if line >= a.dataLines {
-			return nil, fmt.Errorf("core: data line %d out of range [0,%d): %w", line, a.dataLines, ErrOutOfRange)
-		}
-		r := int(line % uint64(len(a.ranks)))
-		plans[r].inner = append(plans[r].inner, line/uint64(len(a.ranks)))
-		plans[r].at = append(plans[r].at, k)
-	}
-	return plans, nil
-}
-
-// rankScratch is the per-rank gather/scatter staging for a multi-rank
-// batch: line bytes plus read infos, pooled so steady-state batches
-// allocate nothing.
-type rankScratch struct {
+// arrayBatch is the pooled scratch of one multi-rank batch: the rank
+// plans, each rank's outcome, and the gather/scatter staging for line
+// bytes and read infos. Rank groups run one at a time, so one staging
+// area serves them all, and a steady-state batch allocates nothing.
+type arrayBatch struct {
+	plans []batchPlan
+	errs  []error
 	buf   []byte
 	infos []ReadInfo
 }
 
-var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
+var arrayBatchPool = sync.Pool{New: func() any { return new(arrayBatch) }}
 
-func (s *rankScratch) grow(n int) {
-	if cap(s.buf) < n*LineSize {
-		s.buf = make([]byte, n*LineSize)
+// getBatch validates every line and groups the batch by rank into
+// pooled scratch; the caller returns it with put.
+func (a *Array) getBatch(lines []uint64, buf []byte, perLine int) (*arrayBatch, error) {
+	if err := a.checkBatch(lines, buf, perLine); err != nil {
+		return nil, err
 	}
-	if cap(s.infos) < n {
-		s.infos = make([]ReadInfo, n)
+	b := arrayBatchPool.Get().(*arrayBatch)
+	if cap(b.plans) < len(a.ranks) {
+		b.plans = make([]batchPlan, len(a.ranks))
+		b.errs = make([]error, len(a.ranks))
 	}
-	s.buf, s.infos = s.buf[:n*LineSize], s.infos[:n]
+	b.plans, b.errs = b.plans[:len(a.ranks)], b.errs[:len(a.ranks)]
+	for r := range b.plans {
+		b.plans[r].inner, b.plans[r].at = b.plans[r].inner[:0], b.plans[r].at[:0]
+	}
+	n := uint64(len(a.ranks))
+	for k, line := range lines {
+		p := &b.plans[line%n]
+		p.inner = append(p.inner, line/n)
+		p.at = append(p.at, k)
+	}
+	return b, nil
+}
+
+// stage returns n lines of staging bytes and read infos.
+func (b *arrayBatch) stage(n int) ([]byte, []ReadInfo) {
+	if cap(b.buf) < n*LineSize {
+		b.buf = make([]byte, n*LineSize)
+	}
+	if cap(b.infos) < n {
+		b.infos = make([]ReadInfo, n)
+	}
+	return b.buf[:n*LineSize], b.infos[:n]
+}
+
+func (b *arrayBatch) put() {
+	clear(b.errs)
+	arrayBatchPool.Put(b)
 }
 
 // mergeBatchErrs folds per-rank batch outcomes into one caller-facing
@@ -214,21 +236,21 @@ func (a *Array) mergeBatchErrs(lines []uint64, plans []batchPlan, errs []error) 
 }
 
 // ReadBatch decrypts lines[k] into dst[k*LineSize:(k+1)*LineSize] for
-// every k. Lines are grouped by rank, each rank's lock is acquired once
-// for its whole group, and the per-rank groups run concurrently — one
-// call saturates every rank the batch touches. Duplicate lines are
-// allowed. Every line is attempted: per-line failures collect into a
-// *BatchError carrying the caller's batch indices and global line
-// addresses (errors.Is still matches the wrapped sentinels), and dst
-// and infos are valid for every index not listed in it.
+// every k. Lines are grouped by rank, and each rank group runs under one
+// acquisition of that rank's lock, one group after another on the
+// caller's goroutine. Duplicate lines are allowed. Every line is
+// attempted: per-line failures collect into a *BatchError carrying the
+// caller's batch indices and global line addresses (errors.Is still
+// matches the wrapped sentinels), and dst and infos are valid for every
+// index not listed in it.
 func (a *Array) ReadBatch(lines []uint64, dst []byte) ([]ReadInfo, error) {
 	infos := make([]ReadInfo, len(lines))
 	err := a.ReadBatchInto(lines, dst, infos)
 	return infos, err
 }
 
-// checkBatch validates batch geometry without building rank plans —
-// the single-rank fast path's allocation-free substitute for plan.
+// checkBatch validates batch geometry: the buffer size and every line's
+// range.
 func (a *Array) checkBatch(lines []uint64, buf []byte, perLine int) error {
 	if len(buf) != len(lines)*perLine {
 		return fmt.Errorf("core: batch needs %d×%d bytes, got %d: %w",
@@ -251,72 +273,39 @@ func (a *Array) ReadBatchInto(lines []uint64, dst []byte, infos []ReadInfo) erro
 	}
 	if len(a.ranks) == 1 {
 		// Single rank preserves caller order (inner[k] == lines[k]), so
-		// the batch runs in place: no plan, no fan-out, no scatter copy,
-		// and the rank's BatchError already carries global indices.
+		// the batch runs in place: no plan, no scatter copy, and the
+		// rank's BatchError already carries global indices.
 		if err := a.checkBatch(lines, dst, LineSize); err != nil {
 			return err
 		}
 		return a.ranks[0].ReadBatchInto(lines, dst, infos)
 	}
-	plans, err := a.plan(lines, dst, LineSize)
+	b, err := a.getBatch(lines, dst, LineSize)
 	if err != nil {
 		return err
 	}
-	errs := make([]error, len(a.ranks))
-	runRank := func(r int) {
-		p := &plans[r]
-		s := rankScratchPool.Get().(*rankScratch)
-		s.grow(len(p.inner))
-		rerr := a.ranks[r].ReadBatchInto(p.inner, s.buf, s.infos)
-		for j, k := range p.at {
-			copy(dst[k*LineSize:(k+1)*LineSize], s.buf[j*LineSize:(j+1)*LineSize])
-			infos[k] = s.infos[j]
-		}
-		rankScratchPool.Put(s)
-		errs[r] = rerr
-	}
-	fanOut(plans, runRank)
-	return a.mergeBatchErrs(lines, plans, errs)
-}
-
-// fanOut runs one worker per non-empty rank group, inline when the
-// batch lands on a single rank (no goroutine or scheduling cost for
-// rank-local batches).
-func fanOut(plans []batchPlan, runRank func(r int)) {
-	active := 0
-	for r := range plans {
-		if len(plans[r].inner) > 0 {
-			active++
-		}
-	}
-	if active <= 1 {
-		for r := range plans {
-			if len(plans[r].inner) > 0 {
-				runRank(r)
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for r := range plans {
-		if len(plans[r].inner) == 0 {
+	defer b.put()
+	for r := range b.plans {
+		p := &b.plans[r]
+		if len(p.inner) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			runRank(r)
-		}(r)
+		buf, rinfos := b.stage(len(p.inner))
+		b.errs[r] = a.ranks[r].ReadBatchInto(p.inner, buf, rinfos)
+		for j, k := range p.at {
+			copy(dst[k*LineSize:(k+1)*LineSize], buf[j*LineSize:(j+1)*LineSize])
+			infos[k] = rinfos[j]
+		}
 	}
-	wg.Wait()
+	return a.mergeBatchErrs(lines, b.plans, b.errs)
 }
 
 // WriteBatch stores src[k*LineSize:(k+1)*LineSize] at lines[k] for
-// every k, with the same rank grouping, fan-out, and per-line
-// *BatchError semantics as ReadBatch: every line is attempted, and
-// failed lines keep an unspecified but integrity-consistent state (old
-// or new contents). Lines must be distinct (concurrent rank groups
-// give duplicate lines no defined write order).
+// every k, with the same rank grouping and per-line *BatchError
+// semantics as ReadBatch: every line is attempted, and failed lines
+// keep an unspecified but integrity-consistent state (old or new
+// contents). A duplicated line lands in one rank group in caller order,
+// so its last copy wins.
 func (a *Array) WriteBatch(lines []uint64, src []byte) error {
 	if len(a.ranks) == 1 {
 		if err := a.checkBatch(lines, src, LineSize); err != nil {
@@ -324,22 +313,23 @@ func (a *Array) WriteBatch(lines []uint64, src []byte) error {
 		}
 		return a.ranks[0].WriteBatch(lines, src)
 	}
-	plans, err := a.plan(lines, src, LineSize)
+	b, err := a.getBatch(lines, src, LineSize)
 	if err != nil {
 		return err
 	}
-	errs := make([]error, len(a.ranks))
-	fanOut(plans, func(r int) {
-		p := &plans[r]
-		s := rankScratchPool.Get().(*rankScratch)
-		s.grow(len(p.inner))
-		for j, k := range p.at {
-			copy(s.buf[j*LineSize:(j+1)*LineSize], src[k*LineSize:(k+1)*LineSize])
+	defer b.put()
+	for r := range b.plans {
+		p := &b.plans[r]
+		if len(p.inner) == 0 {
+			continue
 		}
-		errs[r] = a.ranks[r].WriteBatch(p.inner, s.buf)
-		rankScratchPool.Put(s)
-	})
-	return a.mergeBatchErrs(lines, plans, errs)
+		buf, _ := b.stage(len(p.inner))
+		for j, k := range p.at {
+			copy(buf[j*LineSize:(j+1)*LineSize], src[k*LineSize:(k+1)*LineSize])
+		}
+		b.errs[r] = a.ranks[r].WriteBatch(p.inner, buf)
+	}
+	return a.mergeBatchErrs(lines, b.plans, b.errs)
 }
 
 // globalLine maps a rank-local data line back to its global address

@@ -37,6 +37,18 @@ func TestArrayBatchRoundTrip(t *testing.T) {
 			t.Fatalf("batch slot %d (line %d) wrong data", k, line)
 		}
 	}
+	// A duplicated write lands in one rank group in caller order: the
+	// last copy wins.
+	dup := append(bytes.Clone(src[:LineSize]), fillLine(0xD5)...)
+	if err := a.WriteBatch([]uint64{wl[0], wl[0]}, dup); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Read(wl[0], dst[:LineSize]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst[:LineSize], fillLine(0xD5)) {
+		t.Fatal("duplicated batch write: the last copy did not win")
+	}
 }
 
 func TestBatchErrorTaxonomy(t *testing.T) {

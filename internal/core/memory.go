@@ -233,6 +233,17 @@ func New(cfg Config) (*Memory, error) {
 	if cfg.DataLines == 0 {
 		return nil, errors.New("core: Config.DataLines must be positive")
 	}
+	enc, mac, err := newCrypto(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newRank(cfg, enc, mac)
+}
+
+// newCrypto builds the pad engine and MAC for cfg's keys (fixed test
+// keys when unset). Both are read-only after construction, so ranks
+// under one controller share them.
+func newCrypto(cfg Config) (*ctrenc.Engine, *gmac.Mac, error) {
 	encKey := cfg.EncKey
 	if encKey == nil {
 		encKey = make([]byte, ctrenc.KeySize)
@@ -245,12 +256,17 @@ func New(cfg Config) (*Memory, error) {
 	}
 	enc, err := ctrenc.New(encKey)
 	if err != nil {
-		return nil, fmt.Errorf("core: bad encryption key: %w", err)
+		return nil, nil, fmt.Errorf("core: bad encryption key: %w", err)
 	}
 	mac, err := gmac.New(macKey)
 	if err != nil {
-		return nil, fmt.Errorf("core: bad MAC key: %w", err)
+		return nil, nil, fmt.Errorf("core: bad MAC key: %w", err)
 	}
+	return enc, mac, nil
+}
+
+// newRank builds one rank over the given crypto engines (see New).
+func newRank(cfg Config, enc *ctrenc.Engine, mac *gmac.Mac) (*Memory, error) {
 	ctrsPerLine := uint64(integrity.CountersPerLine)
 	if cfg.SplitCounters {
 		ctrsPerLine = integrity.SplitCountersPerLine

@@ -289,7 +289,9 @@ func FuzzWriteBackDifferential(f *testing.F) {
 }
 
 // TestBatchZeroAllocSteadyState is the executable form of the hot-path
-// budget: once warm, batched reads and writes allocate nothing.
+// budget: once warm, batched reads and writes allocate nothing — on one
+// rank, and on a 4-rank Array whose batches group, stage and scatter
+// through pooled scratch.
 func TestBatchZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; exact counts only hold without -race")
@@ -298,38 +300,53 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := make([]uint64, 32)
-	for k := range lines {
-		lines[k] = uint64(k * 5)
+	a, err := NewArray(Config{DataLines: 4096, Ranks: 4, MetadataCache: 4096})
+	if err != nil {
+		t.Fatal(err)
 	}
-	src := make([]byte, len(lines)*LineSize)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	dst := make([]byte, len(src))
-	infos := make([]ReadInfo, len(lines))
-	// Warm: fault-free steady state with every path entry cached.
-	for i := 0; i < 4; i++ {
-		if err := m.WriteBatch(lines, src); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		store interface {
+			WriteBatch(lines []uint64, src []byte) error
+			ReadBatchInto(lines []uint64, dst []byte, infos []ReadInfo) error
 		}
-		if err := m.ReadBatchInto(lines, dst, infos); err != nil {
-			t.Fatal(err)
+	}{{"memory", m}, {"array4", a}} {
+		lines := make([]uint64, 32)
+		for k := range lines {
+			lines[k] = uint64(k * 5)
 		}
-	}
-	if avg := testing.AllocsPerRun(50, func() {
-		if err := m.WriteBatch(lines, src); err != nil {
-			t.Fatal(err)
+		src := make([]byte, len(lines)*LineSize)
+		for i := range src {
+			src[i] = byte(i)
 		}
-	}); avg != 0 {
-		t.Errorf("WriteBatch steady state allocates %.1f objects/op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(50, func() {
-		if err := m.ReadBatchInto(lines, dst, infos); err != nil {
-			t.Fatal(err)
+		dst := make([]byte, len(src))
+		infos := make([]ReadInfo, len(lines))
+		// Warm: fault-free steady state with every path entry cached.
+		for i := 0; i < 4; i++ {
+			if err := tc.store.WriteBatch(lines, src); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.store.ReadBatchInto(lines, dst, infos); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); avg != 0 {
-		t.Errorf("ReadBatchInto steady state allocates %.1f objects/op, want 0", avg)
+		if avg := testing.AllocsPerRun(50, func() {
+			if err := tc.store.WriteBatch(lines, src); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("%s: WriteBatch steady state allocates %.1f objects/op, want 0", tc.name, avg)
+		}
+		if avg := testing.AllocsPerRun(50, func() {
+			if err := tc.store.ReadBatchInto(lines, dst, infos); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("%s: ReadBatchInto steady state allocates %.1f objects/op, want 0", tc.name, avg)
+		}
+		if !bytes.Equal(dst, src) {
+			t.Errorf("%s: read back differs from what was written", tc.name)
+		}
 	}
 }
 

@@ -4,8 +4,10 @@
 // Each 64-byte cacheline is encrypted by XOR with a One Time Pad (OTP)
 // generated from AES of (line address, per-line write counter):
 //
-//	OTP   = AES_K(addr || ctr || 0) || ... || AES_K(addr || ctr || 3)
+//	OTP   = AES_K(addr || 0<<56|ctr) || ... || AES_K(addr || 3<<56|ctr)
 //	cipher = plain XOR OTP
+//
+// with addr and the counter word each serialized big-endian in 8 bytes.
 //
 // Incrementing the counter on every write gives temporal uniqueness of
 // the pad; binding the address gives spatial uniqueness. Decryption is
@@ -66,16 +68,12 @@ func New(key []byte) (*Engine, error) {
 	return &Engine{block: b}, nil
 }
 
-// scratch holds the AES input block and one line-sized pad. Both are
-// pooled rather than stack-allocated because buffers passed through the
-// cipher.Block interface escape, and pad generation runs once per memory
-// access on the hot path.
-type scratch struct {
-	in  [aes.BlockSize]byte
-	pad [LineSize]byte
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// scratchPool holds line-sized pads for the one case that cannot stage
+// its AES inputs in dst: an Encrypt/Decrypt/EncryptBatch whose dst is
+// src, where staging would overwrite the plaintext before it is XORed.
+// The pad is pooled rather than stack-allocated because buffers passed
+// through the cipher.Block interface escape.
+var scratchPool = sync.Pool{New: func() any { return new([LineSize]byte) }}
 
 // Pad writes the 64-byte one-time pad for (addr, counter) into dst.
 // dst must be LineSize bytes and counter at most CounterMax; violations
@@ -88,17 +86,14 @@ func (e *Engine) Pad(dst []byte, addr, counter uint64) error {
 	if counter > CounterMax {
 		return ErrCounterOverflow
 	}
-	s := scratchPool.Get().(*scratch)
-	e.padInto(&s.in, dst, addr, counter)
-	scratchPool.Put(s)
+	e.padInto((*[LineSize]byte)(dst), addr, counter)
 	return nil
 }
 
 // PadBatch fills dst with the concatenated one-time pads for every
 // (addrs[k], ctrs[k]) pair: dst[k*LineSize:(k+1)*LineSize] receives pad
-// k. The whole batch shares one AES-input serialization buffer, so a
-// controller can generate all pads for a read burst in a single pass
-// before the data arrives.
+// k, generated in place, so a controller can produce all pads for a
+// read burst in a single pass before the data arrives.
 func (e *Engine) PadBatch(dst []byte, addrs, ctrs []uint64) error {
 	if len(addrs) != len(ctrs) {
 		return fmt.Errorf("ctrenc: PadBatch needs matching addr/counter slices, got %d/%d", len(addrs), len(ctrs))
@@ -111,24 +106,35 @@ func (e *Engine) PadBatch(dst []byte, addrs, ctrs []uint64) error {
 			return ErrCounterOverflow
 		}
 	}
-	s := scratchPool.Get().(*scratch)
-	for k := range addrs {
-		e.padInto(&s.in, dst[k*LineSize:(k+1)*LineSize], addrs[k], ctrs[k])
-	}
-	scratchPool.Put(s)
+	e.padBatch(dst, addrs, ctrs)
 	return nil
 }
 
-// padInto fills dst (LineSize bytes) with the pad for (addr, counter),
-// using in as the AES input block. Address and counter are serialized
-// once; across the 4 blocks only the counter word's top byte changes
-// (counters are 56-bit, so the block index rides there).
-func (e *Engine) padInto(in *[aes.BlockSize]byte, dst []byte, addr, counter uint64) {
-	binary.BigEndian.PutUint64(in[:8], addr)
-	binary.BigEndian.PutUint64(in[8:], counter)
+func (e *Engine) padBatch(dst []byte, addrs, ctrs []uint64) {
+	for k := range addrs {
+		e.padInto((*[LineSize]byte)(dst[k*LineSize:]), addrs[k], ctrs[k])
+	}
+}
+
+// padInto fills dst with the pad for (addr, counter). All four AES
+// inputs addr ‖ (blk<<56 | counter) are written before the first block
+// is encrypted, each in its own 16-byte slot of dst, and each block is
+// then encrypted in place (counters are 56-bit, so the block index
+// rides in the top byte). Staging them first matters: AES loads its
+// input as one 16-byte word, which the CPU cannot forward from the two
+// 8-byte stores that wrote it, so a load issued right behind its stores
+// waits for them to reach the cache. With every store issued up front,
+// they have drained by the time each block needs them, and the four
+// blocks no longer wait on each other.
+func (e *Engine) padInto(dst *[LineSize]byte, addr, counter uint64) {
 	for blk := 0; blk < LineSize/aes.BlockSize; blk++ {
-		in[8] = byte(blk)
-		e.block.Encrypt(dst[blk*aes.BlockSize:(blk+1)*aes.BlockSize], in[:])
+		in := dst[blk*aes.BlockSize:]
+		binary.BigEndian.PutUint64(in[:8], addr)
+		binary.BigEndian.PutUint64(in[8:16], uint64(blk)<<CounterBits|counter)
+	}
+	for blk := 0; blk < LineSize/aes.BlockSize; blk++ {
+		b := dst[blk*aes.BlockSize : (blk+1)*aes.BlockSize]
+		e.block.Encrypt(b, b)
 	}
 }
 
@@ -153,8 +159,9 @@ func (e *Engine) Decrypt(dst, src []byte, addr, counter uint64) error {
 
 // EncryptBatch encrypts lines[k] = src[k*LineSize:(k+1)*LineSize] under
 // (addrs[k], ctrs[k]) into the same span of dst. dst and src may alias.
-// Pad generation for the whole batch reuses one scratch, so the batch
-// costs no allocations beyond the caller's buffers.
+// A separate dst receives the pads in place and then the XOR; an
+// aliased one goes line by line through one pooled pad. Either way the
+// batch costs no allocations beyond the caller's buffers.
 func (e *Engine) EncryptBatch(dst, src []byte, addrs, ctrs []uint64) error {
 	if len(addrs) != len(ctrs) {
 		return fmt.Errorf("ctrenc: EncryptBatch needs matching addr/counter slices, got %d/%d", len(addrs), len(ctrs))
@@ -168,12 +175,17 @@ func (e *Engine) EncryptBatch(dst, src []byte, addrs, ctrs []uint64) error {
 			return ErrCounterOverflow
 		}
 	}
-	s := scratchPool.Get().(*scratch)
-	for k := range addrs {
-		e.padInto(&s.in, s.pad[:], addrs[k], ctrs[k])
-		subtle.XORBytes(dst[k*LineSize:(k+1)*LineSize], src[k*LineSize:(k+1)*LineSize], s.pad[:])
+	if !aliased(dst, src) {
+		e.padBatch(dst, addrs, ctrs)
+		subtle.XORBytes(dst, dst, src)
+		return nil
 	}
-	scratchPool.Put(s)
+	pad := scratchPool.Get().(*[LineSize]byte)
+	for k := range addrs {
+		e.padInto(pad, addrs[k], ctrs[k])
+		subtle.XORBytes(dst[k*LineSize:(k+1)*LineSize], src[k*LineSize:(k+1)*LineSize], pad[:])
+	}
+	scratchPool.Put(pad)
 	return nil
 }
 
@@ -198,16 +210,26 @@ func XORPad(dst, src, pad []byte) error {
 	return nil
 }
 
+// xorPad generates the pad in dst and XORs src into it; only a dst that
+// aliases src needs the pooled pad instead.
 func (e *Engine) xorPad(dst, src []byte, addr, counter uint64) error {
 	if len(dst) != LineSize || len(src) != LineSize {
 		return fmt.Errorf("ctrenc: lines must be %d bytes, got %d/%d: %w", LineSize, len(dst), len(src), ErrBadLength)
 	}
-	s := scratchPool.Get().(*scratch)
-	e.padInto(&s.in, s.pad[:], addr, counter)
-	subtle.XORBytes(dst, src, s.pad[:])
-	scratchPool.Put(s)
+	if !aliased(dst, src) {
+		e.padInto((*[LineSize]byte)(dst), addr, counter)
+		subtle.XORBytes(dst, dst, src)
+		return nil
+	}
+	pad := scratchPool.Get().(*[LineSize]byte)
+	e.padInto(pad, addr, counter)
+	subtle.XORBytes(dst, src, pad[:])
+	scratchPool.Put(pad)
 	return nil
 }
+
+// aliased reports whether dst is src, the one overlap the API allows.
+func aliased(dst, src []byte) bool { return len(dst) > 0 && &dst[0] == &src[0] }
 
 // NextCounter returns counter+1, or ErrCounterOverflow when the 56-bit
 // space is exhausted.

@@ -17,9 +17,10 @@
 // Everything is implemented with the standard library only; the GF(2^64)
 // carry-less multiplication is done in pure Go. Multiplication by the
 // fixed hash point H — the only multiply the MAC ever performs — uses a
-// per-key 4-bit windowed table (the standard GHASH acceleration), so
-// each field multiply is 16 table lookups instead of a 64-iteration
-// shift-and-add; see mulTable.
+// per-key byte-wide table (the standard GHASH acceleration), so each
+// field multiply is 8 table lookups instead of a 64-iteration
+// shift-and-add; see mulTable. The lookups are indexed by secret-
+// dependent values and are therefore not constant-time.
 package gmac
 
 import (
@@ -49,7 +50,7 @@ const LineSize = 64
 // construction: all state is read-only.
 type Mac struct {
 	h     uint64       // secret GF(2^64) evaluation point
-	tab   *mulTable    // 4-bit windowed multiply-by-h table
+	tab   *mulTable    // byte-wide multiply-by-h table
 	block cipher.Block // AES for the one-time pad
 }
 
@@ -58,8 +59,10 @@ type Mac struct {
 // The key is expanded with AES: the hash point H is AES_K(0^16) truncated
 // to 64 bits (mirroring how GCM derives its GHASH key), and the same AES
 // instance whitens each tag with an address/counter-dependent pad. New
-// also precomputes the 2 KB windowed multiplication table for H that the
-// hot path uses in place of bit-serial field multiplication.
+// also precomputes the 16 KB multiplication table for H that the hot
+// path uses in place of bit-serial field multiplication; callers that
+// share keys should share the Mac too, so the table is built and held
+// in cache once.
 func New(key []byte) (*Mac, error) {
 	if len(key) != KeySize {
 		return nil, errors.New("gmac: key must be 16 bytes")
@@ -85,7 +88,8 @@ func New(key []byte) (*Mac, error) {
 // length folded into the polynomial so that messages of different
 // lengths cannot collide trivially.
 func (m *Mac) Sum(addr uint64, counter uint64, data []byte) uint64 {
-	return m.polyHash(data) ^ m.pad(addr, counter)
+	n := stageNonce(addr, counter)
+	return m.polyHash(data) ^ m.pad(n)
 }
 
 // Verify reports whether tag authenticates data at (addr, counter).
@@ -105,6 +109,7 @@ func (m *Mac) SumBytes(addr uint64, counter uint64, data []byte) []byte {
 // with the word loop fully unrolled and no slice bookkeeping. This is
 // the form the engine's per-access verify/seal paths use.
 func (m *Mac) SumLine(addr uint64, counter uint64, line *[LineSize]byte) uint64 {
+	n := stageNonce(addr, counter)
 	t := m.tab
 	acc := t.mul(binary.BigEndian.Uint64(line[0:8]))
 	acc = t.mul(acc ^ binary.BigEndian.Uint64(line[8:16]))
@@ -115,13 +120,14 @@ func (m *Mac) SumLine(addr uint64, counter uint64, line *[LineSize]byte) uint64 
 	acc = t.mul(acc ^ binary.BigEndian.Uint64(line[48:56]))
 	acc = t.mul(acc ^ binary.BigEndian.Uint64(line[56:64]))
 	acc = t.mul(acc ^ LineSize<<3 ^ lenMixin)
-	return acc ^ m.pad(addr, counter)
+	return acc ^ m.pad(n)
 }
 
 // Sum56 is the fixed-size fast path for 56-byte node payloads (the MACed
 // content of counter/tree lines: eight 7-byte counters, or a split
 // node's major + minors). The tag equals Sum(addr, counter, buf[:]).
 func (m *Mac) Sum56(addr uint64, counter uint64, buf *[56]byte) uint64 {
+	n := stageNonce(addr, counter)
 	t := m.tab
 	acc := t.mul(binary.BigEndian.Uint64(buf[0:8]))
 	acc = t.mul(acc ^ binary.BigEndian.Uint64(buf[8:16]))
@@ -131,25 +137,35 @@ func (m *Mac) Sum56(addr uint64, counter uint64, buf *[56]byte) uint64 {
 	acc = t.mul(acc ^ binary.BigEndian.Uint64(buf[40:48]))
 	acc = t.mul(acc ^ binary.BigEndian.Uint64(buf[48:56]))
 	acc = t.mul(acc ^ 56<<3 ^ lenMixin)
-	return acc ^ m.pad(addr, counter)
+	return acc ^ m.pad(n)
 }
 
-// aesScratch holds the AES input/output blocks for pad computation. The
-// blocks are pooled rather than stack-allocated because slices passed
-// through the cipher.Block interface escape, and the verify path runs
-// once per memory access.
-type aesScratch struct{ in, out [16]byte }
+// nonce is the AES block the tag pad is computed from. It is pooled
+// rather than stack-allocated because slices passed through the
+// cipher.Block interface escape, and the verify path runs once per
+// memory access.
+type nonce [16]byte
 
-var padPool = sync.Pool{New: func() any { return new(aesScratch) }}
+var noncePool = sync.Pool{New: func() any { return new(nonce) }}
 
-// pad computes AES_K(addr || counter) truncated to 64 bits.
-func (m *Mac) pad(addr, counter uint64) uint64 {
-	s := padPool.Get().(*aesScratch)
-	binary.BigEndian.PutUint64(s.in[:8], addr)
-	binary.BigEndian.PutUint64(s.in[8:], counter)
-	m.block.Encrypt(s.out[:], s.in[:])
-	p := binary.BigEndian.Uint64(s.out[:8])
-	padPool.Put(s)
+// stageNonce writes the pad's AES input addr || counter. Every tag
+// stages it before evaluating the polynomial and encrypts it after
+// (pad): AES loads the block as one 16-byte word, which the CPU cannot
+// forward from the two 8-byte stores that wrote it, and the polynomial
+// gives those stores time to reach the cache first.
+func stageNonce(addr, counter uint64) *nonce {
+	n := noncePool.Get().(*nonce)
+	binary.BigEndian.PutUint64(n[:8], addr)
+	binary.BigEndian.PutUint64(n[8:], counter)
+	return n
+}
+
+// pad encrypts a staged nonce in place, returns AES_K(addr || counter)
+// truncated to 64 bits and releases the nonce.
+func (m *Mac) pad(n *nonce) uint64 {
+	m.block.Encrypt(n[:], n[:])
+	p := binary.BigEndian.Uint64(n[:8])
+	noncePool.Put(n)
 	return p
 }
 
@@ -179,40 +195,39 @@ const lenMixin = 0xa5a5a5a5a5a5a5a5
 const gfPoly = 0x1b
 
 // mulTable accelerates multiplication by a fixed field element h with
-// 4-bit windows: tab[i][w] = (w·x^(4i))·h, so a·h is the XOR of 16
-// lookups, one per nibble of a. 16×16 uint64 = 2 KB per key, L1-resident.
-type mulTable [16][16]uint64
+// byte-wide windows: tab[i][b] = (b·x^(8i))·h, so a·h is the XOR of 8
+// lookups, one per byte of a. 8×256 uint64 = 16 KB per key: half of a
+// typical L1d, which is why an Array shares one Mac across its ranks.
+type mulTable [8][256]uint64
 
-// newMulTable precomputes the windowed table for h using the reference
-// shift-and-add multiply (256 multiplies, key-setup only).
+// newMulTable precomputes the table for h: the reference shift-and-add
+// multiply gives each single-bit entry (64 multiplies, key setup only),
+// and since multiplication by h is linear over XOR, every other entry
+// is the XOR of its lowest set bit's entry and the rest's.
 func newMulTable(h uint64) *mulTable {
 	t := new(mulTable)
-	for i := 0; i < 16; i++ {
-		for w := 1; w < 16; w++ {
-			t[i][w] = gfMul(uint64(w)<<(4*i), h)
+	for i := range t {
+		for b := 1; b < 256; b++ {
+			if low := b & -b; low == b {
+				t[i][b] = gfMul(uint64(b)<<(8*i), h)
+			} else {
+				t[i][b] = t[i][low] ^ t[i][b^low]
+			}
 		}
 	}
 	return t
 }
 
-// mul returns a·h, fully unrolled: 16 loads and 15 XORs.
+// mul returns a·h, fully unrolled: 8 loads and 7 XORs.
 func (t *mulTable) mul(a uint64) uint64 {
-	return t[0][a&0xF] ^
-		t[1][a>>4&0xF] ^
-		t[2][a>>8&0xF] ^
-		t[3][a>>12&0xF] ^
-		t[4][a>>16&0xF] ^
-		t[5][a>>20&0xF] ^
-		t[6][a>>24&0xF] ^
-		t[7][a>>28&0xF] ^
-		t[8][a>>32&0xF] ^
-		t[9][a>>36&0xF] ^
-		t[10][a>>40&0xF] ^
-		t[11][a>>44&0xF] ^
-		t[12][a>>48&0xF] ^
-		t[13][a>>52&0xF] ^
-		t[14][a>>56&0xF] ^
-		t[15][a>>60&0xF]
+	return t[0][uint8(a)] ^
+		t[1][uint8(a>>8)] ^
+		t[2][uint8(a>>16)] ^
+		t[3][uint8(a>>24)] ^
+		t[4][uint8(a>>32)] ^
+		t[5][uint8(a>>40)] ^
+		t[6][uint8(a>>48)] ^
+		t[7][uint8(a>>56)]
 }
 
 // gfMul multiplies two elements of GF(2^64) (carry-less multiply reduced

@@ -286,13 +286,3 @@ func TestTagBitBalance(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkSum64B(b *testing.B) {
-	m := testKey(b)
-	data := make([]byte, 64)
-	b.SetBytes(64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Sum(uint64(i), 1, data)
-	}
-}
