@@ -122,7 +122,8 @@ func IsFailClosed(err error) bool { return core.IsFailClosed(err) }
 // cache and defer sealing + storing to eviction or Array.Flush. Stored
 // (module-level) state is then stale between writes and the next
 // Flush/Sync; reads, scrubbing, and repair remain fully coherent
-// throughout because they consult the cache first.
+// throughout because they consult the cache first. Otherwise every
+// write seals and stores its own metadata path before it returns.
 func New(cfg Config) (*Array, error) { return core.NewArray(cfg) }
 
 // SnapshotStore is where sealed snapshots are committed and read back:

@@ -396,12 +396,12 @@ func (a *Array) Poisoned() []uint64 {
 
 // Flush seals every rank's dirty cached metadata back to its module,
 // in rank order. After a nil return, every rank's stored device state
-// is externally consistent — bit-identical to a write-through array
-// that served the same operations. Call it before snapshotting modules,
-// handing raw device state to another consumer, or shutting down; a
-// cheap no-op when the metadata cache is in write-through mode.
-// Cancelling ctx stops between ranks; already-flushed ranks stay
-// flushed and the ctx error is returned (joined with any rank errors).
+// is externally consistent — bit-identical to a default-config array
+// (every write flushes its own path) that served the same operations.
+// Call it before snapshotting modules, handing raw device state to
+// another consumer, or shutting down. Cancelling ctx stops between
+// ranks; already-flushed ranks stay flushed and the ctx error is
+// returned (joined with any rank errors).
 func (a *Array) Flush(ctx context.Context) error {
 	var errs []error
 	for r, m := range a.ranks {

@@ -170,11 +170,12 @@ func BenchmarkReadBatchHotPath(b *testing.B) {
 	}
 }
 
-// hotWrites returns a write-back memory plus a warmed hot working set
-// whose every path entry sits in the metadata cache.
-func hotWrites(b *testing.B, metadataCache int) (*Memory, []uint64) {
+// hotWrites returns a memory with the given metadata cache and
+// telemetry registry (nil: none) plus a warmed hot working set whose
+// every path entry sits in the metadata cache.
+func hotWrites(b *testing.B, metadataCache int, reg *telemetry.Registry) (*Memory, []uint64) {
 	b.Helper()
-	m, err := New(Config{DataLines: 1024, MetadataCache: metadataCache})
+	m, err := New(Config{DataLines: 1024, MetadataCache: metadataCache, Telemetry: reg})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func hotWrites(b *testing.B, metadataCache int) (*Memory, []uint64) {
 // entries and sealing is deferred, so the write pays data encrypt +
 // MAC + store + parity, not a full root walk of reseals.
 func BenchmarkWriteHotPath(b *testing.B) {
-	m, lines := hotWrites(b, 2048)
+	m, lines := hotWrites(b, 2048, nil)
 	line := fillLine(0x22)
 	b.SetBytes(LineSize)
 	b.ReportAllocs()
@@ -208,21 +209,18 @@ func BenchmarkWriteHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteThroughHotPath is the same workload on the legacy
-// write-through path (every write reseals and stores its whole
-// metadata path) — the baseline the write-back cache is measured
+// BenchmarkWriteDefaultHotPath is the same workload on the default
+// config: every write flushes its path (seals and stores each level
+// before returning) — the baseline the write-back cache is measured
 // against.
-func BenchmarkWriteThroughHotPath(b *testing.B) {
-	m := newMemory(b, 1024)
+func BenchmarkWriteDefaultHotPath(b *testing.B) {
+	m, lines := hotWrites(b, 0, nil)
 	line := fillLine(0x22)
-	if err := m.Write(0, line); err != nil {
-		b.Fatal(err)
-	}
 	b.SetBytes(LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Write(uint64(i)&63, line); err != nil {
+		if err := m.Write(lines[i&63], line); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -232,7 +230,7 @@ func BenchmarkWriteThroughHotPath(b *testing.B) {
 // (peek predicted counters → precompute pads → commit under one lock
 // acquisition) over a warm write-back working set.
 func BenchmarkWriteBatchHotPath(b *testing.B) {
-	m, _ := hotWrites(b, 2048)
+	m, _ := hotWrites(b, 2048, nil)
 	const n = 32
 	lines := make([]uint64, n)
 	src := make([]byte, n*LineSize)

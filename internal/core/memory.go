@@ -70,18 +70,16 @@ type Config struct {
 	// major + per-line minors), shrinking counter storage and working
 	// set 6x at the cost of group re-encryption on minor overflow.
 	SplitCounters bool
-	// NodeCacheLines sizes the on-chip trusted metadata cache at which
-	// the Fig. 7 upward walk stops (default 32; negative disables it).
-	NodeCacheLines int
-	// MetadataCache, when positive, switches the metadata cache to
-	// write-back with that many entries (clamped up to hold at least
-	// two full integrity paths): hot-line writes bump counters in the
-	// cached copies and defer MAC sealing and the module writebacks to
-	// eviction or Flush. Stored metadata is then stale between writes
-	// and Flush — call Flush (or Sync on the facade) before treating
-	// device contents as externally consistent. 0 or negative keeps the
-	// legacy write-through behavior, where NodeCacheLines alone sizes
-	// the read-side cache and every write seals its whole path.
+	// MetadataCache sizes the on-chip trusted metadata cache at which
+	// the Fig. 7 upward walk stops, in entries (clamped up to hold at
+	// least two full integrity paths). When positive, the cache is
+	// write-back: hot-line writes bump counters in the cached copies and
+	// defer MAC sealing and the module writebacks to eviction or Flush,
+	// so stored metadata is stale between writes and Flush — call Flush
+	// (or Sync on the facade) before treating device contents as
+	// externally consistent. 0 or negative gives DefaultMetadataCache
+	// entries and has every write seal and store its own path before it
+	// returns, so stored device state is consistent after every write.
 	MetadataCache int
 	// Telemetry, when non-nil, receives operation counters, sampled
 	// latency histograms and engine events (see internal/telemetry).
@@ -119,7 +117,7 @@ type Memory struct {
 	root   uint64 // on-chip root counter (trusted)
 
 	split          bool
-	wb             bool // write-back metadata cache (Config.MetadataCache > 0)
+	syncWrites     bool // Config.MetadataCache ≤ 0: each write flushes its own path
 	faultThreshold int
 	scoreboard     [dimm.Chips]uint64
 	knownBad       int // chip index, or -1
@@ -151,12 +149,12 @@ type Memory struct {
 	st       telemetry.StageTimer
 
 	// Reusable scratch for the zero-allocation hot paths. All of it is
-	// guarded by mu (exclusive): loadPath fills pathBuf, the preemptive
-	// and trusted-path candidates use pcandBuf, and writes stage
+	// guarded by mu (exclusive): loadPath fills pathBuf, preemptPath
+	// saves the path as loaded in pathSave, and writes stage
 	// plaintext/ciphertext in lineBufs. Nothing here survives an
 	// operation; pooling only avoids per-access garbage.
 	pathBuf  []pathEntry
-	pcandBuf []pathEntry
+	pathSave []pathEntry
 	flushBuf []*cachedNode
 	lineBufs [2][LineSize]byte
 
@@ -308,24 +306,15 @@ func newRank(cfg Config, enc *ctrenc.Engine, mac *gmac.Mac) (*Memory, error) {
 	// (at zero) before its first event; the cached pointer is the
 	// single-writer publish target for the meta-cache counters.
 	m.telMeta = m.tel.Rank(m.telRank)
-	switch {
-	case cfg.MetadataCache > 0:
-		// Write-back mode. The cache must at least hold the full path
-		// of the line being written plus an ancestor climb during a
-		// concurrent flush, or every write would thrash its own path.
-		m.wb = true
-		capacity := cfg.MetadataCache
-		if min := 2 * (geo.Levels() + 1); capacity < min {
-			capacity = min
-		}
-		m.ncache = newNodeCache(capacity)
-	case cfg.NodeCacheLines < 0:
-		m.ncache = newNodeCache(0)
-	case cfg.NodeCacheLines == 0:
-		m.ncache = newNodeCache(DefaultNodeCacheLines)
-	default:
-		m.ncache = newNodeCache(cfg.NodeCacheLines)
+	capacity := cfg.MetadataCache
+	if capacity <= 0 {
+		m.syncWrites = true
+		capacity = DefaultMetadataCache
 	}
+	// The cache must at least hold the full path of the line being
+	// written plus an ancestor climb during a flush, or every write
+	// would thrash its own path.
+	m.ncache = newNodeCache(max(capacity, 2*(geo.Levels()+1)))
 	if err := m.initialize(); err != nil {
 		return nil, err
 	}
@@ -483,11 +472,9 @@ func (m *Memory) ErrorLog() *ErrorLog { return m.log }
 
 // FlushNodeCache empties the on-chip trusted metadata cache (as a
 // context switch or enclave exit would), forcing subsequent walks back
-// to memory. In write-back mode every dirty entry is sealed and written
-// back first — dropping dirty state would lose committed counter
-// advances — so the error return must be checked when
-// Config.MetadataCache is on; in write-through mode it is always nil
-// and dropping the cache just re-exposes the walk to DRAM state.
+// to memory. Every dirty entry is sealed and written back first —
+// dropping dirty state would lose committed counter advances — so the
+// error return must be checked.
 func (m *Memory) FlushNodeCache() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -598,11 +585,7 @@ func (m *Memory) trustedNode(level int, index uint64) (*cachedNode, error) {
 		var info ReadInfo
 		m.noteCorrection(chip, RegionTree, addr, false, &info)
 	}
-	cn := m.ncache.insert(addr, level, index, e.node, e.split)
-	if cn == nil {
-		cn = &cachedNode{addr: addr, level: level, index: index, node: e.node, split: e.split}
-	}
-	return cn, nil
+	return m.ncache.insert(addr, level, index, e.node, e.split), nil
 }
 
 // trimCache evicts down to capacity: clean victims drop, dirty victims
@@ -724,11 +707,12 @@ func (m *Memory) leafCounter(e *pathEntry, slot int) uint64 {
 	return node.Counters[slot]
 }
 
-// loadPath reads the counter line for data line i and every tree node
-// upward. With stopAtCache, the walk ends at the first entry found in
-// the on-chip trusted node cache (Fig. 7b); otherwise it continues to
-// the root (writes must update every level). No verification of
-// memory-sourced entries is performed here.
+// loadPath reads the integrity path for data line i, leaf first,
+// probing the on-chip trusted node cache at each level. A read
+// (stopAtCache) ends at the first cached entry (Fig. 7b); a write
+// probes every level up to the root, since it bumps a counter in each.
+// Cached levels are trusted as-is; memory-sourced levels are read raw
+// for the caller to verify.
 func (m *Memory) loadPath(i uint64, stopAtCache bool) (entries []pathEntry, err error) {
 	addr, _ := m.layout.CounterAddr(i)
 	// The path scratch is reused across accesses (mu is held exclusively
@@ -746,52 +730,13 @@ func (m *Memory) loadPath(i uint64, stopAtCache bool) (entries []pathEntry, err 
 		}
 		pl, pi, slot, ok := m.geo.Parent(level, index)
 		e.slot = slot
-		if stopAtCache {
-			if cn, hit := m.ncache.get(e.addr); hit {
-				e.cached = cn
-				m.stats.NodeCacheStops++
-				m.stats.MetaCacheHits++
-				entries = append(entries, e)
-				return entries, nil
-			}
-		}
-		m.stats.MetaCacheMisses++
-		raw, err := m.mod.ReadLine(e.addr)
-		if err != nil {
-			return nil, err
-		}
-		e.raw = raw
-		m.entryUnpack(&e)
-		entries = append(entries, e)
-		if !ok {
-			return entries, nil
-		}
-		level, index = pl, pi
-	}
-}
-
-// loadWritePath is the write-back variant of loadPath: it walks the
-// whole path (writes bump every level), probing the cache at each
-// level instead of stopping at the first hit. Cached entries are
-// trusted as-is; missing levels are read raw for the caller to verify.
-func (m *Memory) loadWritePath(i uint64) (entries []pathEntry, err error) {
-	addr, _ := m.layout.CounterAddr(i)
-	entries = m.pathBuf[:0]
-	defer func() { m.pathBuf = entries }()
-	level, index := -1, addr-m.layout.counterBase
-	for {
-		var e pathEntry
-		e.level, e.index = level, index
-		if level == -1 {
-			e.addr = m.layout.counterBase + index
-		} else {
-			e.addr = m.layout.TreeAddr(level, index)
-		}
-		pl, pi, slot, ok := m.geo.Parent(level, index)
-		e.slot = slot
 		if cn, hit := m.ncache.get(e.addr); hit {
 			e.cached = cn
 			m.stats.MetaCacheHits++
+			if stopAtCache {
+				m.stats.NodeCacheStops++
+				return append(entries, e), nil
+			}
 		} else {
 			m.stats.MetaCacheMisses++
 			raw, rerr := m.mod.ReadLine(e.addr)
@@ -811,15 +756,14 @@ func (m *Memory) loadWritePath(i uint64) (entries []pathEntry, err error) {
 
 // cachePath inserts the memory-sourced levels of a fully trusted path
 // into the on-chip node cache (a level served from the cache already
-// holds these values) and trims to capacity (in write-back mode a dirty
-// victim seals and writes back first — the error return).
-func (m *Memory) cachePath(path []pathEntry) error {
+// holds these values) and points each level at its entry. The caller
+// trims afterwards.
+func (m *Memory) cachePath(path []pathEntry) {
 	for k := range path {
 		if path[k].cached == nil {
-			m.ncache.insert(path[k].addr, path[k].level, path[k].index, path[k].node, path[k].split)
+			path[k].cached = m.ncache.insert(path[k].addr, path[k].level, path[k].index, path[k].node, path[k].split)
 		}
 	}
-	return m.trimCache()
 }
 
 // parentCounterOf returns the trusted counter authenticating path entry
@@ -1189,7 +1133,8 @@ func (m *Memory) readLocked(i uint64, dst []byte, pad []byte, padCtr uint64) (Re
 
 	// The whole path is now verified (or was served from on-chip):
 	// cache it so subsequent walks stop early.
-	if err := m.cachePath(path); err != nil {
+	m.cachePath(path)
+	if err := m.trimCache(); err != nil {
 		return info, err
 	}
 
@@ -1319,11 +1264,17 @@ func (m *Memory) writeBatch(lines []uint64, src []byte) error {
 	return be.orNil()
 }
 
-// writeLocked is Write with m.mu held. pad, when non-nil, is a
-// precomputed one-time pad generated for padCtr; it encrypts the line
-// in place of inline pad generation iff the committed post-bump
-// counter equals padCtr (the batched write pipeline's optimism — a
-// stale prediction only wastes the pad).
+// writeLocked is Write with m.mu held — the one write pipeline. The
+// path is pinned in the metadata cache and every level's counter
+// advances in the cached copy: the leaf, each ancestor's slot and the
+// on-chip root, so any stale stored copy fails its MAC against the
+// advanced parent counter. Sealing and the per-level module stores are
+// deferred to eviction or Flush when Config.MetadataCache is positive;
+// otherwise (syncWrites) the write seals and stores its own path before
+// returning. pad, when non-nil, is a precomputed one-time pad generated
+// for padCtr; it encrypts the line in place of inline pad generation iff
+// the committed post-bump counter equals padCtr (the batched write
+// pipeline's optimism — a stale prediction only wastes the pad).
 func (m *Memory) writeLocked(i uint64, plain []byte, pad []byte, padCtr uint64) error {
 	if len(plain) != LineSize {
 		return fmt.Errorf("core: Write needs a %d-byte buffer, got %d: %w", LineSize, len(plain), ErrBadLineSize)
@@ -1332,126 +1283,54 @@ func (m *Memory) writeLocked(i uint64, plain []byte, pad []byte, padCtr uint64) 
 		return fmt.Errorf("core: data line %d out of range [0,%d): %w", i, m.layout.DataLines, ErrOutOfRange)
 	}
 	m.stats.Writes++
-	if m.wb {
-		return m.writeBackLocked(i, plain, pad, padCtr)
-	}
-
-	// Load and trust the path (correcting errors as on a read). An
-	// uncorrectable path poisons the line: its counter chain cannot be
-	// advanced, so reads would keep failing anyway — record that once.
-	path, err := m.loadTrustedPath(i)
-	if err != nil {
-		if errors.Is(err, ErrAttack) {
-			m.poisonLine(i)
-		}
-		return fmt.Errorf("core: data line %d: %w", i, err)
-	}
-	m.st.Mark(telemetry.StageCounterFetch)
-
-	// Increment the encryption counter and all path counters; the root
-	// advances too, so any stale path replay fails closed.
-	_, ctrSlot := m.layout.CounterAddr(i)
-	var newCtr uint64
-	var reencrypt bool
-	oldLeaf := path[0].split // pre-bump counters, for group re-encryption
-	if m.split {
-		newCtr, reencrypt, err = path[0].split.Bump(ctrSlot)
-		if err != nil {
-			return err
-		}
-	} else {
-		newCtr, err = ctrenc.NextCounter(path[0].node.Counters[ctrSlot])
-		if err != nil {
-			return err
-		}
-		path[0].node.Counters[ctrSlot] = newCtr
-	}
-	for k := 1; k < len(path); k++ {
-		path[k].node.Counters[path[k-1].slot] =
-			(path[k].node.Counters[path[k-1].slot] + 1) & integrity.CounterMask
-	}
-	m.root = (m.root + 1) & integrity.CounterMask
-
-	// Reseal top-down so each MAC uses its parent's new counter.
-	for k := len(path) - 1; k >= 0; k-- {
-		m.entrySeal(&path[k], parentCounterOf(path, k, m.root))
-		m.stats.MACComputations++
-		if err := m.writeEntry(&path[k]); err != nil {
-			return err
-		}
-	}
-	// Refresh the on-chip copies so cached reads see the new counters.
-	if err := m.cachePath(path); err != nil {
-		return err
-	}
-	m.st.Mark(telemetry.StageMetaUpdate)
-
-	// A minor-counter overflow re-encrypts the whole 48-line group
-	// under the incremented major (the split-counter design's overflow
-	// cost, §VI-F).
-	if reencrypt {
-		if err := m.reencryptGroup(i, &oldLeaf, path[0].split.Major); err != nil {
-			return err
-		}
-	}
-
-	if err := m.storeDataLine(i, newCtr, plain, pad, padCtr); err != nil {
-		return err
-	}
-	m.st.Mark(telemetry.StageOTP)
-	return nil
-}
-
-// writeBackLocked is the write-back hot path (Config.MetadataCache).
-// Counters at every level advance in the cached copies exactly as the
-// write-through path advances them in memory — which is what makes
-// flushed device state bit-identical between the modes — but MAC
-// sealing and the per-level module stores are deferred to eviction or
-// Flush. A cache-resident path turns the write's metadata cost into a
-// handful of map probes: no node seals, no node stores.
-func (m *Memory) writeBackLocked(i uint64, plain []byte, pad []byte, padCtr uint64) error {
-	path, err := m.loadWritePath(i)
+	path, err := m.loadPath(i, false)
 	if err != nil {
 		return fmt.Errorf("core: data line %d: %w", i, err)
 	}
-	// Verify/correct the levels that came from memory, top-down: each
-	// entry's parent is trusted by the time it is checked (cached, or
-	// verified by the previous iteration). Dirty cached ancestors are
-	// fine — their counters are current by construction, and the stale
-	// stored copies below them are never read (the cache probe wins).
-	for k := len(path) - 1; k >= 0; k-- {
-		if path[k].cached != nil {
-			continue
+	// Make the levels that came from memory trusted. Under a condemned
+	// chip the §IV-A candidate goes first, as on reads: its slice rebuilt
+	// on every such level, applied silently if they all verify.
+	// Otherwise verify and correct level by level, top-down: each entry's
+	// parent is trusted by the time it is checked (cached, or verified by
+	// the previous iteration). Dirty cached ancestors are fine — their
+	// counters are current by construction, and the stale stored copies
+	// below them are never read (the cache probe wins). An uncorrectable
+	// path poisons the line: its counter chain cannot be advanced, so
+	// reads would keep failing anyway — record that once.
+	preempted := false
+	if m.knownBad >= 0 {
+		_, preempted = m.preemptPath(path)
+	}
+	if !preempted {
+		for k := len(path) - 1; k >= 0; k-- {
+			if path[k].cached != nil {
+				continue
+			}
+			parentCtr := parentCounterOf(path, k, m.root)
+			m.stats.MACComputations++
+			if m.entryVerify(&path[k], parentCtr) {
+				continue
+			}
+			m.stats.MismatchesSeen++
+			chip, _, rerr := m.reconstructEntry(&path[k], parentCtr)
+			if rerr != nil {
+				m.stats.AttacksDeclared++
+				m.poisonLine(i)
+				return fmt.Errorf("core: data line %d (path %s line %#x): %w",
+					i, regionOfLevel(path[k].level), path[k].addr, rerr)
+			}
+			if err := m.writeEntry(&path[k]); err != nil {
+				return err
+			}
+			var info ReadInfo
+			m.noteCorrection(chip, regionOfLevel(path[k].level), path[k].addr, false, &info)
 		}
-		parentCtr := parentCounterOf(path, k, m.root)
-		m.stats.MACComputations++
-		if m.entryVerify(&path[k], parentCtr) {
-			continue
-		}
-		m.stats.MismatchesSeen++
-		chip, _, rerr := m.reconstructEntry(&path[k], parentCtr)
-		if rerr != nil {
-			m.stats.AttacksDeclared++
-			m.poisonLine(i)
-			return fmt.Errorf("core: data line %d (path %s line %#x): %w",
-				i, regionOfLevel(path[k].level), path[k].addr, rerr)
-		}
-		if err := m.writeEntry(&path[k]); err != nil {
-			return err
-		}
-		var info ReadInfo
-		m.noteCorrection(chip, regionOfLevel(path[k].level), path[k].addr, false, &info)
 	}
 	m.st.Mark(telemetry.StageCounterFetch)
 
-	// Pin the whole path in the cache — only the levels that came from
-	// memory need inserting — and bump counters in the cached copies.
-	for k := range path {
-		if path[k].cached == nil {
-			path[k].cached = m.ncache.insert(path[k].addr, path[k].level, path[k].index, path[k].node, path[k].split)
-		}
-	}
-
+	// Pin the whole path in the cache and bump counters in the cached
+	// copies.
+	m.cachePath(path)
 	_, ctrSlot := m.layout.CounterAddr(i)
 	leaf := path[0].cached
 	var newCtr uint64
@@ -1476,8 +1355,20 @@ func (m *Memory) writeBackLocked(i uint64, plain []byte, pad []byte, padCtr uint
 		m.ncache.markDirty(cn)
 	}
 	m.root = (m.root + 1) & integrity.CounterMask
+	if m.syncWrites {
+		// Every earlier write flushed its own path, so these entries are
+		// the only dirty ones: no scan, no sort.
+		for k := range path {
+			if err := m.flushEntry(path[k].cached); err != nil {
+				return err
+			}
+		}
+	}
 	m.st.Mark(telemetry.StageMetaUpdate)
 
+	// A minor-counter overflow re-encrypts the whole 48-line group
+	// under the incremented major (the split-counter design's overflow
+	// cost, §VI-F).
 	if reencrypt {
 		if err := m.reencryptGroup(i, &oldLeaf, leaf.split.Major); err != nil {
 			return err
@@ -1571,30 +1462,24 @@ func (m *Memory) Poisoned() []uint64 {
 	return out
 }
 
-// tryPreemptive applies the condemned chip's parity fix to copies of the
-// data line and path, verifies everything, and commits the fix only on
-// full success. On success it returns the trusted encryption counter.
+// tryPreemptive applies the condemned chip's parity fix to the data line
+// and path, verifies everything, and commits the fix only on full
+// success; otherwise it leaves both as loaded. On success it returns the
+// trusted encryption counter.
 func (m *Memory) tryPreemptive(i uint64, dl *dimm.Line, path []pathEntry) (uint64, bool, error) {
 	cand := *dl
-	pcand := append(m.pcandBuf[:0], path...)
-	m.pcandBuf = pcand
-	m.preemptNode(pcand)
 	if err := m.preemptData(i, &cand); err != nil {
 		return 0, false, err
 	}
-	for k := 0; k < len(pcand); k++ {
-		if pcand[k].cached != nil {
-			continue
-		}
-		m.stats.MACComputations++
-		if !m.entryVerify(&pcand[k], parentCounterOf(pcand, k, m.root)) {
-			return 0, false, nil
-		}
+	orig, ok := m.preemptPath(path)
+	if !ok {
+		return 0, false, nil
 	}
 	_, ctrSlot := m.layout.CounterAddr(i)
-	ctr := m.leafCounter(&pcand[0], ctrSlot)
+	ctr := m.leafCounter(&path[0], ctrSlot)
 	m.stats.MACComputations++
 	if !m.verifyData(m.layout.DataAddr(i), ctr, &cand) {
+		copy(path, orig)
 		return 0, false, nil
 	}
 	// Commit, scrubbing repaired lines back to memory so transient
@@ -1604,65 +1489,41 @@ func (m *Memory) tryPreemptive(i uint64, dl *dimm.Line, path []pathEntry) (uint6
 			return 0, false, err
 		}
 	}
-	for k := range pcand {
-		if pcand[k].cached == nil && pcand[k].raw != path[k].raw {
-			if err := m.writeEntry(&pcand[k]); err != nil {
+	for k := range path {
+		if path[k].cached == nil && path[k].raw != orig[k].raw {
+			if err := m.writeEntry(&path[k]); err != nil {
 				return 0, false, err
 			}
 		}
 	}
 	*dl = cand
-	copy(path, pcand)
 	return ctr, true, nil
 }
 
-// loadTrustedPath loads the integrity path for data line i and corrects
-// any errors top-down, returning a fully verified path.
-func (m *Memory) loadTrustedPath(i uint64) ([]pathEntry, error) {
-	// Writes update counters at every level, so the full path is
-	// loaded (the node cache accelerates reads, not write updates).
-	path, err := m.loadPath(i, false)
-	if err != nil {
-		return nil, err
-	}
-	// Fast path for a condemned chip: verify a preemptively corrected
-	// copy of the path; on failure fall back to full correction on the
-	// original lines.
-	if m.knownBad >= 0 {
-		pcand := append(m.pcandBuf[:0], path...)
-		m.pcandBuf = pcand
-		m.preemptNode(pcand)
-		allOK := true
-		for k := 0; k < len(pcand); k++ {
-			m.stats.MACComputations++
-			if !m.entryVerify(&pcand[k], parentCounterOf(pcand, k, m.root)) {
-				allOK = false
-				break
-			}
-		}
-		if allOK {
-			return pcand, nil
-		}
-	}
+// preemptPath applies the §IV-A fix for a condemned chip to path: that
+// chip's slice rebuilt from intra-line parity on every memory-sourced
+// level, top-down. It keeps the fix only if every one of those levels
+// then verifies, and returns the path as loaded (for callers that scrub
+// repaired lines back or undo the fix); otherwise path is left as loaded.
+// Requires knownBad ≥ 0.
+func (m *Memory) preemptPath(path []pathEntry) (orig []pathEntry, ok bool) {
+	orig, saved := path, false
 	for k := len(path) - 1; k >= 0; k-- {
-		parentCtr := parentCounterOf(path, k, m.root)
-		m.stats.MACComputations++
-		if m.entryVerify(&path[k], parentCtr) {
+		if path[k].cached != nil {
 			continue
 		}
-		m.stats.MismatchesSeen++
-		chip, _, err := m.reconstructEntry(&path[k], parentCtr)
-		if err != nil {
-			m.stats.AttacksDeclared++
-			return nil, err
+		if !saved {
+			orig, saved = append(m.pathSave[:0], path...), true
+			m.pathSave = orig
 		}
-		if err := m.writeEntry(&path[k]); err != nil {
-			return nil, err
+		m.preemptNode(&path[k])
+		m.stats.MACComputations++
+		if !m.entryVerify(&path[k], parentCounterOf(path, k, m.root)) {
+			copy(path, orig)
+			return nil, false
 		}
-		var info ReadInfo
-		m.noteCorrection(chip, regionOfLevel(path[k].level), path[k].addr, false, &info)
 	}
-	return path, nil
+	return orig, true
 }
 
 // reencryptGroup rewrites every other data line of the 48-line group

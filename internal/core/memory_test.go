@@ -632,37 +632,6 @@ func TestRegionString(t *testing.T) {
 	}
 }
 
-func BenchmarkReadClean(b *testing.B) {
-	m, err := New(Config{DataLines: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, LineSize)
-	for i := uint64(0); i < 1024; i++ {
-		m.Write(i, buf)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Read(uint64(i)%1024, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWrite(b *testing.B) {
-	m, err := New(Config{DataLines: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, LineSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Write(uint64(i)%1024, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkReadWithChipFault(b *testing.B) {
 	m, err := New(Config{DataLines: 1024, FaultThreshold: 1 << 30}) // keep scoreboard out
 	if err != nil {
@@ -681,8 +650,8 @@ func BenchmarkReadWithChipFault(b *testing.B) {
 	}
 }
 
-// Writes must also traverse and repair a corrupted path (loadTrustedPath
-// uses the same reconstruction engine as reads).
+// Writes must also traverse and repair a corrupted path (the write
+// pipeline uses the same reconstruction engine as reads).
 func TestWriteUnderCounterFault(t *testing.T) {
 	m := newMemory(t, 64)
 	m.Write(12, fillLine(1))

@@ -16,25 +16,15 @@ import (
 // Entries are cached only after verification (or after this engine
 // itself wrote them), so a cached node is trusted by construction.
 //
-// The cache runs in one of two modes:
-//
-//   - Write-through (Config.MetadataCache == 0, the legacy
-//     NodeCacheLines knob): entries are never dirty, every write
-//     reseals and stores its whole path, and correctness never depends
-//     on cache contents — dropping the cache just re-exposes walks to
-//     DRAM state.
-//
-//   - Write-back (Config.MetadataCache > 0): the write hot path bumps
-//     path counters in the cached copies and marks them dirty without
-//     resealing or storing them; sealing (the per-level MACs) and the
-//     module writes are deferred to eviction or an explicit Flush.
-//     Counter values advance eagerly — exactly as the write-through
-//     path advances them — so a flushed device is bit-identical to one
-//     written with the cache disabled. Dirty entries are authoritative:
-//     the in-memory copy of a dirty line is stale until written back,
-//     and any stale copy fails its MAC check against the (already
-//     advanced) parent counter, which is what preserves replay
-//     protection across the deferral window.
+// A write bumps path counters in the cached copies and marks them
+// dirty; sealing (the per-level MACs) and the module writes happen when
+// the entry is flushed — on eviction, on an explicit Flush, or, with
+// Config.MetadataCache ≤ 0, before the write returns. Counter values
+// advance eagerly, so a flushed device holds the same bytes whenever
+// the flushes happened. Dirty entries are authoritative: the in-memory
+// copy of a dirty line is stale until written back, and any stale copy
+// fails its MAC check against the (already advanced) parent counter,
+// which is what preserves replay protection across the deferral window.
 //
 // # Replacement policy
 //
@@ -102,17 +92,14 @@ func (n *cachedNode) touch() {
 	}
 }
 
-// DefaultNodeCacheLines is the default write-through cache capacity in
-// cachelines. 32 lines is deliberately small — the functional engine
-// cares about hit/stop semantics, not hit rate; the performance
-// simulator models the 128 KB cache of Table III, and the write-back
-// cache (Config.MetadataCache) is sized explicitly by the caller.
-const DefaultNodeCacheLines = 32
+// DefaultMetadataCache is the metadata cache capacity in cachelines
+// when Config.MetadataCache ≤ 0. 32 lines is deliberately small — the
+// functional engine cares about hit/stop semantics, not hit rate; the
+// performance simulator models the 128 KB cache of Table III, and a
+// write-back cache (Config.MetadataCache > 0) is sized by the caller.
+const DefaultMetadataCache = 32
 
 func newNodeCache(capacity int) *nodeCache {
-	if capacity < 0 {
-		capacity = 0
-	}
 	return &nodeCache{cap: capacity, nodes: make(map[uint64]*cachedNode, capacity)}
 }
 
@@ -138,21 +125,17 @@ func (c *nodeCache) peek(addr uint64) (*cachedNode, bool) {
 	return n, ok
 }
 
-// insert adds or refreshes a trusted entry. Only the write-through
-// write refreshes (it reloads its whole path from memory and re-inserts
-// it); the write-back paths insert just the levels they found missing.
-// A refresh preserves the entry's dirty flag all the same — it must
-// never lose a pending writeback — and markDirty is the only way an
-// entry becomes dirty. insert never evicts — the owning Memory trims
-// after its operation completes, so mid-operation inserts (ancestor
-// loads during a flush) can transiently overflow cap. New entries join
+// insert adds or refreshes a trusted entry. The engine inserts only
+// the levels it found missing; a refresh preserves the entry's dirty
+// flag all the same — it must never lose a pending writeback — and
+// markDirty is the only way an entry becomes dirty. insert never
+// evicts — the owning Memory trims after its operation completes, so
+// mid-operation inserts (ancestor loads during a flush) can
+// transiently overflow cap. New entries join
 // the ring just behind the hand with their access bit set: a full
 // sweep passes them last, and the second chance keeps a just-inserted
 // path from being its own trim's first victim.
 func (c *nodeCache) insert(addr uint64, level int, index uint64, node integrity.Node, split integrity.SplitNode) *cachedNode {
-	if c.cap == 0 {
-		return nil
-	}
 	if old, ok := c.nodes[addr]; ok {
 		old.node, old.split = node, split
 		old.touch()
@@ -191,7 +174,7 @@ func (c *nodeCache) link(n *cachedNode) {
 
 // markDirty flags an entry as ahead of its stored copy.
 func (c *nodeCache) markDirty(n *cachedNode) {
-	if n != nil && !n.dirty {
+	if !n.dirty {
 		n.dirty = true
 		c.dirty++
 	}
@@ -199,7 +182,7 @@ func (c *nodeCache) markDirty(n *cachedNode) {
 
 // markClean clears the dirty flag after a seal + writeback.
 func (c *nodeCache) markClean(n *cachedNode) {
-	if n != nil && n.dirty {
+	if n.dirty {
 		n.dirty = false
 		c.dirty--
 	}
@@ -273,8 +256,5 @@ func (c *nodeCache) size() int { return len(c.nodes) }
 
 // over reports how many entries exceed capacity.
 func (c *nodeCache) over() int {
-	if c.cap == 0 {
-		return 0
-	}
 	return len(c.nodes) - c.cap
 }

@@ -36,19 +36,6 @@ func TestNodeCacheMasksMemoryCorruptionUntilFlush(t *testing.T) {
 	}
 }
 
-func TestNodeCacheDisabled(t *testing.T) {
-	m, err := New(Config{DataLines: 64, NodeCacheLines: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Write(3, fillLine(3))
-	mustRead(t, m, 3)
-	mustRead(t, m, 3)
-	if m.Stats().NodeCacheStops != 0 {
-		t.Fatal("disabled cache still produced stops")
-	}
-}
-
 func TestNodeCacheWritesRefreshCachedCounters(t *testing.T) {
 	// Reads served from the cache must observe the counters bumped by
 	// interleaved writes (stale cached counters would garble data).
@@ -241,14 +228,4 @@ func TestNodeCacheRemoveDirtyPanics(t *testing.T) {
 		}
 	}()
 	c.remove(n)
-}
-
-func TestNodeCacheZeroCapacity(t *testing.T) {
-	c := newNodeCache(0)
-	if n := c.insert(1, -1, 1, integrity.Node{}, integrity.SplitNode{}); n != nil {
-		t.Fatal("zero-capacity cache stored an entry")
-	}
-	if _, ok := c.get(1); ok {
-		t.Fatal("zero-capacity cache returned an entry")
-	}
 }

@@ -160,23 +160,18 @@ func (m *Memory) reconstructData(i uint64, ctr uint64, raw *dimm.Line) (fixed di
 	return dimm.Line{}, -1, attempts, p2 != p1, ErrAttack
 }
 
-// preemptNode rebuilds the condemned chip's slice of every path line
-// before verification — the §IV-A mitigation that reduces steady-state
-// correction cost under a permanent chip failure to the one MAC
-// computation the baseline needs anyway.
-func (m *Memory) preemptNode(path []pathEntry) {
-	if m.knownBad < 0 || m.knownBad >= dimm.DataChips {
+// preemptNode rebuilds the condemned chip's slice of a memory-sourced
+// path line before verification — the §IV-A mitigation that reduces
+// steady-state correction cost under a permanent chip failure to the
+// one MAC computation the baseline needs anyway. Requires knownBad ≥ 0.
+func (m *Memory) preemptNode(e *pathEntry) {
+	if m.knownBad >= dimm.DataChips {
 		// The ECC chip holds only parity on node lines; node contents
 		// are unaffected by its failure.
 		return
 	}
-	for k := range path {
-		if path[k].cached != nil {
-			continue // on-chip copy: not subject to DRAM chip faults
-		}
-		rebuildSlice(path[k].raw.Data[:], m.knownBad, path[k].raw.ECC[:])
-		m.entryUnpack(&path[k])
-	}
+	rebuildSlice(e.raw.Data[:], m.knownBad, e.raw.ECC[:])
+	m.entryUnpack(e)
 }
 
 // preemptData rebuilds the condemned chip's slice of a data line from

@@ -157,9 +157,9 @@ func (m *Memory) WriteBatch(lines []uint64, src []byte) error {
 // Flush seals every dirty metadata cache entry back to the module (in
 // deterministic address order) without evicting anything. After a nil
 // return, stored device state is externally consistent — bit-identical
-// to a write-through instance that served the same operations — which
-// is the contract snapshot/restore and raw Module consumers rely on.
-// A cheap no-op in write-through mode.
+// to a default-config instance (every write flushes its own path) that
+// served the same operations — which is the contract snapshot/restore
+// and raw Module consumers rely on.
 func (m *Memory) Flush() error {
 	if m.tel == nil {
 		m.mu.Lock()

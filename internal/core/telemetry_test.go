@@ -305,17 +305,17 @@ func BenchmarkReadHotPathInstrumented(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteHotPathInstrumented bounds the always-timed write
-// wrapper the same way.
+// BenchmarkWriteHotPathInstrumented is BenchmarkWriteHotPath with an
+// enabled registry at the default sampling period, bounding the
+// always-timed write wrapper the same way.
 func BenchmarkWriteHotPathInstrumented(b *testing.B) {
-	reg := telemetry.New()
-	m := newInstrumentedMemory(b, 1024, reg)
+	m, lines := hotWrites(b, 2048, telemetry.New())
 	line := fillLine(0x22)
 	b.SetBytes(LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Write(uint64(i)&1023, line); err != nil {
+		if err := m.Write(lines[i&63], line); err != nil {
 			b.Fatal(err)
 		}
 	}

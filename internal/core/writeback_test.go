@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,12 +14,14 @@ import (
 )
 
 // Differential harness: drive the same operation sequence against a
-// write-back engine and a write-through twin built with the same
-// (zero-derived) keys, and require every observable to match — per-op
-// error classes, returned bytes, poisoned sets, and, after a final
-// Flush, every byte of stored device state. This is the executable
-// form of the cache's core claim: deferring metadata seals never
-// changes what the device ends up holding.
+// write-back engine and a default-config twin (every write seals and
+// stores its own path) built with the same (zero-derived) keys, and
+// require every observable to match — per-op error classes, returned
+// bytes, poisoned sets, and, after a final Flush, every byte of stored
+// device state. This is the executable form of the cache's core claim:
+// deferring metadata seals never changes what the device ends up
+// holding. The default twin is in turn pinned to the write-through
+// engine it replaced by TestPinnedDeviceDigests.
 
 // diffLines is the differential memory size: large enough for two tree
 // levels, small enough that the deliberately undersized write-back
@@ -34,63 +39,59 @@ const (
 	diffMinCache = 1
 )
 
-func newDiffPair(tb testing.TB, split bool, cache int) (wb, wt *Memory) {
+func newDiffPair(tb testing.TB, split bool, cache int) (wb, ref *Memory) {
 	tb.Helper()
 	wb, err := New(Config{DataLines: diffLines, SplitCounters: split, MetadataCache: cache})
 	if err != nil {
 		tb.Fatalf("New write-back: %v", err)
 	}
-	wt, err = New(Config{DataLines: diffLines, SplitCounters: split})
+	ref, err = New(Config{DataLines: diffLines, SplitCounters: split})
 	if err != nil {
-		tb.Fatalf("New write-through: %v", err)
+		tb.Fatalf("New default: %v", err)
 	}
-	return wb, wt
+	return wb, ref
 }
 
 // diffErrs requires the two engines to fail (or succeed) identically:
 // same nil-ness, same sentinel classification, and for batches the
 // same failed indices.
-func diffErrs(tb testing.TB, step int, what string, werr, terr error) {
+func diffErrs(tb testing.TB, step int, werr, rerr error) {
 	tb.Helper()
-	if (werr == nil) != (terr == nil) {
-		tb.Fatalf("step %d %s: write-back err %v, write-through err %v", step, what, werr, terr)
+	if (werr == nil) != (rerr == nil) {
+		tb.Fatalf("step %d: write-back err %v, default err %v", step, werr, rerr)
 	}
 	if werr == nil {
 		return
 	}
 	for _, sentinel := range []error{ErrPoisoned, ErrAttack, ErrOutOfRange} {
-		if errors.Is(werr, sentinel) != errors.Is(terr, sentinel) {
-			tb.Fatalf("step %d %s: sentinel %v split: write-back %v, write-through %v",
-				step, what, sentinel, werr, terr)
+		if errors.Is(werr, sentinel) != errors.Is(rerr, sentinel) {
+			tb.Fatalf("step %d: sentinel %v split: write-back %v, default %v",
+				step, sentinel, werr, rerr)
 		}
 	}
-	var wbe, tbe *BatchError
-	if errors.As(werr, &wbe) != errors.As(terr, &tbe) {
-		tb.Fatalf("step %d %s: batch-ness split: %v vs %v", step, what, werr, terr)
+	var wbe, rbe *BatchError
+	if errors.As(werr, &wbe) != errors.As(rerr, &rbe) {
+		tb.Fatalf("step %d: batch-ness split: %v vs %v", step, werr, rerr)
 	}
 	if wbe != nil {
-		if len(wbe.Failed) != len(tbe.Failed) {
-			tb.Fatalf("step %d %s: %d vs %d failed lines", step, what, len(wbe.Failed), len(tbe.Failed))
+		if len(wbe.Failed) != len(rbe.Failed) {
+			tb.Fatalf("step %d: %d vs %d failed lines", step, len(wbe.Failed), len(rbe.Failed))
 		}
 		for k := range wbe.Failed {
-			if wbe.Failed[k].Index != tbe.Failed[k].Index {
-				tb.Fatalf("step %d %s: failed index %d vs %d", step, what,
-					wbe.Failed[k].Index, tbe.Failed[k].Index)
+			if wbe.Failed[k].Index != rbe.Failed[k].Index {
+				tb.Fatalf("step %d: failed index %d vs %d", step,
+					wbe.Failed[k].Index, rbe.Failed[k].Index)
 			}
 		}
 	}
 }
 
-// dropCaches flushes and resets both engines' metadata caches so a
-// following fault injection is observed from memory by both, not
-// masked by either cache.
-func dropCaches(tb testing.TB, wb, wt *Memory) {
+// dropCache flushes and resets m's metadata cache so a following fault
+// injection is observed from memory, not masked by the cache.
+func dropCache(tb testing.TB, m *Memory) {
 	tb.Helper()
-	if err := wb.FlushNodeCache(); err != nil {
-		tb.Fatalf("write-back FlushNodeCache: %v", err)
-	}
-	if err := wt.FlushNodeCache(); err != nil {
-		tb.Fatalf("write-through FlushNodeCache: %v", err)
+	if err := m.FlushNodeCache(); err != nil {
+		tb.Fatalf("FlushNodeCache: %v", err)
 	}
 }
 
@@ -99,105 +100,102 @@ func batchLines(line uint64) []uint64 {
 	return []uint64{line, (line + 7) % diffLines, (line + 31) % diffLines, (line + 63) % diffLines}
 }
 
-// diffApply runs one interpreted op against both engines.
-func diffApply(tb testing.TB, wb, wt *Memory, step int, op, arg, val byte) {
+// diffOp runs one interpreted op against m and returns what the caller
+// observes: the bytes a read returned (nil for other ops) and the error.
+func diffOp(tb testing.TB, m *Memory, step int, op, arg, val byte) ([]byte, error) {
 	tb.Helper()
 	line := uint64(arg) % diffLines
 	switch op % 10 {
-	case 0, 1, 2, 3: // single-line write (heals a poisoned line in both)
-		plain := fillLine(val)
-		diffErrs(tb, step, "write", wb.Write(line, plain), wt.Write(line, plain))
+	case 0, 1, 2, 3: // single-line write (heals a poisoned line)
+		return nil, m.Write(line, fillLine(val))
 	case 4, 5: // single-line read
-		b1, b2 := make([]byte, LineSize), make([]byte, LineSize)
-		_, werr := wb.Read(line, b1)
-		_, terr := wt.Read(line, b2)
-		diffErrs(tb, step, "read", werr, terr)
-		if werr == nil && !bytes.Equal(b1, b2) {
-			tb.Fatalf("step %d: read of line %d diverges", step, line)
-		}
+		buf := make([]byte, LineSize)
+		_, err := m.Read(line, buf)
+		return buf, err
 	case 6: // batched write
 		ls := batchLines(line)
 		src := make([]byte, len(ls)*LineSize)
 		for k := range ls {
 			copy(src[k*LineSize:(k+1)*LineSize], fillLine(val+byte(k)))
 		}
-		diffErrs(tb, step, "writebatch", wb.WriteBatch(ls, src), wt.WriteBatch(ls, src))
-	case 7: // batched read; bytes must match for every non-failed index
+		return nil, m.WriteBatch(ls, src)
+	case 7: // batched read
 		ls := batchLines(line)
-		d1, d2 := make([]byte, len(ls)*LineSize), make([]byte, len(ls)*LineSize)
-		_, werr := wb.ReadBatch(ls, d1)
-		_, terr := wt.ReadBatch(ls, d2)
-		diffErrs(tb, step, "readbatch", werr, terr)
-		failed := map[int]bool{}
-		var be *BatchError
-		if errors.As(werr, &be) {
-			for _, le := range be.Failed {
-				failed[le.Index] = true
-			}
-		}
-		for k := range ls {
-			if !failed[k] && !bytes.Equal(d1[k*LineSize:(k+1)*LineSize], d2[k*LineSize:(k+1)*LineSize]) {
-				tb.Fatalf("step %d: batch read index %d (line %d) diverges", step, k, ls[k])
-			}
-		}
+		dst := make([]byte, len(ls)*LineSize)
+		_, err := m.ReadBatch(ls, dst)
+		return dst, err
 	case 8: // full scrub pass
-		_, werr := wb.Scrub(context.Background())
-		_, terr := wt.Scrub(context.Background())
-		diffErrs(tb, step, "scrub", werr, terr)
-	case 9: // durability and fault-model events
-		switch arg % 4 {
-		case 0: // flush must be invisible to every later observable
-			if err := wb.Flush(); err != nil {
-				tb.Fatalf("step %d: Flush: %v", step, err)
+		_, err := m.Scrub(context.Background())
+		return nil, err
+	}
+	// Durability and fault-model events.
+	addr := m.Layout().DataAddr(line)
+	switch arg % 5 {
+	case 0: // flush must be invisible to every later observable
+		if err := m.Flush(); err != nil {
+			tb.Fatalf("step %d: Flush: %v", step, err)
+		}
+	case 1: // correctable single-chip transient on a data line
+		dropCache(tb, m)
+		m.Module().InjectTransient(addr, int(val)%dimm.Chips, [dimm.SliceSize]byte{val | 1})
+	case 2: // uncorrectable double fault on a data line → poison
+		dropCache(tb, m)
+		m.Module().InjectTransient(addr, 1, [dimm.SliceSize]byte{val | 1})
+		m.Module().InjectTransient(addr, 6, [dimm.SliceSize]byte{^val | 1})
+	case 3: // chip repair (flushes dirty metadata, clears the chip's permanent faults)
+		return nil, m.RepairChip(int(val) % dimm.Chips)
+	case 4: // whole-chip permanent failure; one dead chip at a time
+		if m.Module().ActiveFaults() == 0 {
+			dropCache(tb, m)
+			if _, err := m.Module().InjectPermanent(int(val)%dimm.Chips, 0, m.Module().Lines()-1,
+				[dimm.SliceSize]byte{val | 1}); err != nil {
+				tb.Fatalf("step %d: InjectPermanent: %v", step, err)
 			}
-			if err := wt.Flush(); err != nil {
-				tb.Fatalf("step %d: write-through Flush: %v", step, err)
-			}
-		case 1: // correctable single-chip transient on a data line
-			dropCaches(tb, wb, wt)
-			addr := wb.Layout().DataAddr(line)
-			chip := int(val) % dimm.Chips
-			mask := [dimm.SliceSize]byte{val | 1}
-			wb.Module().InjectTransient(addr, chip, mask)
-			wt.Module().InjectTransient(addr, chip, mask)
-		case 2: // uncorrectable double fault on a data line → poison
-			dropCaches(tb, wb, wt)
-			addr := wb.Layout().DataAddr(line)
-			m1 := [dimm.SliceSize]byte{val | 1}
-			m2 := [dimm.SliceSize]byte{^val | 1}
-			for _, m := range []*Memory{wb, wt} {
-				m.Module().InjectTransient(addr, 1, m1)
-				m.Module().InjectTransient(addr, 6, m2)
-			}
-		case 3: // chip repair (flushes dirty metadata before condemning)
-			chip := int(val) % dimm.Chips
-			diffErrs(tb, step, "repair", wb.RepairChip(chip), wt.RepairChip(chip))
+		}
+	}
+	return nil, nil
+}
+
+// diffApply runs one interpreted op against both engines and requires
+// the same outcome, and the same bytes for every line a read returned.
+func diffApply(tb testing.TB, wb, ref *Memory, step int, op, arg, val byte) {
+	tb.Helper()
+	wout, werr := diffOp(tb, wb, step, op, arg, val)
+	rout, rerr := diffOp(tb, ref, step, op, arg, val)
+	diffErrs(tb, step, werr, rerr)
+	failed := map[int]bool{}
+	var be *BatchError
+	if errors.As(werr, &be) {
+		for _, le := range be.Failed {
+			failed[le.Index] = true
+		}
+	} else if werr != nil {
+		return
+	}
+	for k := 0; k*LineSize < len(wout); k++ {
+		if !failed[k] && !bytes.Equal(wout[k*LineSize:(k+1)*LineSize], rout[k*LineSize:(k+1)*LineSize]) {
+			tb.Fatalf("step %d: read index %d (op %d, line %d) diverges", step, k, op%10, uint64(arg)%diffLines)
 		}
 	}
 }
 
 // diffFinish flushes the write-back engine and requires the poisoned
 // sets and the complete stored device state to be bit-identical.
-func diffFinish(tb testing.TB, wb, wt *Memory) {
+func diffFinish(tb testing.TB, wb, ref *Memory) {
 	tb.Helper()
 	if err := wb.Flush(); err != nil {
 		tb.Fatalf("final Flush: %v", err)
 	}
-	wp, tp := wb.Poisoned(), wt.Poisoned()
-	if len(wp) != len(tp) {
-		tb.Fatalf("poisoned sets diverge: %v vs %v", wp, tp)
+	wp, rp := wb.Poisoned(), ref.Poisoned()
+	if !slices.Equal(wp, rp) {
+		tb.Fatalf("poisoned sets diverge: %v vs %v", wp, rp)
 	}
-	for k := range wp {
-		if wp[k] != tp[k] {
-			tb.Fatalf("poisoned sets diverge: %v vs %v", wp, tp)
-		}
-	}
-	if wb.Module().Lines() != wt.Module().Lines() {
+	if wb.Module().Lines() != ref.Module().Lines() {
 		tb.Fatalf("module sizes diverge")
 	}
 	for addr := uint64(0); addr < wb.Module().Lines(); addr++ {
 		l1, _ := wb.Module().PeekLine(addr)
-		l2, _ := wt.Module().PeekLine(addr)
+		l2, _ := ref.Module().PeekLine(addr)
 		if l1 != l2 {
 			tb.Fatalf("device state diverges at line %#x after flush", addr)
 		}
@@ -205,14 +203,14 @@ func diffFinish(tb testing.TB, wb, wt *Memory) {
 }
 
 // runDiff interprets ops as (op, arg, val) triples against a fresh pair.
-func runDiff(tb testing.TB, split bool, cache int, ops []byte) (wb, wt *Memory) {
+func runDiff(tb testing.TB, split bool, cache int, ops []byte) (wb, ref *Memory) {
 	tb.Helper()
-	wb, wt = newDiffPair(tb, split, cache)
+	wb, ref = newDiffPair(tb, split, cache)
 	for step := 0; step+2 < len(ops) && step/3 < 96; step += 3 {
-		diffApply(tb, wb, wt, step/3, ops[step], ops[step+1], ops[step+2])
+		diffApply(tb, wb, ref, step/3, ops[step], ops[step+1], ops[step+2])
 	}
-	diffFinish(tb, wb, wt)
-	return wb, wt
+	diffFinish(tb, wb, ref)
+	return wb, ref
 }
 
 // diffScript builds a deterministic op tape from a linear congruential
@@ -223,6 +221,18 @@ func diffScript(seed uint32, n int) []byte {
 	for i := range ops {
 		x = x*1664525 + 1013904223
 		ops[i] = byte(x >> 24)
+	}
+	return ops
+}
+
+// deadChipScript kills chip for the whole tape, then interleaves n
+// single and batched reads and writes: the scoreboard condemns the chip
+// part-way through, so the tape covers both the per-level
+// reconstruction and the §IV-A pre-emptive paths on reads and writes.
+func deadChipScript(seed uint32, chip byte, n int) []byte {
+	ops := append([]byte{9, 4, chip}, diffScript(seed, n)...)
+	for k := 3; k < len(ops); k += 3 {
+		ops[k] %= 8
 	}
 	return ops
 }
@@ -252,7 +262,7 @@ func runDiffMinCache(t *testing.T, split bool, seed uint32) {
 
 func TestWriteBackDifferentialMinCacheMonolithic(t *testing.T) { runDiffMinCache(t, false, 5) }
 
-func TestWriteBackDifferentialMinCacheSplit(t *testing.T) { runDiffMinCache(t, true, 6) }
+func TestWriteBackDifferentialMinCacheSplit(t *testing.T) { runDiffMinCache(t, true, 7) }
 
 // FuzzWriteBackDifferential lets the fuzzer search for an op
 // interleaving where deferred metadata sealing changes any observable.
@@ -276,6 +286,12 @@ func FuzzWriteBackDifferential(f *testing.F) {
 		9, 3, 1,
 		4, 5, 0,
 	})
+	// Writes and reads under a dead chip, before and after it is
+	// condemned: a data chip and the MAC chip, every cache/split pairing.
+	f.Add(false, false, deadChipScript(9, 5, 63))
+	f.Add(true, true, deadChipScript(10, 5, 63))
+	f.Add(false, true, deadChipScript(11, 2, 63))
+	f.Add(true, false, deadChipScript(12, dimm.ECCChip, 63))
 	f.Fuzz(func(t *testing.T, split, minCache bool, ops []byte) {
 		if len(ops) > 3*64 {
 			ops = ops[:3*64]
@@ -286,6 +302,109 @@ func FuzzWriteBackDifferential(f *testing.F) {
 		}
 		runDiff(t, split, cache, ops)
 	})
+}
+
+// deviceDigest runs a tape against one default-config engine and returns
+// a running SHA-256 over the complete stored module image taken after
+// every op.
+func deviceDigest(tb testing.TB, split bool, ops []byte) string {
+	tb.Helper()
+	m, err := New(Config{DataLines: diffLines, SplitCounters: split})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := sha256.New()
+	image := make([]byte, m.Module().ImageSize())
+	for step := 0; step+2 < len(ops); step += 3 {
+		diffOp(tb, m, step/3, ops[step], ops[step+1], ops[step+2])
+		if err := m.Module().Serialize(image); err != nil {
+			tb.Fatal(err)
+		}
+		h.Write(image)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPinnedDeviceDigests holds the default configuration to the
+// write-through engine it replaced: every digest below was recorded from
+// that engine (Config{DataLines: 192}, which then resealed and stored its
+// whole path inside every write) and must be reproduced by the one write
+// pipeline flushing its own path. A mismatch means some op now leaves
+// different bytes on the device than the deleted reference did.
+func TestPinnedDeviceDigests(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		split bool
+		ops   []byte
+		want  string
+	}{
+		{"script1", false, diffScript(1, 96), "7653f7fd09866251e48723e94835ea3d4ad0c52cfdb8469fd021391bb874dd23"},
+		{"script1/split", true, diffScript(1, 96), "e6a3be15117b3295f015afc2f5f89a7017e3ae30aa12a81bf4d250336a35e6b3"},
+		{"script2", false, diffScript(2, 96), "1be6ed12437374848f5a292c4b2266f5898b7de4bd61e2d16a49c7fda0f94064"},
+		{"script2/split", true, diffScript(2, 96), "4f4c72d48af013d546bd29c24bd4256d8963efaa9f44312851c5a2a0a86331d7"},
+		{"deadchip", false, deadChipScript(10, 5, 95), "6635ee5080628732a8371fc65e78514d49bd3b1997ff1886c76c9cad022e750d"},
+		{"deadchip/split", true, deadChipScript(10, 5, 95), "9bf91cf5fc2d26b838cd00ced157535d01aaace6ff2a78d0d0b3dc4849ca5598"},
+	} {
+		if got := deviceDigest(t, tc.split, tc.ops); got != tc.want {
+			t.Errorf("%s: device digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCondemnedChipWritesLogNothing: once the scoreboard has condemned a
+// chip, a write whose path comes from memory applies that chip's parity
+// fix to every level silently, as reads do (§IV-A). It must not log a
+// §IV-B correction per level per write — that would drown the error
+// profile the platform's analysis and the server's shedding act on.
+func TestCondemnedChipWritesLogNothing(t *testing.T) {
+	const dead = 3
+	for _, cache := range []int{64, 0} {
+		m, err := New(Config{DataLines: diffLines, FaultThreshold: 2, MetadataCache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.InjectPermanent(dead, 0, m.Module().Lines()-1, [dimm.SliceSize]byte{0x5A}); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, LineSize)
+		for i := uint64(0); m.KnownBadChip() < 0 && i < diffLines; i++ {
+			if _, err := m.Read(i, buf); err != nil {
+				t.Fatalf("cache %d: read %d: %v", cache, i, err)
+			}
+		}
+		if m.KnownBadChip() != dead {
+			t.Fatalf("cache %d: condemned chip %d, want %d", cache, m.KnownBadChip(), dead)
+		}
+		dropCache(t, m)
+		before, logged := m.Stats(), len(m.ErrorLog().Events())
+		// Lines whose parity slot sits on the dead chip are skipped: their
+		// parity update is the documented residual window (DESIGN §10).
+		var lines []uint64
+		for i := uint64(0); len(lines) < 32; i += 5 {
+			if i%8 != dead {
+				lines = append(lines, i)
+			}
+		}
+		for _, i := range lines {
+			if err := m.Write(i, fillLine(byte(i))); err != nil {
+				t.Fatalf("cache %d: write %d: %v", cache, i, err)
+			}
+		}
+		after := m.Stats()
+		if after.CorrectionEvents != before.CorrectionEvents ||
+			after.ReconstructionAttempts != before.ReconstructionAttempts ||
+			len(m.ErrorLog().Events()) != logged {
+			t.Errorf("cache %d: 32 writes under condemned chip %d logged %d corrections, %d reconstruction attempts, %d events; want none",
+				cache, dead, after.CorrectionEvents-before.CorrectionEvents,
+				after.ReconstructionAttempts-before.ReconstructionAttempts,
+				len(m.ErrorLog().Events())-logged)
+		}
+		for _, i := range lines {
+			if got, _ := mustRead(t, m, i); !bytes.Equal(got, fillLine(byte(i))) {
+				t.Fatalf("cache %d: line %d reads back wrong", cache, i)
+			}
+		}
+	}
 }
 
 // TestBatchZeroAllocSteadyState is the executable form of the hot-path

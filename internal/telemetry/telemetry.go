@@ -155,9 +155,10 @@ const (
 	// pad (precomputed or generated inline).
 	StageOTP
 	// StageMetaUpdate covers the write path's metadata advance: counter
-	// bumps at every tree level plus either the full reseal-and-store
-	// walk (write-through) or the in-cache dirty marking (write-back) —
-	// the stage the metadata cache exists to shrink.
+	// bumps and dirty marking at every level in the metadata cache, plus,
+	// in the default configuration, sealing and storing each level
+	// before the write returns — the stage a write-back cache exists to
+	// shrink.
 	StageMetaUpdate
 
 	// NumStages is the number of pipeline stages.

@@ -28,8 +28,9 @@ go test -run='^$' -bench='BenchmarkGFMul|BenchmarkSumLine|BenchmarkSum56|Benchma
 go run ./scripts/benchjson <"$RAW" >"$OUT"
 echo "wrote $OUT"
 
-# Write path: the write-back metadata cache against the write-through
-# baseline, the batched pipelines, and the per-stage write breakdown.
+# Write path: the write-back metadata cache against the default config
+# (every write flushes its path), the batched pipelines, and the
+# per-stage write breakdown.
 # Budget: BenchmarkWriteHotPath ≤ 2× BenchmarkReadHotPath ns/op and
 # both batch benchmarks at 0 allocs/op (DESIGN.md "Write path &
 # metadata cache").
@@ -37,7 +38,7 @@ WP_OUT="BENCH_writepath.json"
 WP_RAW="$(mktemp)"
 trap 'rm -f "$RAW" "$WP_RAW"' EXIT
 go test -run='^$' \
-    -bench='BenchmarkReadHotPath$|BenchmarkWriteHotPath$|BenchmarkWriteThroughHotPath|BenchmarkWriteBatchHotPath|BenchmarkReadBatchHotPath|BenchmarkWriteStageBreakdown' \
+    -bench='BenchmarkReadHotPath$|BenchmarkWriteHotPath$|BenchmarkWriteDefaultHotPath$|BenchmarkWriteBatchHotPath|BenchmarkReadBatchHotPath|BenchmarkWriteStageBreakdown' \
     -benchmem -count="$COUNT" ./internal/core/ | tee "$WP_RAW"
 go run ./scripts/benchjson <"$WP_RAW" >"$WP_OUT"
 echo "wrote $WP_OUT"
