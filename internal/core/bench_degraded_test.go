@@ -60,7 +60,8 @@ func BenchmarkDegradedRead(b *testing.B) {
 
 	// Whole-chip permanent fault with the chip already condemned: the
 	// §IV-A preemptive path, i.e. steady-state degraded service between
-	// fault onset and chip replacement.
+	// fault onset and chip replacement — served under the shared lock,
+	// one MAC per read and no store-back.
 	b.Run("permanent-preemptive", func(b *testing.B) {
 		m := newMemory(b, 1024)
 		if err := m.Write(42, line); err != nil {

@@ -8,38 +8,49 @@ import (
 )
 
 // This file is the shared-lock optimistic read path: the steady-state
-// clean read served entirely under m.mu.RLock, so concurrent readers
-// on one rank scale with cores instead of serializing behind the
-// rank's exclusive lock.
+// read served entirely under m.mu.RLock, so concurrent readers on one
+// rank scale with cores instead of serializing behind the rank's
+// exclusive lock. The steady state is the clean read on a healthy
+// rank, and the §IV-A pre-emptive read once the scoreboard has
+// condemned a chip — one MAC computation, as the paper promises, and
+// no store.
 //
 // # Why the fast path is safe
 //
-// The snapshot — the cached counter leaf and the data-line copy — is
+// The snapshot — the cached counter leaf and the data-line copy, plus,
+// under a condemned chip, the line's parity and its stored cells — is
 // taken inside one RLock critical section. RWMutex readers exclude
-// writers, so the snapshot is internally consistent: the counter and
-// the ciphertext belong to the same committed state. The MAC check
-// binds (address, counter, ciphertext) together, and the counter comes
-// from the on-chip metadata cache — inside the trust boundary, current
-// by construction (every mutator updates the cached copy under the
-// exclusive lock) — so a passing verify gives exactly the freshness
+// writers, so the snapshot is internally consistent: the counter, the
+// ciphertext and the parity belong to the same committed state. The MAC
+// check binds (address, counter, ciphertext) together, and the counter
+// comes from the on-chip metadata cache — inside the trust boundary,
+// current by construction (every mutator updates the cached copy under
+// the exclusive lock) — so a passing verify gives exactly the freshness
 // and integrity guarantee of the exclusive walk that stops at the same
 // cached node (Fig. 7b). A raw, uncached counter is never trusted
 // here: without the cached (verified) leaf there is no replay
 // protection, so a cache miss escalates.
 //
+// Under a condemned chip the verified line is the candidate with that
+// chip's slice rebuilt from parity (preemptData). The exclusive path
+// would write it back only where it differs from the stored cells; a
+// permanent fault corrupts reads, not cells, so in the steady state it
+// does not, and serving it here leaves the device exactly as the
+// exclusive path would.
+//
 // # The escalation ladder
 //
 // Everything that mutates engine state stays on the exclusive path.
-// The fast path handles one case — cache-hit, clean-verify, healthy
-// rank — and gives up otherwise:
+// The fast path handles one case — cache-hit, verified candidate that
+// needs no store-back — and gives up otherwise:
 //
 //	RLock fast path
 //	  └─ generation retry (bounded)   — a concurrent mutator advanced
 //	     the line between attempts; re-snapshot and try again
 //	     └─ exclusive slow path       — cache miss/fill, MAC mismatch
-//	        (ECC correction), degraded mode (condemned chip,
-//	        scoreboard/pre-emptive commit), poison bookkeeping,
-//	        retries exhausted
+//	        (ECC correction, scoreboard), a pre-emptive fix whose
+//	        stored cells differ (a transient on the condemned chip),
+//	        poison bookkeeping, retries exhausted
 //
 // # Generations
 //
@@ -100,8 +111,9 @@ func (m *Memory) escalate(i uint64, reason telemetry.EscReason) {
 // fastRead attempts to serve data line i under the shared lock alone.
 // ok=false means the caller must run the exclusive path (the attempt
 // has already been counted as an escalation); ok=true means the read
-// completed — dst filled, or a definitive error (poison fast-fail,
-// device error) that needs no exclusive work.
+// completed — dst filled (info.Preemptive set under a condemned chip),
+// or a definitive error (poison fast-fail, device error) that needs no
+// exclusive work.
 //
 // sp is the request's trace span (nil on the untraced path — every use
 // below is nil-receiver safe, so the hot path pays one pointer
@@ -118,7 +130,7 @@ func (m *Memory) fastRead(i uint64, dst []byte, sp *telemetry.Span) (info ReadIn
 	if m.tel != nil {
 		if sp != nil {
 			st = m.tel.StartStagesSpan(m.telRank, sp)
-		} else if (m.fastReads.Load()+1)&m.telMask == 0 {
+		} else if (m.fastReads.Load()+m.preemptReads.Load()+1)&m.telMask == 0 {
 			st = m.tel.StartStages(m.telRank)
 		}
 	}
@@ -127,12 +139,6 @@ func (m *Memory) fastRead(i uint64, dst []byte, sp *telemetry.Span) (info ReadIn
 		gen := g.Load()
 
 		m.mu.RLock()
-		if m.knownBad >= 0 {
-			m.mu.RUnlock()
-			m.escalate(i, telemetry.EscDegraded)
-			sp.Escalation(telemetry.EscDegraded)
-			return ReadInfo{}, nil, false
-		}
 		if _, bad := m.poisoned[i]; bad {
 			m.mu.RUnlock()
 			m.fastPoisonFails.Add(1)
@@ -158,6 +164,10 @@ func (m *Memory) fastRead(i uint64, dst []byte, sp *telemetry.Span) (info ReadIn
 		}
 		dataAddr := m.layout.DataAddr(i)
 		dl, rerr := m.mod.ReadLine(dataAddr)
+		preempt, stale := m.knownBad >= 0, false
+		if rerr == nil && preempt {
+			stale, rerr = m.preemptData(i, &dl)
+		}
 		m.mu.RUnlock()
 		if rerr != nil {
 			return ReadInfo{}, rerr, true
@@ -179,19 +189,37 @@ func (m *Memory) fastRead(i uint64, dst []byte, sp *telemetry.Span) (info ReadIn
 			sp.Escalation(telemetry.EscMismatch)
 			return ReadInfo{}, nil, false
 		}
-		st.Mark(telemetry.StageMACVerify)
+		if stale {
+			// Verified, but the cells still hold the damage the candidate
+			// repairs: the exclusive path writes the fix back.
+			m.escalate(i, telemetry.EscDegraded)
+			sp.Escalation(telemetry.EscDegraded)
+			return ReadInfo{}, nil, false
+		}
+		if preempt {
+			st.Mark(telemetry.StageReconstruct)
+		} else {
+			st.Mark(telemetry.StageMACVerify)
+		}
 		if derr := m.enc.Decrypt(dst, dl.Data[:], dataAddr, ctr); derr != nil {
 			return ReadInfo{}, derr, true
 		}
 		st.Mark(telemetry.StageOTP)
 
-		m.fastReads.Add(1)
+		// Only a clean read is a FastRead; a pre-emptive one is a
+		// PreemptiveFix, as it is on the exclusive path.
+		if preempt {
+			m.preemptReads.Add(1)
+			m.tel.CountPreemptive(m.telRank, int(i))
+		} else {
+			m.fastReads.Add(1)
+			m.tel.CountFastRead(m.telRank, int(i))
+		}
 		m.tel.CountOp(telemetry.OpRead, int(i))
-		m.tel.CountFastRead(m.telRank, int(i))
 		if st.Active() {
 			st.Finish(telemetry.OpRead)
 		}
-		return ReadInfo{}, nil, true
+		return ReadInfo{Preemptive: preempt}, nil, true
 	}
 	m.escalate(i, telemetry.EscGenConflict)
 	sp.Escalation(telemetry.EscGenConflict)

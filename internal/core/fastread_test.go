@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,18 +151,25 @@ func TestFastReadPoisonFastFail(t *testing.T) {
 	}
 }
 
-// A condemned chip forces every read through the exclusive degraded
-// path (pre-emptive correction, scoreboard bookkeeping): the fast path
-// must stand aside entirely while still serving correct data.
-func TestFastReadDegradedEscalates(t *testing.T) {
-	const badChip = 3
+// degradedLines is how many lines the degraded-mode tests warm and read.
+const degradedLines = 16
+
+// condemnedMemory builds a 64-line memory whose chip returns garbage on
+// every read, reads every line until the scoreboard condemns the chip,
+// then flushes the metadata cache and warms lines [0, degradedLines)
+// again. Exclusive pre-emptive reads cache their verified path, so the
+// warm pass escalates once per counter line (a cache miss) and no more;
+// and they write back only cells that differ from the fix, so with the
+// chip merely dead they store nothing.
+func condemnedMemory(t *testing.T, chip int) *Memory {
+	t.Helper()
 	m := newMemory(t, 64)
 	for i := uint64(0); i < 64; i++ {
 		if err := m.Write(i, fillLine(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.InjectPermanent(badChip, 0, m.Module().Lines()-1, [dimm.SliceSize]byte{0xFF}); err != nil {
+	if _, err := m.InjectPermanent(chip, 0, m.Module().Lines()-1, [dimm.SliceSize]byte{0xFF}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.FlushNodeCache(); err != nil {
@@ -170,24 +178,181 @@ func TestFastReadDegradedEscalates(t *testing.T) {
 	buf := make([]byte, LineSize)
 	for i := uint64(0); i < 64; i++ {
 		if _, err := m.Read(i, buf); err != nil {
-			t.Fatalf("read %d under chip fault: %v", i, err)
+			t.Fatalf("read %d under chip %d fault: %v", i, chip, err)
 		}
 	}
-	if m.KnownBadChip() != badChip {
-		t.Fatalf("scoreboard condemned chip %d, want %d", m.KnownBadChip(), badChip)
+	if m.KnownBadChip() != chip {
+		t.Fatalf("scoreboard condemned chip %d, want %d", m.KnownBadChip(), chip)
 	}
-	s0 := m.Stats()
-	for i := uint64(0); i < 16; i++ {
-		if got, _ := mustRead(t, m, i); !bytes.Equal(got, fillLine(byte(i))) {
+	if err := m.FlushNodeCache(); err != nil {
+		t.Fatal(err)
+	}
+	misses := m.escalations[telemetry.EscCacheMiss].Load()
+	s0, w0 := m.Stats(), m.Module().Writes()
+	for i := uint64(0); i < degradedLines; i++ {
+		if _, err := m.Read(i, buf); err != nil {
+			t.Fatalf("warm read %d: %v", i, err)
+		}
+	}
+	if w := m.Module().Writes() - w0; w != 0 {
+		t.Fatalf("warm pass stored %d lines, want none: the cells already hold the fixed bytes", w)
+	}
+	want := uint64(degradedLines) / m.Layout().CtrsPerLine
+	if got := m.Stats().ReadEscalations - s0.ReadEscalations; got != want {
+		t.Fatalf("warm pass escalated %d reads, want %d (one cache miss per counter line)", got, want)
+	}
+	if got := m.escalations[telemetry.EscCacheMiss].Load() - misses; got != want {
+		t.Fatalf("warm pass escalated %d cache misses, want %d", got, want)
+	}
+	return m
+}
+
+// requireShared reads lines and requires every one to be served by the
+// shared-lock pre-emptive path: right bytes, info.Preemptive, counted as
+// a PreemptiveFix and not a FastRead, no escalation, one MAC per read
+// and no device store.
+func requireShared(t *testing.T, m *Memory, lines []uint64) {
+	t.Helper()
+	s0, w0 := m.Stats(), m.Module().Writes()
+	for _, i := range lines {
+		got, info := mustRead(t, m, i)
+		if !bytes.Equal(got, fillLine(byte(i))) {
 			t.Fatalf("line %d wrong in degraded mode", i)
 		}
+		if !info.Preemptive {
+			t.Fatalf("line %d: info.Preemptive not set", i)
+		}
 	}
-	s1 := m.Stats()
+	s1, n := m.Stats(), uint64(len(lines))
 	if s1.FastReads != s0.FastReads {
-		t.Fatal("degraded-mode read claimed the fast path")
+		t.Errorf("FastReads advanced by %d, want 0: pre-emptive reads are not clean fast reads", s1.FastReads-s0.FastReads)
 	}
-	if s1.ReadEscalations != s0.ReadEscalations+16 {
-		t.Fatalf("ReadEscalations advanced by %d, want 16", s1.ReadEscalations-s0.ReadEscalations)
+	if got := s1.PreemptiveFixes - s0.PreemptiveFixes; got != n {
+		t.Errorf("PreemptiveFixes advanced by %d, want %d", got, n)
+	}
+	if got := s1.ReadEscalations - s0.ReadEscalations; got != 0 {
+		t.Errorf("ReadEscalations advanced by %d, want 0", got)
+	}
+	if got := s1.Reads - s0.Reads; got != n {
+		t.Errorf("Reads advanced by %d, want %d", got, n)
+	}
+	if got := s1.MACComputations - s0.MACComputations; got != n {
+		t.Errorf("MACComputations advanced by %d, want %d (one per read)", got, n)
+	}
+	if w := m.Module().Writes(); w != w0 {
+		t.Errorf("%d device writes, want none", w-w0)
+	}
+}
+
+// Once the scoreboard condemns a chip, the §IV-A steady state — that
+// chip's slice rebuilt from parity, one MAC against the cached counter,
+// nothing to write back — is served under the shared lock. Chip 8
+// covers the MAC-chip rebuild; lines 3 and 11 keep their parity slot on
+// chip 3, which rebuilds that slot through ParityP first.
+func TestFastReadDegradedServesPreemptive(t *testing.T) {
+	warm := make([]uint64, degradedLines)
+	for k := range warm {
+		warm[k] = uint64(k)
+	}
+	for _, tc := range []struct {
+		name  string
+		chip  int
+		lines []uint64
+	}{
+		{"chip3", 3, warm},
+		{"chip8", dimm.ECCChip, warm},
+		{"chip3/parity-slot-on-chip", 3, []uint64{3, 11}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := condemnedMemory(t, tc.chip)
+			requireShared(t, m, tc.lines)
+		})
+	}
+}
+
+// A transient on the condemned chip leaves the stored cells differing
+// from the verified candidate: the read escalates `degraded`, the
+// exclusive path writes the fix back, and the next read is shared.
+func TestFastReadDegradedTransientEscalates(t *testing.T) {
+	const line = 5
+	for _, chip := range []int{3, dimm.ECCChip} {
+		t.Run(fmt.Sprintf("chip%d", chip), func(t *testing.T) {
+			m := condemnedMemory(t, chip)
+			addr := m.Layout().DataAddr(line)
+			want, _ := m.Module().PeekLine(addr)
+			if err := m.InjectTransient(addr, chip, [dimm.SliceSize]byte{0x0F}); err != nil {
+				t.Fatal(err)
+			}
+			s0, deg0 := m.Stats(), m.escalations[telemetry.EscDegraded].Load()
+			got, info := mustRead(t, m, line)
+			if !bytes.Equal(got, fillLine(line)) || !info.Preemptive {
+				t.Fatalf("transient read: right bytes %v, preemptive %v", bytes.Equal(got, fillLine(line)), info.Preemptive)
+			}
+			if got := m.Stats().ReadEscalations - s0.ReadEscalations; got != 1 {
+				t.Fatalf("ReadEscalations advanced by %d, want 1", got)
+			}
+			if got := m.escalations[telemetry.EscDegraded].Load() - deg0; got != 1 {
+				t.Fatalf("degraded escalations advanced by %d, want 1", got)
+			}
+			if stored, _ := m.Module().PeekLine(addr); stored != want {
+				t.Fatal("the exclusive path did not write the pre-emptive fix back")
+			}
+			requireShared(t, m, []uint64{line})
+		})
+	}
+}
+
+// ReadBatchInto takes the same rung in its shared phase: the steady state
+// is served pre-emptively without escalation, and a transient on the
+// condemned chip sends just that line to the exclusive phase.
+func TestReadBatchDegradedServesPreemptive(t *testing.T) {
+	const line = 5
+	for _, chip := range []int{3, dimm.ECCChip} {
+		t.Run(fmt.Sprintf("chip%d", chip), func(t *testing.T) {
+			m := condemnedMemory(t, chip)
+			lines := make([]uint64, degradedLines)
+			for k := range lines {
+				lines[k] = uint64(k)
+			}
+			dst := make([]byte, len(lines)*LineSize)
+			infos := make([]ReadInfo, len(lines))
+			batch := func(wantEsc uint64) {
+				t.Helper()
+				s0, w0 := m.Stats(), m.Module().Writes()
+				if err := m.ReadBatchInto(lines, dst, infos); err != nil {
+					t.Fatal(err)
+				}
+				s1 := m.Stats()
+				for k, i := range lines {
+					if !bytes.Equal(dst[k*LineSize:(k+1)*LineSize], fillLine(byte(i))) || !infos[k].Preemptive {
+						t.Fatalf("line %d: wrong bytes or not pre-emptive", i)
+					}
+				}
+				if s1.FastReads != s0.FastReads {
+					t.Errorf("FastReads advanced by %d, want 0", s1.FastReads-s0.FastReads)
+				}
+				if got := s1.PreemptiveFixes - s0.PreemptiveFixes; got != uint64(len(lines)) {
+					t.Errorf("PreemptiveFixes advanced by %d, want %d", got, len(lines))
+				}
+				if got := s1.ReadEscalations - s0.ReadEscalations; got != wantEsc {
+					t.Errorf("ReadEscalations advanced by %d, want %d", got, wantEsc)
+				}
+				if w := m.Module().Writes() - w0; w != wantEsc {
+					t.Errorf("%d device writes, want %d", w, wantEsc)
+				}
+			}
+			batch(0)
+			addr := m.Layout().DataAddr(line)
+			want, _ := m.Module().PeekLine(addr)
+			if err := m.InjectTransient(addr, chip, [dimm.SliceSize]byte{0x0F}); err != nil {
+				t.Fatal(err)
+			}
+			batch(1)
+			if stored, _ := m.Module().PeekLine(addr); stored != want {
+				t.Fatal("the exclusive phase did not write the pre-emptive fix back")
+			}
+			batch(0)
+		})
 	}
 }
 
@@ -302,17 +467,55 @@ func TestFastReadTelemetry(t *testing.T) {
 // already committed and the reader already observed. Run under -race
 // this also proves the RLock snapshot discipline has no data races.
 func TestOptimisticReadRace(t *testing.T) {
+	if m := runOptimisticReadRace(t, -1); m.Stats().FastReads == 0 {
+		t.Error("race run never took the fast path")
+	}
+}
+
+// TestOptimisticReadRaceDegraded is the same surface with one chip dead
+// and condemned, so readers take the shared-lock pre-emptive rung, and
+// with every transient aimed at the condemned chip, so some of them
+// escalate `degraded` and race the exclusive store-back.
+func TestOptimisticReadRaceDegraded(t *testing.T) {
+	const dead = 3
+	m := runOptimisticReadRace(t, dead)
+	if m.preemptReads.Load() == 0 {
+		t.Error("race run never served a pre-emptive read under the shared lock")
+	}
+	if n := m.Stats().FastReads; n != 0 {
+		t.Errorf("FastReads = %d with a condemned chip, want 0", n)
+	}
+	if m.KnownBadChip() != dead {
+		t.Errorf("condemned chip %d at the end, want %d", m.KnownBadChip(), dead)
+	}
+}
+
+// runOptimisticReadRace runs the race on a healthy rank (dead < 0) or
+// with chip dead failed and condemned before the race starts.
+func runOptimisticReadRace(t *testing.T, dead int) *Memory {
 	const (
 		dataLines = 256
 		readers   = 4
 		runFor    = 500 * time.Millisecond
 	)
-	// FaultThreshold is raised so the chaos goroutine's steady drip of
-	// corrections never condemns a chip — this test exercises the
-	// healthy-rank fast path; degraded mode has its own test above.
-	m, err := New(Config{DataLines: dataLines, MetadataCache: 512, FaultThreshold: 1 << 30})
+	// On a healthy rank FaultThreshold is raised so the chaos goroutine's
+	// steady drip of corrections never condemns a chip. With a dead chip
+	// the default threshold condemns it, and every later correction is
+	// attributed to it too.
+	cfg := Config{DataLines: dataLines, MetadataCache: 512, FaultThreshold: 1 << 30}
+	if dead >= 0 {
+		cfg.FaultThreshold = 0
+	}
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A write whose parity slot sits on the dead chip degrades its parity
+	// group until RepairChip (DESIGN §10 item 4), so with a dead chip the
+	// writer skips those lines; readers read every line.
+	writable := func(i uint64) bool {
+		_, slot := m.Layout().ParityAddr(i)
+		return dead < 0 || slot != dead
 	}
 
 	// Payload encodes (line index, version) so a reader can detect both
@@ -355,6 +558,20 @@ func TestOptimisticReadRace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if dead >= 0 {
+		if _, err := m.InjectPermanent(dead, 0, m.Module().Lines()-1, [dimm.SliceSize]byte{0xA5}); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, LineSize)
+		for i := uint64(0); m.KnownBadChip() < 0 && i < dataLines; i++ {
+			if _, err := m.Read(i, buf); err != nil {
+				t.Fatalf("condemning read %d: %v", i, err)
+			}
+		}
+		if m.KnownBadChip() != dead {
+			t.Fatalf("condemned chip %d, want %d", m.KnownBadChip(), dead)
+		}
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -372,6 +589,9 @@ func TestOptimisticReadRace(t *testing.T) {
 			}
 			if i == 0 {
 				ver++
+			}
+			if !writable(i) {
+				continue
 			}
 			if err := m.Write(i, mkLine(i, ver)); err != nil {
 				t.Errorf("writer: line %d: %v", i, err)
@@ -422,7 +642,8 @@ func TestOptimisticReadRace(t *testing.T) {
 	// optimistic verifies fail and the escalation/retry machinery runs.
 	// The chip is a pure function of the line, so repeated injections on
 	// one line pile onto ONE chip and stay within the single-chip
-	// correction budget — never a spurious uncorrectable.
+	// correction budget — never a spurious uncorrectable. With a dead
+	// chip every transient lands on it, the one chip already lost.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -437,7 +658,11 @@ func TestOptimisticReadRace(t *testing.T) {
 			x ^= x >> 7
 			x ^= x << 17
 			i := x % dataLines
-			if err := m.InjectTransient(m.Layout().DataAddr(i), int(i)%dimm.Chips, [dimm.SliceSize]byte{byte(x) | 1}); err != nil {
+			chip := int(i) % dimm.Chips
+			if dead >= 0 {
+				chip = dead
+			}
+			if err := m.InjectTransient(m.Layout().DataAddr(i), chip, [dimm.SliceSize]byte{byte(x) | 1}); err != nil {
 				t.Errorf("chaos: %v", err)
 				return
 			}
@@ -500,9 +725,7 @@ func TestOptimisticReadRace(t *testing.T) {
 	wg.Wait()
 
 	s := m.Stats()
-	if s.FastReads == 0 {
-		t.Error("race run never took the fast path")
-	}
-	t.Logf("fast=%d escalations=%d genRetries=%d corrections=%d",
-		s.FastReads, s.ReadEscalations, s.GenRetries, s.CorrectionEvents)
+	t.Logf("fast=%d preemptive=%d escalations=%d genRetries=%d corrections=%d",
+		s.FastReads, s.PreemptiveFixes, s.ReadEscalations, s.GenRetries, s.CorrectionEvents)
+	return m
 }

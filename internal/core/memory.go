@@ -96,13 +96,14 @@ type Config struct {
 //
 // Memory is safe for concurrent use: a rank-level RWMutex serializes
 // the command stream the way a per-rank memory controller queue would.
-// The steady-state clean read — cache-hit counter, passing MAC,
-// healthy rank — runs entirely under the shared lock (see
-// fastread.go), so concurrent readers on one rank scale with cores.
-// Everything that mutates engine state — writes, cache fills, ECC
-// correction, scoreboard updates, the §IV-A pre-emptive commit,
-// poison bookkeeping — escalates to the exclusive lock; pure
-// observers (Stats, KnownBadChip) share the read lock. Rank-level
+// The steady-state read — cache-hit counter, passing MAC, and either a
+// healthy rank or a condemned chip whose §IV-A rebuild matches the
+// stored cells — runs entirely under the shared lock (see fastread.go),
+// so concurrent readers on one rank scale with cores. Everything that
+// mutates engine state — writes, cache fills, ECC correction,
+// scoreboard updates, a pre-emptive fix that must be written back,
+// poison bookkeeping — escalates to the exclusive lock; pure observers
+// (Stats, KnownBadChip) share the read lock. Rank-level
 // parallelism additionally comes from Array, which routes disjoint
 // ranks to disjoint locks. Module and Layout expose raw hardware for
 // fault injection and are caller-synchronized: do not inject faults
@@ -166,7 +167,8 @@ type Memory struct {
 	// holds the exclusive lock that guards m.stats — and Stats()
 	// merges them into the returned copy.
 	gens            [genStripes]atomic.Uint64
-	fastReads       atomic.Uint64 // reads served under the shared lock
+	fastReads       atomic.Uint64 // clean reads served under the shared lock
+	preemptReads    atomic.Uint64 // §IV-A pre-emptive reads served under the shared lock
 	fastVerifies    atomic.Uint64 // MAC verifications spent by fast attempts
 	fastPoisonFails atomic.Uint64 // poison fast-fails under the shared lock
 	genRetries      atomic.Uint64 // attempts retried after a generation conflict
@@ -184,7 +186,7 @@ type Stats struct {
 	CorrectionEvents       uint64 // lines successfully corrected
 	ReconstructionAttempts uint64 // candidate reconstructions tried
 	ParityPUses            uint64 // corrections that needed the parity-of-parities
-	PreemptiveFixes        uint64 // reads served via the known-bad-chip fast path
+	PreemptiveFixes        uint64 // reads served via the known-bad-chip fast path, under either lock
 	AttacksDeclared        uint64 // uncorrectable events
 
 	GroupReencryptions    uint64 // split-counter minor overflows handled
@@ -202,7 +204,7 @@ type Stats struct {
 	LinesHealed     uint64 // poisoned lines cleared by a write or repair
 	ChipRepairs     uint64 // RepairChip invocations completed
 
-	FastReads       uint64 // reads served by the shared-lock optimistic path (subset of Reads)
+	FastReads       uint64 // clean reads served under the shared lock (subset of Reads; shared pre-emptive reads are PreemptiveFixes)
 	ReadEscalations uint64 // optimistic attempts that fell back to the exclusive path
 	GenRetries      uint64 // optimistic attempts retried after a generation conflict
 }
@@ -436,19 +438,21 @@ func (m *Memory) Module() *dimm.Module { return m.mod }
 // layout is immutable after New.
 func (m *Memory) Layout() Layout { return m.layout }
 
-// Stats returns a copy of the engine counters. Fast-path activity is
+// Stats returns a copy of the engine counters. Shared-lock activity is
 // tracked in atomics (the shared-lock read never touches m.stats) and
-// folded in here: each fast read is one served read whose walk
-// stopped at an on-chip cached node, with exactly one MAC evaluation.
+// folded in here: each read served shared, clean or pre-emptive, is one
+// served read whose walk stopped at an on-chip cached node, with
+// exactly one MAC evaluation.
 func (m *Memory) Stats() Stats {
 	m.mu.RLock()
 	s := m.stats
 	m.mu.RUnlock()
-	fast := m.fastReads.Load()
+	fast, pre := m.fastReads.Load(), m.preemptReads.Load()
 	s.FastReads = fast
-	s.Reads += fast
-	s.NodeCacheStops += fast
-	s.MetaCacheHits += fast
+	s.PreemptiveFixes += pre
+	s.Reads += fast + pre
+	s.NodeCacheStops += fast + pre
+	s.MetaCacheHits += fast + pre
 	s.MACComputations += m.fastVerifies.Load()
 	s.PoisonFastFails += m.fastPoisonFails.Load()
 	s.GenRetries = m.genRetries.Load()
@@ -783,9 +787,10 @@ func parentCounterOf(path []pathEntry, k int, root uint64) uint64 {
 // correction (paper §III-B, Fig. 7). On an uncorrectable mismatch it
 // returns ErrAttack and leaves dst unspecified.
 //
-// The steady-state clean read is served under the shared lock alone
-// (fastread.go); only cache misses, corrections, degraded mode and
-// generation conflicts take the exclusive lock.
+// The steady-state read, clean or pre-emptive, is served under the
+// shared lock alone (fastread.go); only cache misses, corrections,
+// pre-emptive fixes that need writing back and generation conflicts
+// take the exclusive lock.
 func (m *Memory) Read(i uint64, dst []byte) (ReadInfo, error) {
 	if info, err, ok := m.fastRead(i, dst, nil); ok {
 		return info, err
@@ -865,19 +870,18 @@ func (m *Memory) readBatch(lines []uint64, dst []byte, infos []ReadInfo) error {
 	// Phase 3 (shared lock): optimistically serve every line whose
 	// counter is still on-chip and unchanged since phase 1 — verify the
 	// MAC against the trusted cached counter and XOR the precomputed
-	// pad, all without excluding concurrent readers. Lines that need
-	// any engine mutation (cache miss, pad gone stale under a racing
-	// write, MAC mismatch, poison, degraded mode) are marked slow.
+	// pad, all without excluding concurrent readers. Under a condemned
+	// chip the verified line is the §IV-A candidate, as in fastRead.
+	// Lines that need any engine mutation (cache miss, pad gone stale
+	// under a racing write, MAC mismatch, poison, a pre-emptive fix to
+	// write back) are marked slow.
 	nslow := 0
 	if havePads {
 		m.mu.RLock()
-		degraded := m.knownBad >= 0
+		preempt := m.knownBad >= 0
 		for k, i := range lines {
 			slow[k] = true
-			if degraded || i >= m.layout.DataLines {
-				if degraded {
-					m.escalate(i, telemetry.EscDegraded)
-				}
+			if i >= m.layout.DataLines {
 				nslow++
 				continue
 			}
@@ -908,6 +912,10 @@ func (m *Memory) readBatch(lines []uint64, dst []byte, infos []ReadInfo) error {
 				continue
 			}
 			dl, err := m.mod.ReadLine(addrs[k])
+			stale := false
+			if err == nil && preempt {
+				stale, err = m.preemptData(i, &dl)
+			}
 			if err != nil {
 				nslow++
 				continue
@@ -918,12 +926,22 @@ func (m *Memory) readBatch(lines []uint64, dst []byte, infos []ReadInfo) error {
 				nslow++
 				continue
 			}
+			if stale {
+				m.escalate(i, telemetry.EscDegraded)
+				nslow++
+				continue
+			}
 			subtle.XORBytes(dst[k*LineSize:(k+1)*LineSize], dl.Data[:], pads[k*LineSize:(k+1)*LineSize])
-			infos[k] = ReadInfo{}
+			infos[k] = ReadInfo{Preemptive: preempt}
 			slow[k] = false
-			m.fastReads.Add(1)
+			if preempt {
+				m.preemptReads.Add(1)
+				m.tel.CountPreemptive(m.telRank, int(i))
+			} else {
+				m.fastReads.Add(1)
+				m.tel.CountFastRead(m.telRank, int(i))
+			}
 			m.tel.CountOp(telemetry.OpRead, int(i))
-			m.tel.CountFastRead(m.telRank, int(i))
 		}
 		m.mu.RUnlock()
 	} else {
@@ -1039,7 +1057,8 @@ func (m *Memory) readLocked(i uint64, dst []byte, pad []byte, padCtr uint64) (Re
 	// the baseline needs anyway. The fix is applied to copies and
 	// committed only if the whole path then verifies — if the mismatch
 	// has a different cause, we fall back to full reconstruction on the
-	// unmodified lines.
+	// unmodified lines. A verified path is cached like a walked one, so
+	// the next read under its counter leaf is served shared.
 	if m.knownBad >= 0 {
 		if ctr, ok, err := m.tryPreemptive(i, &dl, path); err != nil {
 			return info, err
@@ -1048,6 +1067,10 @@ func (m *Memory) readLocked(i uint64, dst []byte, pad []byte, padCtr uint64) (Re
 			m.stats.PreemptiveFixes++
 			m.tel.CountPreemptive(m.telRank, m.telRank)
 			m.st.Mark(telemetry.StageReconstruct)
+			m.cachePath(path)
+			if err := m.trimCache(); err != nil {
+				return info, err
+			}
 			if err := m.decryptLine(dst, dl.Data[:], dataAddr, ctr, pad, padCtr); err != nil {
 				return info, err
 			}
@@ -1468,7 +1491,8 @@ func (m *Memory) Poisoned() []uint64 {
 // trusted encryption counter.
 func (m *Memory) tryPreemptive(i uint64, dl *dimm.Line, path []pathEntry) (uint64, bool, error) {
 	cand := *dl
-	if err := m.preemptData(i, &cand); err != nil {
+	stale, err := m.preemptData(i, &cand)
+	if err != nil {
 		return 0, false, err
 	}
 	orig, ok := m.preemptPath(path)
@@ -1483,14 +1507,16 @@ func (m *Memory) tryPreemptive(i uint64, dl *dimm.Line, path []pathEntry) (uint6
 		return 0, false, nil
 	}
 	// Commit, scrubbing repaired lines back to memory so transient
-	// damage does not linger in the stored cells.
-	if cand != *dl {
+	// damage does not linger in the stored cells. Only lines whose cells
+	// differ from the fix are written: under a dead chip the as-read copy
+	// always differs, but the cells already hold the fixed bytes.
+	if stale {
 		if err := m.mod.WriteLine(m.layout.DataAddr(i), cand.Data[:], cand.ECC[:]); err != nil {
 			return 0, false, err
 		}
 	}
 	for k := range path {
-		if path[k].cached == nil && path[k].raw != orig[k].raw {
+		if path[k].cached == nil && m.storedDiffers(path[k].addr, &path[k].raw) {
 			if err := m.writeEntry(&path[k]); err != nil {
 				return 0, false, err
 			}
@@ -1503,8 +1529,8 @@ func (m *Memory) tryPreemptive(i uint64, dl *dimm.Line, path []pathEntry) (uint6
 // preemptPath applies the §IV-A fix for a condemned chip to path: that
 // chip's slice rebuilt from intra-line parity on every memory-sourced
 // level, top-down. It keeps the fix only if every one of those levels
-// then verifies, and returns the path as loaded (for callers that scrub
-// repaired lines back or undo the fix); otherwise path is left as loaded.
+// then verifies, and returns the path as loaded (for callers that undo
+// the fix); otherwise path is left as loaded.
 // Requires knownBad ≥ 0.
 func (m *Memory) preemptPath(path []pathEntry) (orig []pathEntry, ok bool) {
 	orig, saved := path, false

@@ -14,9 +14,11 @@ import (
 // parity supplies *correction*; the combination gives chipkill-level
 // coverage from a single 9-chip DIMM.
 //
-// Every function here runs with the owning Memory's exclusive lock held
-// (reconstruction commits corrected lines back to the module and bumps
-// stats/scoreboard state), so none takes a lock of its own.
+// Every function here runs with the owning Memory's lock held, so none
+// takes a lock of its own. Reconstruction commits corrected lines back
+// to the module and bumps stats/scoreboard state, so it needs the
+// exclusive lock; preemptData and storedDiffers only read, and the
+// shared-lock read paths call them too.
 
 // reconstructEntry repairs a counter/tree path line using its intra-line
 // parity (ParityC / ParityT, stored in the line's own ECC chip). A chip
@@ -163,27 +165,42 @@ func (m *Memory) reconstructData(i uint64, ctr uint64, raw *dimm.Line) (fixed di
 // preemptNode rebuilds the condemned chip's slice of a memory-sourced
 // path line before verification — the §IV-A mitigation that reduces
 // steady-state correction cost under a permanent chip failure to the
-// one MAC computation the baseline needs anyway. Requires knownBad ≥ 0.
+// one MAC computation the baseline needs anyway. Either way e.raw ends
+// up exactly as writeEntry would store the line, so comparing it with
+// the stored cells tells whether the fix needs writing back. Requires
+// knownBad ≥ 0.
 func (m *Memory) preemptNode(e *pathEntry) {
 	if m.knownBad >= dimm.DataChips {
 		// The ECC chip holds only parity on node lines; node contents
-		// are unaffected by its failure.
+		// are unaffected by its failure, and its slice is rebuilt from
+		// them.
+		e.raw.ECC = integrity.SliceParity(&e.raw.Data)
 		return
 	}
 	rebuildSlice(e.raw.Data[:], m.knownBad, e.raw.ECC[:])
 	m.entryUnpack(e)
 }
 
-// preemptData rebuilds the condemned chip's slice of a data line from
-// its parity before verification.
-func (m *Memory) preemptData(i uint64, dl *dimm.Line) error {
-	if m.knownBad < 0 {
-		return nil
-	}
+// storedDiffers reports whether the cells stored at addr differ from l,
+// i.e. whether serving l leaves a repair unwritten.
+func (m *Memory) storedDiffers(addr uint64, l *dimm.Line) bool {
+	stored, _ := m.mod.PeekLine(addr)
+	return stored != *l
+}
+
+// preemptData rebuilds the condemned chip's slice of data line i, as
+// read into dl, from the line's parity before verification, and reports
+// whether the candidate differs from the stored cells. A permanent fault
+// corrupts reads, not cells, so in the §IV-A steady state it does not,
+// and a verified candidate needs no store-back; a transient on the
+// condemned chip makes it stale. It only reads the module, so the
+// shared-lock read paths call it as well as tryPreemptive. Requires
+// knownBad ≥ 0.
+func (m *Memory) preemptData(i uint64, dl *dimm.Line) (stale bool, err error) {
 	pAddr, slot := m.layout.ParityAddr(i)
 	pl, err := m.mod.ReadLine(pAddr)
 	if err != nil {
-		return err
+		return false, err
 	}
 	var p [8]byte
 	if slot == m.knownBad && m.knownBad < dimm.DataChips {
@@ -210,7 +227,7 @@ func (m *Memory) preemptData(i uint64, dl *dimm.Line) error {
 			}
 		}
 		copy(dl.ECC[:], rec[:])
-		return nil
+		return m.storedDiffers(m.layout.DataAddr(i), dl), nil
 	}
 	// Rebuild the data slice: parity XOR other data slices XOR MAC.
 	var rec [8]byte
@@ -227,5 +244,5 @@ func (m *Memory) preemptData(i uint64, dl *dimm.Line) error {
 		rec[b] ^= dl.ECC[b]
 	}
 	copy(dl.Data[m.knownBad*8:m.knownBad*8+8], rec[:])
-	return nil
+	return m.storedDiffers(m.layout.DataAddr(i), dl), nil
 }

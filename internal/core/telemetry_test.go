@@ -213,7 +213,9 @@ func TestTelemetryTracksEngineEvents(t *testing.T) {
 }
 
 // A condemned chip must route reads through the §IV-A fast path and
-// count them as preemptive fixes, matching stats.PreemptiveFixes.
+// count them as preemptive fixes, matching stats.PreemptiveFixes — under
+// the shared lock too, where they are served op reads but not fast
+// reads.
 func TestTelemetryCountsPreemptive(t *testing.T) {
 	reg := telemetry.New()
 	m, err := New(Config{DataLines: 64, FaultThreshold: 1, Telemetry: reg})
@@ -237,9 +239,23 @@ func TestTelemetryCountsPreemptive(t *testing.T) {
 	if m.KnownBadChip() != 4 {
 		t.Fatalf("chip 4 not condemned (knownBad=%d)", m.KnownBadChip())
 	}
-	s := reg.Snapshot()
-	if got, want := s.Ranks[0].Preemptive, m.Stats().PreemptiveFixes; got != want || got == 0 {
+	// A batch whose lines share line 3's cached counter leaf is served in
+	// its shared phase as well.
+	if _, err := m.ReadBatch([]uint64{3, 5}, make([]byte, 2*LineSize)); err != nil {
+		t.Fatal(err)
+	}
+	s, stats := reg.Snapshot(), m.Stats()
+	if m.preemptReads.Load() == 0 {
+		t.Fatal("no pre-emptive read was served under the shared lock")
+	}
+	if got, want := s.Ranks[0].Preemptive, stats.PreemptiveFixes; got != want || got == 0 {
 		t.Errorf("telemetry preemptive = %d, stats.PreemptiveFixes = %d (want equal, nonzero)", got, want)
+	}
+	if got := s.Ranks[0].FastReads; got != 0 || stats.FastReads != 0 {
+		t.Errorf("telemetry fast reads = %d, stats.FastReads = %d; want 0 with a condemned chip", got, stats.FastReads)
+	}
+	if got, want := s.Ops[telemetry.OpRead.String()].Count, stats.Reads; got != want || got != 12 {
+		t.Errorf("op read count = %d, stats.Reads = %d; want both 12", got, want)
 	}
 }
 

@@ -89,7 +89,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				lbl("rank", strconv.Itoa(rk.Rank))+","+lbl("chip", strconv.Itoa(chip)), n)
 		}
 	}
-	ew.family("synergy_preemptive_fixes_total", "counter", "Reads served via the condemned-chip pre-emptive path.")
+	ew.family("synergy_preemptive_fixes_total", "counter", "Reads served via the condemned-chip pre-emptive path, under either lock.")
 	for _, rk := range s.Ranks {
 		ew.sample("synergy_preemptive_fixes_total", lbl("rank", strconv.Itoa(rk.Rank)), rk.Preemptive)
 	}
@@ -144,7 +144,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, rk := range s.Ranks {
 		ew.sample("synergy_metacache_dirty_entries", lbl("rank", strconv.Itoa(rk.Rank)), rk.MetaDirty)
 	}
-	ew.family("synergy_read_fast_total", "counter", "Reads served entirely under the shared lock (optimistic fast path).")
+	ew.family("synergy_read_fast_total", "counter", "Clean reads served entirely under the shared lock (optimistic fast path); shared pre-emptive reads count as pre-emptive fixes.")
 	for _, rk := range s.Ranks {
 		ew.sample("synergy_read_fast_total", lbl("rank", strconv.Itoa(rk.Rank)), rk.FastReads)
 	}

@@ -199,8 +199,11 @@ const (
 	// counter with no concurrent writer detected — genuine corruption
 	// that needs the correction machinery.
 	EscMismatch
-	// EscDegraded: the rank is in degraded mode (a condemned chip), so
-	// every read must run the §IV-A pre-emptive path exclusively.
+	// EscDegraded: a condemned chip's §IV-A pre-emptive candidate
+	// verified, but the stored cells need the fix written back (a
+	// transient on the condemned chip), which only the exclusive path
+	// may do. Steady-state degraded reads are served shared and never
+	// count here.
 	EscDegraded
 	// EscGenConflict: generation-conflict retries were exhausted —
 	// mutators kept landing on the line between optimistic attempts.
@@ -473,8 +476,8 @@ type RankMetrics struct {
 	scrubScanned           Counter
 	scrubCorrected         Counter
 
-	// Optimistic read-path counters: reads served entirely under the
-	// shared lock, attempts retried after a generation conflict, and
+	// Optimistic read-path counters: clean reads served entirely under
+	// the shared lock, attempts retried after a generation conflict, and
 	// escalations to the exclusive path by reason. Striped — many
 	// concurrent readers record here, which is the whole point of the
 	// fast path.
@@ -529,10 +532,11 @@ func (r *Registry) CountPreemptive(rank, shard int) {
 	}
 }
 
-// CountFastRead adds one read served entirely under the shared lock
-// (the optimistic fast path). shard spreads concurrent readers of one
-// rank across counter stripes — pass something reader-local, e.g. the
-// line index.
+// CountFastRead adds one clean read served entirely under the shared
+// lock (the optimistic fast path; a pre-emptive read served there
+// counts through CountPreemptive instead). shard spreads concurrent
+// readers of one rank across counter stripes — pass something
+// reader-local, e.g. the line index.
 func (r *Registry) CountFastRead(rank, shard int) {
 	if rm := r.Rank(rank); rm != nil {
 		rm.fastReads.AddAt(shard, 1)
