@@ -9,8 +9,9 @@ package synergy
 //
 // New returns a multi-rank *Array — the concurrent serving surface.
 // Requests to different ranks proceed fully in parallel; ReadBatch and
-// WriteBatch group lines by rank and run each group under one lock
-// acquisition, on the caller's goroutine. See the "Concurrency
+// WriteBatch group lines by rank and run the groups on the caller's
+// goroutine — each batched read line as a Read, each rank's writes under
+// one lock acquisition. See the "Concurrency
 // contract" section of README.md for exactly what may be called from
 // multiple goroutines.
 //

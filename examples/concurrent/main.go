@@ -1,8 +1,8 @@
 // Concurrent serving demo: a 4-rank Synergy Array under parallel
 // clients. Each rank is an independent protection domain with its own
 // lock (paper §III-A, Table III), so the shard router serves requests
-// to different ranks fully in parallel, and batched I/O groups lines by
-// rank to pay one lock acquisition per rank per batch.
+// to different ranks fully in parallel, and batched writes group lines
+// by rank to pay one lock acquisition per rank per batch.
 //
 //	go run ./examples/concurrent
 //	go run ./examples/concurrent -clients 8 -ops 20000

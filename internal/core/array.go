@@ -28,9 +28,10 @@ import (
 // own, so requests to different ranks proceed fully in parallel. Within
 // one rank, accesses serialize the way a per-rank controller queue
 // would. ReadBatch/WriteBatch group lines by rank and run the groups one
-// after another on the caller's goroutine, acquiring each rank lock
-// once; parallelism across ranks comes from concurrent callers, not
-// from one batch.
+// after another on the caller's goroutine: a read group serves each line
+// as Read does, a write group takes its rank's exclusive lock once.
+// Parallelism across ranks comes from concurrent callers, not from one
+// batch.
 type Array struct {
 	ranks        []*Memory
 	linesPerRank uint64
@@ -68,8 +69,7 @@ func NewArray(cfg Config) (*Array, error) {
 		rcfg := cfg
 		rcfg.Ranks = 1
 		rcfg.DataLines = perRank
-		rcfg.TelemetryRank = r
-		m, err := newRank(rcfg, enc, mac)
+		m, err := newRank(rcfg, enc, mac, r)
 		if err != nil {
 			return nil, fmt.Errorf("core: rank %d: %w", r, err)
 		}
@@ -105,26 +105,18 @@ func (a *Array) route(line uint64) (*Memory, uint64, error) {
 
 // Read decrypts global data line i into dst.
 func (a *Array) Read(i uint64, dst []byte) (ReadInfo, error) {
-	m, inner, err := a.route(i)
-	if err != nil {
-		return ReadInfo{}, err
-	}
-	return m.Read(inner, dst)
+	return a.ReadTraced(i, dst, nil)
 }
 
 // Write encrypts and stores global data line i.
 func (a *Array) Write(i uint64, plain []byte) error {
-	m, inner, err := a.route(i)
-	if err != nil {
-		return err
-	}
-	return m.Write(inner, plain)
+	return a.WriteTraced(i, plain, nil)
 }
 
 // ReadTraced is Read carrying a trace span: the span is located at the
 // serving rank (with the caller's global line index) and the rank's
-// pipeline stages and escalations become span events. A nil span is
-// exactly Read.
+// pipeline stages and escalations become span events. Every span use
+// is nil-safe, so a nil span is exactly Read.
 func (a *Array) ReadTraced(i uint64, dst []byte, sp *telemetry.Span) (ReadInfo, error) {
 	m, inner, err := a.route(i)
 	if err != nil {
@@ -236,13 +228,13 @@ func (a *Array) mergeBatchErrs(lines []uint64, plans []batchPlan, errs []error) 
 }
 
 // ReadBatch decrypts lines[k] into dst[k*LineSize:(k+1)*LineSize] for
-// every k. Lines are grouped by rank, and each rank group runs under one
-// acquisition of that rank's lock, one group after another on the
-// caller's goroutine. Duplicate lines are allowed. Every line is
-// attempted: per-line failures collect into a *BatchError carrying the
-// caller's batch indices and global line addresses (errors.Is still
-// matches the wrapped sentinels), and dst and infos are valid for every
-// index not listed in it.
+// every k. Lines are grouped by rank, one group after another on the
+// caller's goroutine, and each line is served as Read serves it.
+// Duplicate lines are allowed. Every line is attempted: per-line
+// failures collect into a *BatchError carrying the caller's batch
+// indices and global line addresses (errors.Is still matches the
+// wrapped sentinels), and dst and infos are valid for every index not
+// listed in it.
 func (a *Array) ReadBatch(lines []uint64, dst []byte) ([]ReadInfo, error) {
 	infos := make([]ReadInfo, len(lines))
 	err := a.ReadBatchInto(lines, dst, infos)

@@ -14,8 +14,8 @@ import (
 //
 // When the store is a BatchStore (Memory and Array both are), aligned
 // multi-line spans move through ReadBatch/WriteBatch: one call per
-// span, one lock acquisition per rank it touches, instead of one locked
-// call per line. Device is as safe for concurrent use as its store; concurrent
+// span (writes take one lock acquisition per rank it touches) instead
+// of one call per line. Device is as safe for concurrent use as its store; concurrent
 // WriteAt calls to overlapping byte ranges have no defined order.
 type Device struct {
 	store Store

@@ -1,11 +1,14 @@
 package core
 
-// Tests and benchmarks for the crypto hot path: the optimistic
-// pad-precomputing ReadBatch and the zero-allocation steady-state read.
+// Tests and benchmarks for the hot paths: batches (each line served as
+// its single-line op) and the zero-allocation steady-state read.
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -13,10 +16,9 @@ import (
 	"synergy/internal/telemetry"
 )
 
-// ReadBatch (peek counters → precompute pads → verify under lock) must
-// return exactly what per-line Reads return, across plain and
-// split-counter organizations and across counter bumps that make early
-// peeks stale for later reads of the same batch.
+// ReadBatch must return exactly what per-line Reads return, across
+// plain and split-counter organizations, lines with differing counters,
+// and duplicates.
 func TestReadBatchMatchesRead(t *testing.T) {
 	for _, split := range []bool{false, true} {
 		m, err := New(Config{DataLines: 96, SplitCounters: split})
@@ -51,9 +53,9 @@ func TestReadBatchMatchesRead(t *testing.T) {
 	}
 }
 
-// A corrupted counter line makes the peeked counter (raw cells, no
-// correction) disagree with the trusted one, so the precomputed pad is
-// discarded and the read must still decrypt correctly via the fallback.
+// A corrupted counter line must be corrected by the first batched read
+// of it, and both copies must decrypt under the corrected counter: the
+// second copy is served from the repaired, now-cached path.
 func TestReadBatchFallsBackOnCorruptedCounter(t *testing.T) {
 	m := newMemory(t, 64)
 	line := fillLine(0x5A)
@@ -79,13 +81,13 @@ func TestReadBatchFallsBackOnCorruptedCounter(t *testing.T) {
 	}
 	for k := 0; k < 2; k++ {
 		if !bytes.Equal(dst[k*LineSize:(k+1)*LineSize], line) {
-			t.Fatalf("batch entry %d decrypted wrong under stale pad", k)
+			t.Fatalf("batch entry %d decrypted wrong after counter correction", k)
 		}
 	}
 }
 
-// The optimistic peek must stay correct when writers race the batch:
-// every batched read must return a value some Write actually stored.
+// Batches must stay correct when writers race them: every batched read
+// must return a value some Write actually stored.
 func TestReadBatchConcurrentWithWrites(t *testing.T) {
 	m := newMemory(t, 32)
 	const workers, rounds = 4, 50
@@ -119,6 +121,138 @@ func TestReadBatchConcurrentWithWrites(t *testing.T) {
 	wg.Wait()
 }
 
+// TestBatchEqualsSingles pins the batch contract: a batch is its lines'
+// single-line ops, in order. Two identical memories run one tape; one
+// issues each batch as a batch, the other as its lines one call at a
+// time. Read bytes, ReadInfos, per-line errors (a BatchError entry
+// against the single call's error), the full Stats and the final device
+// image must all match.
+func TestBatchEqualsSingles(t *testing.T) {
+	// The random tapes never aim a batch at a poisoned line; this one
+	// does, so failed lines sit mid-batch (index 1 of batchLines).
+	poisonTape := []byte{
+		0, 0, 1, 0, 7, 2, 0, 12, 3, // write lines 0, 7, 12
+		9, 7, 5, // double fault on line 7 (arg%5 == 2)
+		7, 0, 0, // batch read 0, 7, 31, 63: line 7 fails closed and is poisoned
+		7, 0, 0, // again: line 7 fails fast
+		9, 12, 3, // double fault on line 12
+		7, 5, 0, // batch read 5, 12, 36, 68: line 12 fails closed
+		6, 0, 9, // batch write heals line 7
+		7, 0, 0,
+		9, 4, 3, // chip 3 dies (arg%5 == 4)
+		7, 0, 0, 7, 5, 0, 4, 5, 0, 4, 36, 0, 7, 5, 0,
+		6, 5, 1, // batch write heals line 12 under the dead chip
+		7, 5, 0, 7, 0, 0,
+	}
+	for _, tc := range []struct {
+		name  string
+		split bool
+		cache int
+		ops   []byte
+	}{
+		{"monolithic", false, diffCache, diffScript(1, 96)},
+		{"monolithic/default", false, 0, diffScript(3, 96)},
+		{"split", true, diffCache, diffScript(2, 96)},
+		{"deadchip", false, diffCache, deadChipScript(10, 5, 95)},
+		{"deadchip/split/default", true, 0, deadChipScript(11, dimm.ECCChip, 95)},
+		{"poisoned", false, diffCache, poisonTape},
+		{"poisoned/split/default", true, 0, poisonTape},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var pair [2]*Memory // batched, singles
+			for k := range pair {
+				m, err := New(Config{DataLines: diffLines, SplitCounters: tc.split, MetadataCache: tc.cache})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pair[k] = m
+			}
+			batched, singles := pair[0], pair[1]
+			for step := 0; step+2 < len(tc.ops); step += 3 {
+				op, arg, val := tc.ops[step], tc.ops[step+1], tc.ops[step+2]
+				if op%10 == 6 || op%10 == 7 {
+					batchVsSingles(t, batched, singles, step/3, op%10 == 7, uint64(arg)%diffLines, val)
+					continue
+				}
+				bout, berr := diffOp(t, batched, step/3, op, arg, val)
+				sout, serr := diffOp(t, singles, step/3, op, arg, val)
+				if fmt.Sprint(berr) != fmt.Sprint(serr) || !bytes.Equal(bout, sout) {
+					t.Fatalf("step %d (op %d): twins diverge: %v vs %v", step/3, op%10, berr, serr)
+				}
+			}
+			if bs, ss := batched.Stats(), singles.Stats(); bs != ss {
+				t.Fatalf("stats diverge:\nbatched %+v\nsingles %+v", bs, ss)
+			}
+			images := [2][]byte{}
+			for k, m := range pair {
+				images[k] = make([]byte, m.Module().ImageSize())
+				if err := m.Module().Serialize(images[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(images[0], images[1]) {
+				t.Fatal("device images diverge")
+			}
+		})
+	}
+}
+
+// batchVsSingles issues one batch of batchLines(line) on batched and the
+// same lines one call at a time on singles, and requires every line's
+// outcome to match.
+func batchVsSingles(t *testing.T, batched, singles *Memory, step int, read bool, line uint64, val byte) {
+	t.Helper()
+	ls := batchLines(line)
+	buf := [2][]byte{make([]byte, len(ls)*LineSize), make([]byte, len(ls)*LineSize)}
+	if !read {
+		for k := range ls {
+			copy(buf[0][k*LineSize:], fillLine(val+byte(k)))
+		}
+		copy(buf[1], buf[0])
+	}
+	var infos [2][]ReadInfo
+	var berr error
+	if read {
+		infos[0], berr = batched.ReadBatch(ls, buf[0])
+		infos[1] = make([]ReadInfo, len(ls))
+	} else {
+		berr = batched.WriteBatch(ls, buf[0])
+	}
+	perLine := make([]error, len(ls))
+	if berr != nil {
+		var be *BatchError
+		if !errors.As(berr, &be) {
+			t.Fatalf("step %d: batch failed without a BatchError: %v", step, berr)
+		}
+		for _, le := range be.Failed {
+			if le.Line != ls[le.Index] {
+				t.Fatalf("step %d: failed index %d names line %d, want %d", step, le.Index, le.Line, ls[le.Index])
+			}
+			perLine[le.Index] = le.Err
+		}
+	}
+	for k, i := range ls {
+		var err error
+		if read {
+			infos[1][k], err = singles.Read(i, buf[1][k*LineSize:(k+1)*LineSize])
+		} else {
+			err = singles.Write(i, buf[1][k*LineSize:(k+1)*LineSize])
+		}
+		if fmt.Sprint(perLine[k]) != fmt.Sprint(err) {
+			t.Fatalf("step %d: line %d: batched err %v, single err %v", step, i, perLine[k], err)
+		}
+		if err != nil || !read {
+			continue
+		}
+		if !bytes.Equal(buf[0][k*LineSize:(k+1)*LineSize], buf[1][k*LineSize:(k+1)*LineSize]) {
+			t.Fatalf("step %d: line %d: batched read bytes differ from the single read", step, i)
+		}
+		if !reflect.DeepEqual(infos[0][k], infos[1][k]) {
+			t.Fatalf("step %d: line %d: ReadInfo %+v vs %+v", step, i, infos[0][k], infos[1][k])
+		}
+	}
+}
+
 // BenchmarkReadHotPath measures the steady-state single-line read with a
 // warm node cache — the path the acceptance criteria pin at 0 allocs/op.
 func BenchmarkReadHotPath(b *testing.B) {
@@ -141,8 +275,8 @@ func BenchmarkReadHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkReadBatchHotPath measures the batched read with precomputed
-// pads over a window of warm lines.
+// BenchmarkReadBatchHotPath measures the batched read over a window of
+// warm lines: one shared-lock Read per line.
 func BenchmarkReadBatchHotPath(b *testing.B) {
 	m := newMemory(b, 1024)
 	const n = 32
@@ -226,9 +360,8 @@ func BenchmarkWriteDefaultHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteBatchHotPath measures the batched write pipeline
-// (peek predicted counters → precompute pads → commit under one lock
-// acquisition) over a warm write-back working set.
+// BenchmarkWriteBatchHotPath measures the batched write — every line's
+// write under one lock acquisition — over a warm write-back working set.
 func BenchmarkWriteBatchHotPath(b *testing.B) {
 	m, _ := hotWrites(b, 2048, nil)
 	const n = 32

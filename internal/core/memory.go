@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -84,12 +83,9 @@ type Config struct {
 	// Telemetry, when non-nil, receives operation counters, sampled
 	// latency histograms and engine events (see internal/telemetry).
 	// Nil disables instrumentation down to one pointer compare per
-	// operation.
+	// operation. Events carry the rank index: each Array rank's own, 0
+	// for a memory built by New.
 	Telemetry *telemetry.Registry
-	// TelemetryRank labels this memory's events in the registry.
-	// NewArray overrides it with each rank's index; a standalone
-	// Memory reports as the rank it is told it is (default 0).
-	TelemetryRank int
 }
 
 // Memory is a functional Synergy secure memory on one 9-chip ECC-DIMM.
@@ -237,7 +233,7 @@ func New(cfg Config) (*Memory, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newRank(cfg, enc, mac)
+	return newRank(cfg, enc, mac, 0)
 }
 
 // newCrypto builds the pad engine and MAC for cfg's keys (fixed test
@@ -265,8 +261,9 @@ func newCrypto(cfg Config) (*ctrenc.Engine, *gmac.Mac, error) {
 	return enc, mac, nil
 }
 
-// newRank builds one rank over the given crypto engines (see New).
-func newRank(cfg Config, enc *ctrenc.Engine, mac *gmac.Mac) (*Memory, error) {
+// newRank builds one rank over the given crypto engines (see New); rank
+// labels its telemetry.
+func newRank(cfg Config, enc *ctrenc.Engine, mac *gmac.Mac, rank int) (*Memory, error) {
 	ctrsPerLine := uint64(integrity.CountersPerLine)
 	if cfg.SplitCounters {
 		ctrsPerLine = integrity.SplitCountersPerLine
@@ -300,7 +297,7 @@ func newRank(cfg Config, enc *ctrenc.Engine, mac *gmac.Mac) (*Memory, error) {
 		poisoned:       make(map[uint64]struct{}),
 		log:            newErrorLog(cfg.ErrorLogCapacity),
 		tel:            cfg.Telemetry,
-		telRank:        cfg.TelemetryRank,
+		telRank:        rank,
 		telMask:        cfg.Telemetry.SampleMask(),
 		telReads:       cfg.Telemetry.LocalOp(telemetry.OpRead),
 	}
@@ -327,33 +324,19 @@ func newRank(cfg Config, enc *ctrenc.Engine, mac *gmac.Mac) (*Memory, error) {
 // nodes sealed top-down, data lines encrypted with counter 0, parity
 // lines consistent.
 func (m *Memory) initialize() error {
-	// Tree levels, top-down so parents exist before children are sealed.
-	for level := m.geo.Levels() - 1; level >= 0; level-- {
-		for idx := uint64(0); idx < m.layout.TreeLines[level]; idx++ {
-			var node integrity.Node
-			addr := m.layout.TreeAddr(level, idx)
-			node.Seal(m.mac, addr, m.parentCounterForInit(level, idx))
-			if err := m.writeNode(addr, &node); err != nil {
+	// Tree levels, then the encryption-counter lines (level -1): top-down
+	// so parents exist before children are sealed.
+	for level := m.geo.Levels() - 1; level >= -1; level-- {
+		n, addr := m.layout.CounterLines, m.layout.counterBase
+		if level >= 0 {
+			n, addr = m.layout.TreeLines[level], m.layout.TreeBase[level]
+		}
+		for idx := uint64(0); idx < n; idx++ {
+			e := pathEntry{level: level, index: idx, addr: addr + idx}
+			m.entrySeal(&e, m.parentCounterForInit(level, idx))
+			if err := m.writeEntry(&e); err != nil {
 				return err
 			}
-		}
-	}
-	// Encryption-counter lines.
-	for idx := uint64(0); idx < m.layout.CounterLines; idx++ {
-		addr := m.layout.counterBase + idx
-		var buf [integrity.NodeSize]byte
-		if m.split {
-			var node integrity.SplitNode
-			node.Seal(m.mac, addr, m.parentCounterForInit(-1, idx))
-			node.Pack(&buf)
-		} else {
-			var node integrity.Node
-			node.Seal(m.mac, addr, m.parentCounterForInit(-1, idx))
-			node.Pack(&buf)
-		}
-		par := integrity.SliceParity(&buf)
-		if err := m.mod.WriteLine(addr, buf[:], par[:]); err != nil {
-			return err
 		}
 	}
 	// Data lines: ciphertext of zeros under counter 0, with MAC.
@@ -371,12 +354,7 @@ func (m *Memory) initialize() error {
 		}
 	}
 	// Parity lines, computed from the just-written data lines.
-	for p := uint64(0); p < m.layout.ParityLines; p++ {
-		if err := m.rebuildParityLine(p); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.rebuildParity()
 }
 
 // parentCounterForInit returns the (all-zero at init) parent counter for
@@ -390,38 +368,33 @@ func (m *Memory) parentCounterForInit(level int, index uint64) uint64 {
 	return 0
 }
 
-// rebuildParityLine recomputes parity line p (all 8 slots and ParityP)
-// from the current data-region contents.
-func (m *Memory) rebuildParityLine(p uint64) error {
-	var line [LineSize]byte
-	var parityP [8]byte
-	for slot := 0; slot < 8; slot++ {
-		dataLine := p*8 + uint64(slot)
-		var par [8]byte
-		if dataLine < m.layout.DataLines {
-			dl, err := m.mod.ReadLine(m.layout.DataAddr(dataLine))
-			if err != nil {
-				return err
+// rebuildParity recomputes every parity line — all 8 slots and ParityP —
+// from the stored data-line cells (PeekLine: the fault model is not
+// applied, so a live fault on another chip cannot leak into parity).
+// Slots past DataLines in a partial last parity line hold zero.
+func (m *Memory) rebuildParity() error {
+	for p := uint64(0); p < m.layout.ParityLines; p++ {
+		var line [LineSize]byte
+		for slot := uint64(0); slot < 8 && p*8+slot < m.layout.DataLines; slot++ {
+			dl, ok := m.mod.PeekLine(m.layout.DataAddr(p*8 + slot))
+			if !ok {
+				return fmt.Errorf("core: data line %d: %w", p*8+slot, ErrOutOfRange)
 			}
-			par = parity9(&dl)
+			par := parity9(&dl)
+			copy(line[slot*8:slot*8+8], par[:])
 		}
-		copy(line[slot*8:slot*8+8], par[:])
-		for b := 0; b < 8; b++ {
-			parityP[b] ^= par[b]
+		parityP := integrity.SliceParity(&line)
+		if err := m.mod.WriteLine(m.layout.parityBase+p, line[:], parityP[:]); err != nil {
+			return err
 		}
 	}
-	return m.mod.WriteLine(m.layout.parityBase+p, line[:], parityP[:])
+	return nil
 }
 
 // parity9 computes the Synergy parity across all 9 chips of a data line:
 // C0 ⊕ C1 ⊕ … ⊕ C7 ⊕ MAC (paper §III, Fig. 5).
 func parity9(l *dimm.Line) [8]byte {
-	var p [8]byte
-	for chip := 0; chip < dimm.DataChips; chip++ {
-		for b := 0; b < 8; b++ {
-			p[b] ^= l.Data[chip*8+b]
-		}
-	}
+	p := integrity.SliceParity(&l.Data)
 	for b := 0; b < 8; b++ {
 		p[b] ^= l.ECC[b]
 	}
@@ -611,26 +584,6 @@ func (m *Memory) trimCache() error {
 	return nil
 }
 
-// readNode fetches and unpacks a counter/tree node line.
-func (m *Memory) readNode(addr uint64) (integrity.Node, dimm.Line, error) {
-	l, err := m.mod.ReadLine(addr)
-	if err != nil {
-		return integrity.Node{}, dimm.Line{}, err
-	}
-	var n integrity.Node
-	n.Unpack(&l.Data)
-	return n, l, nil
-}
-
-// writeNode packs and stores a node with its intra-line parity in the
-// ECC chip (ParityC / ParityT).
-func (m *Memory) writeNode(addr uint64, n *integrity.Node) error {
-	var buf [integrity.NodeSize]byte
-	n.Pack(&buf)
-	par := integrity.SliceParity(&buf)
-	return m.mod.WriteLine(addr, buf[:], par[:])
-}
-
 // pathEntry is one level of the integrity path for a data line, leaf
 // (encryption counter) first. Tree levels always hold a monolithic
 // Node; under split counters the leaf holds a SplitNode instead.
@@ -684,7 +637,8 @@ func (m *Memory) entrySeal(e *pathEntry, parentCtr uint64) {
 	e.node.Seal(m.mac, e.addr, parentCtr)
 }
 
-// writeEntry packs e and stores it with its intra-line parity.
+// writeEntry packs e and stores it with its intra-line parity in the ECC
+// chip (ParityC / ParityT).
 func (m *Memory) writeEntry(e *pathEntry) error {
 	var buf [integrity.NodeSize]byte
 	if m.isSplitLeaf(e) {
@@ -792,55 +746,27 @@ func parentCounterOf(path []pathEntry, k int, root uint64) uint64 {
 // pre-emptive fixes that need writing back and generation conflicts
 // take the exclusive lock.
 func (m *Memory) Read(i uint64, dst []byte) (ReadInfo, error) {
-	if info, err, ok := m.fastRead(i, dst, nil); ok {
-		return info, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.readCounted(i, dst, nil, 0, nil)
+	return m.ReadTraced(i, dst, nil)
 }
 
 // ReadTraced is Read carrying a trace span: the secure-read pipeline's
 // stage boundaries and any escalation-ladder rungs are recorded into
-// sp as events (tracing.go). A nil span (or a disabled registry) makes
-// it exactly Read — the traced path exists alongside the hot path, it
-// never taxes it.
+// sp as events (tracing.go). Every span use is nil-safe, so a nil span
+// is exactly Read.
 func (m *Memory) ReadTraced(i uint64, dst []byte, sp *telemetry.Span) (ReadInfo, error) {
-	if sp == nil || m.tel == nil {
-		return m.Read(i, dst)
-	}
 	if info, err, ok := m.fastRead(i, dst, sp); ok {
 		return info, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.readCounted(i, dst, nil, 0, sp)
+	return m.readCounted(i, dst, sp)
 }
 
-// batchScratch pools the per-batch address/counter/pad buffers so the
-// steady-state batched read path allocates nothing but the returned
-// infos slice.
-type batchScratch struct {
-	addrs []uint64
-	ctrs  []uint64
-	pads  []byte
-	slow  []bool
-}
-
-var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-func (b *batchScratch) grow(n int) (addrs, ctrs []uint64, pads []byte, slow []bool) {
-	if cap(b.addrs) < n {
-		b.addrs = make([]uint64, n)
-		b.ctrs = make([]uint64, n)
-		b.pads = make([]byte, n*LineSize)
-		b.slow = make([]bool, n)
-	}
-	return b.addrs[:n], b.ctrs[:n], b.pads[: n*LineSize : n*LineSize], b.slow[:n]
-}
-
-// readBatch is ReadBatchInto without the telemetry wrapper (see the
-// pipelining description there).
+// readBatch is ReadBatchInto without the telemetry wrapper: each line is
+// one Read, so it takes the shared-lock attempt and escalates exactly as
+// a single read would. Every line is attempted; failures collect into
+// one BatchError instead of aborting the batch, so a degraded-mode
+// caller can skip or retry exactly the poisoned indices.
 func (m *Memory) readBatch(lines []uint64, dst []byte, infos []ReadInfo) error {
 	if len(dst) != len(lines)*LineSize {
 		return fmt.Errorf("core: ReadBatch needs %d×%d bytes, got %d: %w",
@@ -850,128 +776,9 @@ func (m *Memory) readBatch(lines []uint64, dst []byte, infos []ReadInfo) error {
 		return fmt.Errorf("core: ReadBatch needs %d infos, got %d: %w",
 			len(lines), len(infos), ErrBadLineSize)
 	}
-	bs := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(bs)
-	addrs, ctrs, pads, slow := bs.grow(len(lines))
-
-	// Phase 1 (shared lock): unverified peek of each line's effective
-	// encryption counter — the cached copy when on-chip, the raw stored
-	// leaf otherwise. Out-of-range lines keep counter 0; they fail range
-	// checks in the exclusive phase before any pad is consulted.
-	m.mu.RLock()
-	for k, i := range lines {
-		addrs[k], ctrs[k] = m.peekCounter(i)
-	}
-	m.mu.RUnlock()
-
-	// Phase 2 (no lock): generate the whole batch's one-time pads.
-	havePads := m.enc.PadBatch(pads, addrs, ctrs) == nil
-
-	// Phase 3 (shared lock): optimistically serve every line whose
-	// counter is still on-chip and unchanged since phase 1 — verify the
-	// MAC against the trusted cached counter and XOR the precomputed
-	// pad, all without excluding concurrent readers. Under a condemned
-	// chip the verified line is the §IV-A candidate, as in fastRead.
-	// Lines that need any engine mutation (cache miss, pad gone stale
-	// under a racing write, MAC mismatch, poison, a pre-emptive fix to
-	// write back) are marked slow.
-	nslow := 0
-	if havePads {
-		m.mu.RLock()
-		preempt := m.knownBad >= 0
-		for k, i := range lines {
-			slow[k] = true
-			if i >= m.layout.DataLines {
-				nslow++
-				continue
-			}
-			if _, bad := m.poisoned[i]; bad {
-				nslow++
-				continue
-			}
-			ca, ctrSlot := m.layout.CounterAddr(i)
-			cn, hit := m.ncache.peek(ca)
-			if !hit {
-				m.escalate(i, telemetry.EscCacheMiss)
-				nslow++
-				continue
-			}
-			// Replay protection: only the cached (trusted) counter may
-			// authorize a fast serve. The pad was generated for the
-			// phase-1 peek; a differing trusted counter means a racing
-			// write advanced the line since.
-			var ctr uint64
-			if m.split {
-				ctr = cn.split.Counter(ctrSlot)
-			} else {
-				ctr = cn.node.Counters[ctrSlot]
-			}
-			if ctr != ctrs[k] {
-				m.escalate(i, telemetry.EscGenConflict)
-				nslow++
-				continue
-			}
-			dl, err := m.mod.ReadLine(addrs[k])
-			stale := false
-			if err == nil && preempt {
-				stale, err = m.preemptData(i, &dl)
-			}
-			if err != nil {
-				nslow++
-				continue
-			}
-			m.fastVerifies.Add(1)
-			if !m.verifyData(addrs[k], ctr, &dl) {
-				m.escalate(i, telemetry.EscMismatch)
-				nslow++
-				continue
-			}
-			if stale {
-				m.escalate(i, telemetry.EscDegraded)
-				nslow++
-				continue
-			}
-			subtle.XORBytes(dst[k*LineSize:(k+1)*LineSize], dl.Data[:], pads[k*LineSize:(k+1)*LineSize])
-			infos[k] = ReadInfo{Preemptive: preempt}
-			slow[k] = false
-			if preempt {
-				m.preemptReads.Add(1)
-				m.tel.CountPreemptive(m.telRank, int(i))
-			} else {
-				m.fastReads.Add(1)
-				m.tel.CountFastRead(m.telRank, int(i))
-			}
-			m.tel.CountOp(telemetry.OpRead, int(i))
-		}
-		m.mu.RUnlock()
-	} else {
-		for k := range slow {
-			slow[k] = true
-		}
-		nslow = len(lines)
-	}
-	if nslow == 0 {
-		return nil
-	}
-
-	// Phase 4 (exclusive lock): serve only the marked lines through the
-	// full path, still using each precomputed pad when the trusted
-	// counter matches the peeked one. Every line is attempted; failures
-	// collect into one BatchError instead of aborting the batch, so a
-	// degraded-mode caller can skip or retry exactly the poisoned
-	// indices.
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var be *BatchError
 	for k, i := range lines {
-		if !slow[k] {
-			continue
-		}
-		var pad []byte
-		if havePads {
-			pad = pads[k*LineSize : (k+1)*LineSize]
-		}
-		info, err := m.readCounted(i, dst[k*LineSize:(k+1)*LineSize], pad, ctrs[k], nil)
+		info, err := m.Read(i, dst[k*LineSize:(k+1)*LineSize])
 		infos[k] = info
 		if err != nil {
 			be = be.add(k, i, err)
@@ -980,49 +787,11 @@ func (m *Memory) readBatch(lines []uint64, dst []byte, infos []ReadInfo) error {
 	return be.orNil()
 }
 
-// peekCounter returns data line i's address and an unverified snapshot
-// of its effective encryption counter, read from raw cells (no fault
-// model, no verification). Callers must hold at least the read lock.
-// A snapshot that is wrong for any reason — concurrent write, stored
-// corruption, out-of-range line — only wastes one precomputed pad.
-func (m *Memory) peekCounter(i uint64) (addr, ctr uint64) {
-	if i >= m.layout.DataLines {
-		return 0, 0
-	}
-	ca, slot := m.layout.CounterAddr(i)
-	// The cache is probed first — in write-back mode the stored leaf is
-	// chronically stale for hot lines, so a raw peek would waste every
-	// precomputed pad. peek mutates nothing (no LRU bump), which is what
-	// makes it legal under the shared lock.
-	if cn, ok := m.ncache.peek(ca); ok {
-		if m.split {
-			return m.layout.DataAddr(i), cn.split.Counter(slot)
-		}
-		return m.layout.DataAddr(i), cn.node.Counters[slot]
-	}
-	raw, ok := m.mod.PeekLine(ca)
-	if !ok {
-		return m.layout.DataAddr(i), 0
-	}
-	if m.split {
-		var n integrity.SplitNode
-		n.Unpack(&raw.Data)
-		return m.layout.DataAddr(i), n.Counter(slot)
-	}
-	var n integrity.Node
-	n.Unpack(&raw.Data)
-	return m.layout.DataAddr(i), n.Counters[slot]
-}
-
 // readLocked is Read with m.mu held. The read path mutates engine
 // state — node-cache fills, scoreboard/stats updates, and correction
 // commits write repaired lines back to the module — so it requires the
 // exclusive lock, not the read lock.
-//
-// pad, when non-nil, is a precomputed one-time pad generated for
-// padCtr; it is used in place of inline pad generation iff the line's
-// trusted counter equals padCtr.
-func (m *Memory) readLocked(i uint64, dst []byte, pad []byte, padCtr uint64) (ReadInfo, error) {
+func (m *Memory) readLocked(i uint64, dst []byte) (ReadInfo, error) {
 	if len(dst) != LineSize {
 		return ReadInfo{}, fmt.Errorf("core: Read needs a %d-byte buffer, got %d: %w", LineSize, len(dst), ErrBadLineSize)
 	}
@@ -1071,7 +840,7 @@ func (m *Memory) readLocked(i uint64, dst []byte, pad []byte, padCtr uint64) (Re
 			if err := m.trimCache(); err != nil {
 				return info, err
 			}
-			if err := m.decryptLine(dst, dl.Data[:], dataAddr, ctr, pad, padCtr); err != nil {
+			if err := m.enc.Decrypt(dst, dl.Data[:], dataAddr, ctr); err != nil {
 				return info, err
 			}
 			m.st.Mark(telemetry.StageOTP)
@@ -1161,22 +930,11 @@ func (m *Memory) readLocked(i uint64, dst []byte, pad []byte, padCtr uint64) (Re
 		return info, err
 	}
 
-	if err := m.decryptLine(dst, dl.Data[:], dataAddr, ctr, pad, padCtr); err != nil {
+	if err := m.enc.Decrypt(dst, dl.Data[:], dataAddr, ctr); err != nil {
 		return info, err
 	}
 	m.st.Mark(telemetry.StageOTP)
 	return info, nil
-}
-
-// decryptLine XORs the precomputed pad when it was generated for the
-// trusted counter, and falls back to inline pad generation otherwise
-// (stale peek, corrected counter, or no precompute at all).
-func (m *Memory) decryptLine(dst, cipher []byte, addr, ctr uint64, pad []byte, padCtr uint64) error {
-	if pad != nil && ctr == padCtr {
-		subtle.XORBytes(dst, cipher, pad)
-		return nil
-	}
-	return m.enc.Decrypt(dst, cipher, addr, ctr)
 }
 
 // verifyData checks the data-line MAC (stored in the ECC chip) against a
@@ -1229,58 +987,30 @@ func (m *Memory) noteCorrection(chip int, r Region, addr uint64, usedPP bool, in
 // encryption counter and every tree counter on the path, resealing the
 // path MACs, and updating the Synergy parity (§III-A).
 func (m *Memory) Write(i uint64, plain []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.writeCounted(i, plain, nil, 0, nil)
+	return m.WriteTraced(i, plain, nil)
 }
 
 // WriteTraced is Write carrying a trace span: the write path's stage
 // boundaries (counter fetch, meta update, OTP) become span events. A
-// nil span or disabled registry makes it exactly Write.
+// nil span is exactly Write.
 func (m *Memory) WriteTraced(i uint64, plain []byte, sp *telemetry.Span) error {
-	if sp == nil || m.tel == nil {
-		return m.Write(i, plain)
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.writeCounted(i, plain, nil, 0, sp)
+	return m.writeCounted(i, plain, sp)
 }
 
-// writeBatch is WriteBatch without the telemetry wrapper. It pipelines
-// the crypto the way the batched read does, but for the outbound
-// direction: phase 1 peeks each line's counter under the shared lock
-// and predicts the post-bump value (current + 1), phase 2 generates
-// every one-time pad outside the locks, and phase 3 takes the rank
-// lock once and commits each write, XORing the precomputed pad when
-// the committed counter matches the prediction. A racing write or a
-// split-counter minor overflow merely invalidates that line's pad.
+// writeBatch is WriteBatch without the telemetry wrapper: each line is
+// one write, all of them under one exclusive section, in caller order.
 func (m *Memory) writeBatch(lines []uint64, src []byte) error {
 	if len(src) != len(lines)*LineSize {
 		return fmt.Errorf("core: WriteBatch needs %d×%d bytes, got %d: %w",
 			len(lines), LineSize, len(src), ErrBadLineSize)
 	}
-	bs := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(bs)
-	addrs, ctrs, pads, _ := bs.grow(len(lines))
-
-	m.mu.RLock()
-	for k, i := range lines {
-		addr, cur := m.peekCounter(i)
-		addrs[k], ctrs[k] = addr, cur+1
-	}
-	m.mu.RUnlock()
-
-	havePads := m.enc.PadBatch(pads, addrs, ctrs) == nil
-
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var be *BatchError
 	for k, i := range lines {
-		var pad []byte
-		if havePads {
-			pad = pads[k*LineSize : (k+1)*LineSize]
-		}
-		if err := m.writeCounted(i, src[k*LineSize:(k+1)*LineSize], pad, ctrs[k], nil); err != nil {
+		if err := m.writeCounted(i, src[k*LineSize:(k+1)*LineSize], nil); err != nil {
 			be = be.add(k, i, err)
 		}
 	}
@@ -1294,11 +1024,8 @@ func (m *Memory) writeBatch(lines []uint64, src []byte) error {
 // advanced parent counter. Sealing and the per-level module stores are
 // deferred to eviction or Flush when Config.MetadataCache is positive;
 // otherwise (syncWrites) the write seals and stores its own path before
-// returning. pad, when non-nil, is a precomputed one-time pad generated
-// for padCtr; it encrypts the line in place of inline pad generation iff
-// the committed post-bump counter equals padCtr (the batched write
-// pipeline's optimism — a stale prediction only wastes the pad).
-func (m *Memory) writeLocked(i uint64, plain []byte, pad []byte, padCtr uint64) error {
+// returning.
+func (m *Memory) writeLocked(i uint64, plain []byte) error {
 	if len(plain) != LineSize {
 		return fmt.Errorf("core: Write needs a %d-byte buffer, got %d: %w", LineSize, len(plain), ErrBadLineSize)
 	}
@@ -1397,7 +1124,7 @@ func (m *Memory) writeLocked(i uint64, plain []byte, pad []byte, padCtr uint64) 
 			return err
 		}
 	}
-	if err := m.storeDataLine(i, newCtr, plain, pad, padCtr); err != nil {
+	if err := m.storeDataLine(i, newCtr, plain); err != nil {
 		return err
 	}
 	m.st.Mark(telemetry.StageOTP)
@@ -1407,10 +1134,10 @@ func (m *Memory) writeLocked(i uint64, plain []byte, pad []byte, padCtr uint64) 
 // storeDataLine encrypts, MACs and stores data line i under newCtr,
 // refreshes its parity slot and heals any poison — the tail every
 // write path shares.
-func (m *Memory) storeDataLine(i, newCtr uint64, plain, pad []byte, padCtr uint64) error {
+func (m *Memory) storeDataLine(i, newCtr uint64, plain []byte) error {
 	dataAddr := m.layout.DataAddr(i)
 	cipher := &m.lineBufs[0]
-	if err := m.encryptLine(cipher[:], plain, dataAddr, newCtr, pad, padCtr); err != nil {
+	if err := m.enc.Encrypt(cipher[:], plain, dataAddr, newCtr); err != nil {
 		return err
 	}
 	var tag [gmac.TagSize]byte
@@ -1431,16 +1158,6 @@ func (m *Memory) storeDataLine(i, newCtr uint64, plain, pad []byte, padCtr uint6
 	m.healLine(i)
 	m.bumpGen(i)
 	return nil
-}
-
-// encryptLine XORs the precomputed pad when it was generated for the
-// committed counter, and falls back to inline pad generation otherwise
-// (stale prediction, counter overflow path, or no precompute at all).
-func (m *Memory) encryptLine(dst, plain []byte, addr, ctr uint64, pad []byte, padCtr uint64) error {
-	if pad != nil && ctr == padCtr {
-		return ctrenc.XORPad(dst, plain, pad)
-	}
-	return m.enc.Encrypt(dst, plain, addr, ctr)
 }
 
 // poisonLine marks data line i poisoned. Idempotent: repeated
@@ -1620,12 +1337,7 @@ func (m *Memory) reencryptGroup(target uint64, oldLeaf *integrity.SplitNode, new
 // the paper's §III-B "parity assumed non-erroneous" caveat.)
 func (m *Memory) updateParity(i uint64, cipher, tag []byte) error {
 	pAddr, slot := m.layout.ParityAddr(i)
-	var newSlot [8]byte
-	for chip := 0; chip < dimm.DataChips; chip++ {
-		for b := 0; b < 8; b++ {
-			newSlot[b] ^= cipher[chip*8+b]
-		}
-	}
+	newSlot := integrity.SliceParity((*[LineSize]byte)(cipher))
 	for b := 0; b < 8; b++ {
 		newSlot[b] ^= tag[b]
 	}
@@ -1740,7 +1452,7 @@ func (m *Memory) repairChip(chip int) error {
 	for i := uint64(0); i < m.layout.DataLines; i++ {
 		_, wasPoisoned := m.poisoned[i]
 		delete(m.poisoned, i)
-		_, err := m.readLocked(i, buf[:], nil, 0)
+		_, err := m.readLocked(i, buf[:])
 		switch {
 		case err == nil:
 			if wasPoisoned {
@@ -1758,32 +1470,8 @@ func (m *Memory) repairChip(chip int) error {
 	// needed them; rebuild the whole parity region — including ParityP,
 	// which no read re-derives — from scratch against the now-verified
 	// stored data lines.
-	for addr := m.layout.parityBase; addr < m.layout.parityBase+m.layout.ParityLines; addr++ {
-		pl, ok := m.mod.PeekLine(addr)
-		if !ok {
-			return fmt.Errorf("core: repair of chip %d: parity line %#x: %w", chip, addr, ErrOutOfRange)
-		}
-		p := (addr - m.layout.parityBase) * 8
-		for s := 0; s < 8 && p+uint64(s) < m.layout.DataLines; s++ {
-			dl, ok := m.mod.PeekLine(m.layout.DataAddr(p + uint64(s)))
-			if !ok {
-				return fmt.Errorf("core: repair of chip %d: data line %d: %w", chip, p+uint64(s), ErrOutOfRange)
-			}
-			var slot [8]byte
-			for c := 0; c < dimm.DataChips; c++ {
-				for b := 0; b < 8; b++ {
-					slot[b] ^= dl.Data[c*8+b]
-				}
-			}
-			for b := 0; b < 8; b++ {
-				slot[b] ^= dl.ECC[b]
-			}
-			copy(pl.Data[s*8:s*8+8], slot[:])
-		}
-		pp := integrity.SliceParity(&pl.Data)
-		if err := m.mod.WriteLine(addr, pl.Data[:], pp[:]); err != nil {
-			return fmt.Errorf("core: repair of chip %d: %w", chip, err)
-		}
+	if err := m.rebuildParity(); err != nil {
+		return fmt.Errorf("core: repair of chip %d: %w", chip, err)
 	}
 	// Counter and tree lines carry their intra-line parity (ParityC /
 	// ParityT) in the ECC chip. Reads verify node contents but never

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"synergy/internal/dimm"
+	"synergy/internal/integrity"
 )
 
 func newMemory(t testing.TB, dataLines uint64) *Memory {
@@ -521,10 +522,12 @@ func TestCounterAdvancesMonotonically(t *testing.T) {
 	lay := m.Layout()
 	ctrAddr, slot := lay.CounterAddr(2)
 	readCtr := func() uint64 {
-		n, _, err := m.readNode(ctrAddr)
+		l, err := m.Module().ReadLine(ctrAddr)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var n integrity.Node
+		n.Unpack(&l.Data)
 		return n.Counters[slot]
 	}
 	if c := readCtr(); c != 0 {

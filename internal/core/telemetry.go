@@ -30,9 +30,9 @@ import (
 // sp is the request's trace span: nil on the untraced path; non-nil
 // forces stage timing (an explicitly traced request always gets its
 // breakdown) and mirrors every mark into the span as events.
-func (m *Memory) readCounted(i uint64, dst []byte, pad []byte, padCtr uint64, sp *telemetry.Span) (ReadInfo, error) {
+func (m *Memory) readCounted(i uint64, dst []byte, sp *telemetry.Span) (ReadInfo, error) {
 	if m.tel == nil {
-		return m.readLocked(i, dst, pad, padCtr)
+		return m.readLocked(i, dst)
 	}
 	// telTick doubles as the served-read total; publishing it through
 	// the single-writer slot costs a plain store instead of CountOp's
@@ -45,7 +45,7 @@ func (m *Memory) readCounted(i uint64, dst []byte, pad []byte, padCtr uint64, sp
 	} else if m.telTick&m.telMask == 0 {
 		m.st = m.tel.StartStages(m.telRank)
 	}
-	info, err := m.readLocked(i, dst, pad, padCtr)
+	info, err := m.readLocked(i, dst)
 	if m.st.Active() {
 		m.st.Finish(telemetry.OpRead)
 		m.st = telemetry.StageTimer{}
@@ -64,9 +64,9 @@ func (m *Memory) readCounted(i uint64, dst []byte, pad []byte, padCtr uint64, sp
 // latency; one in SampleEvery writes additionally gets the per-stage
 // pipeline timer (counter fetch / meta update / OTP), mirroring the
 // read-side sampling. Callers hold m.mu exclusively.
-func (m *Memory) writeCounted(i uint64, plain []byte, pad []byte, padCtr uint64, sp *telemetry.Span) error {
+func (m *Memory) writeCounted(i uint64, plain []byte, sp *telemetry.Span) error {
 	if m.tel == nil {
-		return m.writeLocked(i, plain, pad, padCtr)
+		return m.writeLocked(i, plain)
 	}
 	m.tel.CountOp(telemetry.OpWrite, m.telRank)
 	m.telWTick++
@@ -76,7 +76,7 @@ func (m *Memory) writeCounted(i uint64, plain []byte, pad []byte, padCtr uint64,
 	} else if m.telWTick&m.telMask == 0 {
 		m.st = m.tel.StartStages(m.telRank)
 	}
-	err := m.writeLocked(i, plain, pad, padCtr)
+	err := m.writeLocked(i, plain)
 	if m.st.Active() {
 		m.st = telemetry.StageTimer{}
 		m.publishMetaStats()
@@ -99,19 +99,11 @@ func (m *Memory) publishMetaStats() {
 }
 
 // ReadBatch decrypts lines[k] into dst[k*LineSize:(k+1)*LineSize] for
-// every k, acquiring the rank lock once for the whole batch. Every
-// line is attempted; per-line failures collect into a *BatchError
-// (errors.Is sees each wrapped sentinel) and dst/infos are valid for
-// every index not listed in it.
-//
-// ReadBatch pipelines the crypto the way the paper's controller does
-// (§III, Fig. 6: the OTP is computed while the data access is in
-// flight): it snapshots each line's encryption counter under the shared
-// lock, generates every one-time pad for the batch outside the
-// exclusive section, and only then takes the rank lock to verify and
-// XOR. A pad whose counter turns out stale (a racing write, or a
-// counter corrected during verification) is discarded and recomputed
-// inline, so the optimism is invisible to correctness.
+// every k, each line exactly as Read serves it (the shared-lock attempt
+// first, the exclusive path only where that escalates). Every line is
+// attempted; per-line failures collect into a *BatchError (errors.Is
+// sees each wrapped sentinel) and dst/infos are valid for every index
+// not listed in it.
 func (m *Memory) ReadBatch(lines []uint64, dst []byte) ([]ReadInfo, error) {
 	infos := make([]ReadInfo, len(lines))
 	err := m.ReadBatchInto(lines, dst, infos)
@@ -136,10 +128,9 @@ func (m *Memory) ReadBatchInto(lines []uint64, dst []byte, infos []ReadInfo) err
 }
 
 // WriteBatch stores src[k*LineSize:(k+1)*LineSize] at lines[k] for
-// every k, acquiring the rank lock once for the whole batch. Every
-// line is attempted; per-line failures collect into a *BatchError.
-// One-time pads for the predicted post-bump counters are precomputed
-// outside the locks (see writeBatch).
+// every k, in order, acquiring the rank lock once for the whole batch.
+// Every line is attempted; per-line failures collect into a
+// *BatchError.
 func (m *Memory) WriteBatch(lines []uint64, src []byte) error {
 	if m.tel == nil {
 		return m.writeBatch(lines, src)

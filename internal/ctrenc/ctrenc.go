@@ -13,8 +13,10 @@
 // the pad; binding the address gives spatial uniqueness. Decryption is
 // the same XOR. Because the pad depends only on (addr, ctr), it can be
 // precomputed while the data access is in flight — the property that
-// makes counter caching performance-critical in the paper's evaluation,
-// and that PadBatch models for the engine's batched read pipeline.
+// makes counter caching performance-critical in the paper's evaluation.
+// PadBatch is that batched form, kept as the leaf cost the benchmark
+// measures; the engine itself generates each pad inline, one line at a
+// time, since a batched pad costs what a single one does.
 package ctrenc
 
 import (
@@ -69,8 +71,8 @@ func New(key []byte) (*Engine, error) {
 }
 
 // scratchPool holds line-sized pads for the one case that cannot stage
-// its AES inputs in dst: an Encrypt/Decrypt/EncryptBatch whose dst is
-// src, where staging would overwrite the plaintext before it is XORed.
+// its AES inputs in dst: an Encrypt/Decrypt whose dst is src, where
+// staging would overwrite the plaintext before it is XORed.
 // The pad is pooled rather than stack-allocated because buffers passed
 // through the cipher.Block interface escape.
 var scratchPool = sync.Pool{New: func() any { return new([LineSize]byte) }}
@@ -92,8 +94,10 @@ func (e *Engine) Pad(dst []byte, addr, counter uint64) error {
 
 // PadBatch fills dst with the concatenated one-time pads for every
 // (addrs[k], ctrs[k]) pair: dst[k*LineSize:(k+1)*LineSize] receives pad
-// k, generated in place, so a controller can produce all pads for a
-// read burst in a single pass before the data arrives.
+// k, generated in place — the form a controller would use to produce
+// all pads for a read burst in one pass before the data arrives. The
+// engine does not call it; it is kept as the batched leaf the benchmark
+// measures against Pad.
 func (e *Engine) PadBatch(dst []byte, addrs, ctrs []uint64) error {
 	if len(addrs) != len(ctrs) {
 		return fmt.Errorf("ctrenc: PadBatch needs matching addr/counter slices, got %d/%d", len(addrs), len(ctrs))
@@ -106,14 +110,10 @@ func (e *Engine) PadBatch(dst []byte, addrs, ctrs []uint64) error {
 			return ErrCounterOverflow
 		}
 	}
-	e.padBatch(dst, addrs, ctrs)
-	return nil
-}
-
-func (e *Engine) padBatch(dst []byte, addrs, ctrs []uint64) {
 	for k := range addrs {
 		e.padInto((*[LineSize]byte)(dst[k*LineSize:]), addrs[k], ctrs[k])
 	}
+	return nil
 }
 
 // padInto fills dst with the pad for (addr, counter). All four AES
@@ -155,59 +155,6 @@ func (e *Engine) Decrypt(dst, src []byte, addr, counter uint64) error {
 		return ErrCounterOverflow
 	}
 	return e.xorPad(dst, src, addr, counter)
-}
-
-// EncryptBatch encrypts lines[k] = src[k*LineSize:(k+1)*LineSize] under
-// (addrs[k], ctrs[k]) into the same span of dst. dst and src may alias.
-// A separate dst receives the pads in place and then the XOR; an
-// aliased one goes line by line through one pooled pad. Either way the
-// batch costs no allocations beyond the caller's buffers.
-func (e *Engine) EncryptBatch(dst, src []byte, addrs, ctrs []uint64) error {
-	if len(addrs) != len(ctrs) {
-		return fmt.Errorf("ctrenc: EncryptBatch needs matching addr/counter slices, got %d/%d", len(addrs), len(ctrs))
-	}
-	if len(dst) != len(addrs)*LineSize || len(src) != len(addrs)*LineSize {
-		return fmt.Errorf("ctrenc: EncryptBatch needs %d×%d bytes, got %d/%d: %w",
-			len(addrs), LineSize, len(dst), len(src), ErrBadLength)
-	}
-	for _, c := range ctrs {
-		if c > CounterMax {
-			return ErrCounterOverflow
-		}
-	}
-	if !aliased(dst, src) {
-		e.padBatch(dst, addrs, ctrs)
-		subtle.XORBytes(dst, dst, src)
-		return nil
-	}
-	pad := scratchPool.Get().(*[LineSize]byte)
-	for k := range addrs {
-		e.padInto(pad, addrs[k], ctrs[k])
-		subtle.XORBytes(dst[k*LineSize:(k+1)*LineSize], src[k*LineSize:(k+1)*LineSize], pad[:])
-	}
-	scratchPool.Put(pad)
-	return nil
-}
-
-// DecryptBatch is EncryptBatch for ciphertext: counter-mode decryption
-// is the same XOR.
-func (e *Engine) DecryptBatch(dst, src []byte, addrs, ctrs []uint64) error {
-	return e.EncryptBatch(dst, src, addrs, ctrs)
-}
-
-// XORPad applies a precomputed one-time pad to one line: dst = src XOR
-// pad. It is the commit half of the precompute-then-commit pipeline
-// (Pad/PadBatch generate pads for predicted (addr, counter) pairs while
-// the data access is in flight; XORPad spends one if the prediction
-// held). dst and src may alias. Counter-mode makes the same call serve
-// both directions.
-func XORPad(dst, src, pad []byte) error {
-	if len(dst) != LineSize || len(src) != LineSize || len(pad) != LineSize {
-		return fmt.Errorf("ctrenc: XORPad lines must be %d bytes, got %d/%d/%d: %w",
-			LineSize, len(dst), len(src), len(pad), ErrBadLength)
-	}
-	subtle.XORBytes(dst, src, pad)
-	return nil
 }
 
 // xorPad generates the pad in dst and XORs src into it; only a dst that

@@ -232,40 +232,6 @@ func TestPadBatchErrors(t *testing.T) {
 	}
 }
 
-func TestEncryptBatchMatchesEncrypt(t *testing.T) {
-	e := testEngine(t)
-	const n = 7
-	rng := rand.New(rand.NewSource(5))
-	src := make([]byte, n*LineSize)
-	rng.Read(src)
-	addrs := make([]uint64, n)
-	ctrs := make([]uint64, n)
-	for k := range addrs {
-		addrs[k] = uint64(k+1) * 0x40
-		ctrs[k] = uint64(k)
-	}
-	batch := make([]byte, n*LineSize)
-	if err := e.EncryptBatch(batch, src, addrs, ctrs); err != nil {
-		t.Fatal(err)
-	}
-	single := make([]byte, LineSize)
-	for k := range addrs {
-		if err := e.Encrypt(single, src[k*LineSize:(k+1)*LineSize], addrs[k], ctrs[k]); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(single, batch[k*LineSize:(k+1)*LineSize]) {
-			t.Fatalf("line %d differs between Encrypt and EncryptBatch", k)
-		}
-	}
-	// Round trip through DecryptBatch, in place.
-	if err := e.DecryptBatch(batch, batch, addrs, ctrs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(batch, src) {
-		t.Fatal("EncryptBatch/DecryptBatch round trip failed")
-	}
-}
-
 func BenchmarkEncryptLine(b *testing.B) {
 	e := testEngine(b)
 	line := make([]byte, LineSize)

@@ -156,10 +156,10 @@ func (m *Module) ReadLine(addr uint64) (Line, error) {
 
 // PeekLine returns the stored content of addr without applying read-path
 // faults and without counting as a device access, or ok=false when addr
-// is out of range. It is the raw-cell view used by optimistic pipelines
-// (one-time-pad precomputation) that re-validate everything under the
-// real read path afterwards; unlike ReadLine it mutates nothing, so
-// concurrent PeekLine calls are safe as long as no writer is active.
+// is out of range. It is the raw-cell view: what a repair rebuilds
+// parity from, and what a rebuilt line is compared against to decide
+// whether it must be written back. Unlike ReadLine it mutates nothing,
+// so concurrent PeekLine calls are safe as long as no writer is active.
 func (m *Module) PeekLine(addr uint64) (Line, bool) {
 	if addr >= m.lines {
 		return Line{}, false

@@ -151,8 +151,8 @@ const (
 	// attempt loop (and the §IV-A pre-emptive rebuild, which replaces
 	// it for a condemned chip). Absent from clean reads.
 	StageReconstruct
-	// StageOTP covers decryption: XOR against the counter-mode one-time
-	// pad (precomputed or generated inline).
+	// StageOTP covers decryption: generating the counter-mode one-time
+	// pad and XORing it in.
 	StageOTP
 	// StageMetaUpdate covers the write path's metadata advance: counter
 	// bumps and dirty marking at every level in the metadata cache, plus,
