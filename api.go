@@ -9,11 +9,10 @@ package synergy
 //
 // New returns a multi-rank *Array — the concurrent serving surface.
 // Requests to different ranks proceed fully in parallel; ReadBatch and
-// WriteBatch group lines by rank and run the groups on the caller's
-// goroutine — each batched read line as a Read, each rank's writes under
-// one lock acquisition. See the "Concurrency
-// contract" section of README.md for exactly what may be called from
-// multiple goroutines.
+// WriteBatch serve their lines one Read or Write at a time, in caller
+// order, on the caller's goroutine. See the "Concurrency contract"
+// section of README.md for exactly what may be called from multiple
+// goroutines.
 //
 // The performance and reliability simulators are exposed through
 // convenience entry points (RunExperiment, SimulateReliability); the
@@ -162,21 +161,19 @@ type LineError = core.LineError
 // BatchError reports every line of a ReadBatch/WriteBatch that failed
 // at runtime. Malformed requests (wrong buffer size, out-of-range
 // address) reject the whole batch up front with a plain wrapped
-// sentinel; a well-formed batch attempts every line, serves the
-// successes, and collects the failures here, each wrapping the usual
-// sentinels — errors.Is(err, ErrPoisoned) is true iff some line failed
-// poisoned, and errors.As recovers the *BatchError for the per-line
-// detail.
+// sentinel; a well-formed batch runs each line as its single-line op,
+// serves the successes, and collects the failures here, each wrapping
+// the usual sentinels — errors.Is(err, ErrPoisoned) is true iff some
+// line failed poisoned, and errors.As recovers the *BatchError for the
+// per-line detail.
 type BatchError = core.BatchError
 
 // Store is the line read/write contract shared by Memory and Array.
 type Store = core.Store
 
-// BatchStore is a Store that also serves rank-grouped batched I/O.
-type BatchStore = core.BatchStore
-
-// Device adapts a Memory or Array to io.ReaderAt/io.WriterAt. Aligned
-// multi-line spans use the store's batched entry points.
+// Device adapts a Memory or Array to io.ReaderAt/io.WriterAt: one
+// Read or Write per line, stopping at the first failing line with the
+// byte count before it.
 type Device = core.Device
 
 // NewDevice wraps a store exposing `lines` cachelines as a byte-

@@ -30,7 +30,7 @@ import (
 // opOrder fixes the display order: engine hot ops first, then the
 // synergy-server RPC surface, then maintenance.
 var opOrder = []string{
-	"read", "write", "read_batch", "write_batch",
+	"read", "write",
 	"rpc_read", "rpc_write", "rpc_read_batch", "rpc_write_batch",
 	"rpc_scrub", "rpc_repair", "rpc_rejected",
 	"scrub", "repair_chip", "trial",

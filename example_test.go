@@ -39,7 +39,7 @@ func Example() {
 }
 
 // Multi-rank arrays tolerate one failed chip in every rank at once and
-// serve different ranks in parallel; batched I/O groups lines by rank.
+// serve different ranks in parallel; a batch spans ranks line by line.
 func ExampleNew_multiRank() {
 	arr, err := synergy.New(synergy.Config{DataLines: 256, Ranks: 4})
 	if err != nil {

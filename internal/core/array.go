@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"synergy/internal/ctrenc"
+	"synergy/internal/gmac"
 	"synergy/internal/telemetry"
 )
 
@@ -27,11 +29,10 @@ import (
 // each rank carries its own lock, and the router holds no state of its
 // own, so requests to different ranks proceed fully in parallel. Within
 // one rank, accesses serialize the way a per-rank controller queue
-// would. ReadBatch/WriteBatch group lines by rank and run the groups one
-// after another on the caller's goroutine: a read group serves each line
-// as Read does, a write group takes its rank's exclusive lock once.
-// Parallelism across ranks comes from concurrent callers, not from one
-// batch.
+// would. ReadBatch/WriteBatch serve their lines one Read or Write at a
+// time, in caller order, on the caller's goroutine; no lock is held
+// across lines. Parallelism across ranks comes from concurrent callers,
+// not from one batch.
 type Array struct {
 	ranks        []*Memory
 	linesPerRank uint64
@@ -45,8 +46,9 @@ type Array struct {
 
 // NewArray builds an Array of cfg.Ranks independent Synergy ranks
 // (default 1), with cfg.DataLines total capacity split across them.
-// Keys are shared (one memory controller), and so are the pad engine
-// and MAC built from them: one 16 KB multiply table stays in cache
+// Keys are shared (one memory controller; fixed test keys when unset),
+// and so are the pad engine and MAC built from them: both are read-only
+// after construction, and one 16 KB multiply table stays in cache
 // instead of one per rank. Per-rank state is independent.
 func NewArray(cfg Config) (*Array, error) {
 	ranks := cfg.Ranks
@@ -59,9 +61,22 @@ func NewArray(cfg Config) (*Array, error) {
 	if cfg.DataLines == 0 {
 		return nil, errors.New("core: Config.DataLines must be positive")
 	}
-	enc, mac, err := newCrypto(cfg)
+	encKey, macKey := cfg.EncKey, cfg.MACKey
+	if encKey == nil {
+		encKey = make([]byte, ctrenc.KeySize)
+		encKey[0] = 0x01
+	}
+	if macKey == nil {
+		macKey = make([]byte, gmac.KeySize)
+		macKey[0] = 0x02
+	}
+	enc, err := ctrenc.New(encKey)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: bad encryption key: %w", err)
+	}
+	mac, err := gmac.New(macKey)
+	if err != nil {
+		return nil, fmt.Errorf("core: bad MAC key: %w", err)
 	}
 	perRank := (cfg.DataLines + uint64(ranks) - 1) / uint64(ranks)
 	a := &Array{linesPerRank: perRank, dataLines: cfg.DataLines}
@@ -136,192 +151,40 @@ func (a *Array) WriteTraced(i uint64, plain []byte, sp *telemetry.Span) error {
 	return m.WriteTraced(inner, plain, sp)
 }
 
-// batchPlan is a per-rank slice of one batched request: the rank-local
-// line addresses plus each line's position in the caller's order, so
-// results scatter back to the right offsets.
-type batchPlan struct {
-	inner []uint64
-	at    []int
-}
-
-// arrayBatch is the pooled scratch of one multi-rank batch: the rank
-// plans, each rank's outcome, and the gather/scatter staging for line
-// bytes and read infos. Rank groups run one at a time, so one staging
-// area serves them all, and a steady-state batch allocates nothing.
-type arrayBatch struct {
-	plans []batchPlan
-	errs  []error
-	buf   []byte
-	infos []ReadInfo
-}
-
-var arrayBatchPool = sync.Pool{New: func() any { return new(arrayBatch) }}
-
-// getBatch validates every line and groups the batch by rank into
-// pooled scratch; the caller returns it with put.
-func (a *Array) getBatch(lines []uint64, buf []byte, perLine int) (*arrayBatch, error) {
-	if err := a.checkBatch(lines, buf, perLine); err != nil {
-		return nil, err
-	}
-	b := arrayBatchPool.Get().(*arrayBatch)
-	if cap(b.plans) < len(a.ranks) {
-		b.plans = make([]batchPlan, len(a.ranks))
-		b.errs = make([]error, len(a.ranks))
-	}
-	b.plans, b.errs = b.plans[:len(a.ranks)], b.errs[:len(a.ranks)]
-	for r := range b.plans {
-		b.plans[r].inner, b.plans[r].at = b.plans[r].inner[:0], b.plans[r].at[:0]
-	}
-	n := uint64(len(a.ranks))
-	for k, line := range lines {
-		p := &b.plans[line%n]
-		p.inner = append(p.inner, line/n)
-		p.at = append(p.at, k)
-	}
-	return b, nil
-}
-
-// stage returns n lines of staging bytes and read infos.
-func (b *arrayBatch) stage(n int) ([]byte, []ReadInfo) {
-	if cap(b.buf) < n*LineSize {
-		b.buf = make([]byte, n*LineSize)
-	}
-	if cap(b.infos) < n {
-		b.infos = make([]ReadInfo, n)
-	}
-	return b.buf[:n*LineSize], b.infos[:n]
-}
-
-func (b *arrayBatch) put() {
-	clear(b.errs)
-	arrayBatchPool.Put(b)
-}
-
-// mergeBatchErrs folds per-rank batch outcomes into one caller-facing
-// error: rank *BatchErrors are remapped to the caller's batch indices
-// and global line addresses and merged into a single BatchError;
-// anything else (a rank-wide failure) passes through via errors.Join.
-func (a *Array) mergeBatchErrs(lines []uint64, plans []batchPlan, errs []error) error {
-	var be *BatchError
-	var others []error
-	for r, rerr := range errs {
-		if rerr == nil {
-			continue
-		}
-		var rbe *BatchError
-		if errors.As(rerr, &rbe) {
-			for _, le := range rbe.Failed {
-				gk := plans[r].at[le.Index]
-				be = be.add(gk, lines[gk], le.Err)
-			}
-			continue
-		}
-		others = append(others, fmt.Errorf("core: rank %d: %w", r, rerr))
-	}
-	if len(others) > 0 {
-		if e := be.orNil(); e != nil {
-			others = append(others, e)
-		}
-		return errors.Join(others...)
-	}
-	return be.orNil()
-}
-
 // ReadBatch decrypts lines[k] into dst[k*LineSize:(k+1)*LineSize] for
-// every k. Lines are grouped by rank, one group after another on the
-// caller's goroutine, and each line is served as Read serves it.
-// Duplicate lines are allowed. Every line is attempted: per-line
-// failures collect into a *BatchError carrying the caller's batch
-// indices and global line addresses (errors.Is still matches the
-// wrapped sentinels), and dst and infos are valid for every index not
-// listed in it.
+// every k, each line one Read, in caller order (see readLines).
+// Duplicate lines are allowed. A malformed batch is rejected whole;
+// otherwise per-line failures collect into a *BatchError carrying the
+// caller's batch indices and global line addresses (errors.Is still
+// matches the wrapped sentinels), and dst and infos are valid for every
+// index not listed in it.
 func (a *Array) ReadBatch(lines []uint64, dst []byte) ([]ReadInfo, error) {
 	infos := make([]ReadInfo, len(lines))
 	err := a.ReadBatchInto(lines, dst, infos)
 	return infos, err
 }
 
-// checkBatch validates batch geometry: the buffer size and every line's
-// range.
-func (a *Array) checkBatch(lines []uint64, buf []byte, perLine int) error {
-	if len(buf) != len(lines)*perLine {
-		return fmt.Errorf("core: batch needs %d×%d bytes, got %d: %w",
-			len(lines), perLine, len(buf), ErrBadLineSize)
-	}
-	for _, line := range lines {
-		if line >= a.dataLines {
-			return fmt.Errorf("core: data line %d out of range [0,%d): %w", line, a.dataLines, ErrOutOfRange)
-		}
-	}
-	return nil
-}
-
 // ReadBatchInto is ReadBatch writing into a caller-owned infos slice
 // (len(infos) must equal len(lines)) — the steady-state form that
 // allocates nothing on the success path.
 func (a *Array) ReadBatchInto(lines []uint64, dst []byte, infos []ReadInfo) error {
-	if len(infos) != len(lines) {
-		return fmt.Errorf("core: batch needs %d infos, got %d: %w", len(lines), len(infos), ErrBadLineSize)
-	}
-	if len(a.ranks) == 1 {
-		// Single rank preserves caller order (inner[k] == lines[k]), so
-		// the batch runs in place: no plan, no scatter copy, and the
-		// rank's BatchError already carries global indices.
-		if err := a.checkBatch(lines, dst, LineSize); err != nil {
-			return err
-		}
-		return a.ranks[0].ReadBatchInto(lines, dst, infos)
-	}
-	b, err := a.getBatch(lines, dst, LineSize)
-	if err != nil {
+	if err := checkBatch(lines, dst, len(infos), a.dataLines); err != nil {
 		return err
 	}
-	defer b.put()
-	for r := range b.plans {
-		p := &b.plans[r]
-		if len(p.inner) == 0 {
-			continue
-		}
-		buf, rinfos := b.stage(len(p.inner))
-		b.errs[r] = a.ranks[r].ReadBatchInto(p.inner, buf, rinfos)
-		for j, k := range p.at {
-			copy(dst[k*LineSize:(k+1)*LineSize], buf[j*LineSize:(j+1)*LineSize])
-			infos[k] = rinfos[j]
-		}
-	}
-	return a.mergeBatchErrs(lines, b.plans, b.errs)
+	return readLines(a, lines, dst, infos)
 }
 
 // WriteBatch stores src[k*LineSize:(k+1)*LineSize] at lines[k] for
-// every k, with the same rank grouping and per-line *BatchError
-// semantics as ReadBatch: every line is attempted, and failed lines
-// keep an unspecified but integrity-consistent state (old or new
-// contents). A duplicated line lands in one rank group in caller order,
-// so its last copy wins.
+// every k, each line one Write, in caller order, with the same
+// rejection and per-line *BatchError semantics as ReadBatch. Failed
+// lines keep an unspecified but integrity-consistent state (old or new
+// contents). A duplicated line is written once per copy, so its last
+// copy wins.
 func (a *Array) WriteBatch(lines []uint64, src []byte) error {
-	if len(a.ranks) == 1 {
-		if err := a.checkBatch(lines, src, LineSize); err != nil {
-			return err
-		}
-		return a.ranks[0].WriteBatch(lines, src)
-	}
-	b, err := a.getBatch(lines, src, LineSize)
-	if err != nil {
+	if err := checkBatch(lines, src, len(lines), a.dataLines); err != nil {
 		return err
 	}
-	defer b.put()
-	for r := range b.plans {
-		p := &b.plans[r]
-		if len(p.inner) == 0 {
-			continue
-		}
-		buf, _ := b.stage(len(p.inner))
-		for j, k := range p.at {
-			copy(buf[j*LineSize:(j+1)*LineSize], src[k*LineSize:(k+1)*LineSize])
-		}
-		b.errs[r] = a.ranks[r].WriteBatch(p.inner, buf)
-	}
-	return a.mergeBatchErrs(lines, b.plans, b.errs)
+	return writeLines(a, lines, src)
 }
 
 // globalLine maps a rank-local data line back to its global address
@@ -462,16 +325,51 @@ type Store interface {
 	Write(line uint64, plain []byte) error
 }
 
-// BatchStore is a Store that also serves batched line I/O. Memory and
-// Array both implement it; Device uses it to move aligned multi-line
-// spans in one call per rank lock instead of one call per line.
-type BatchStore interface {
-	Store
-	ReadBatch(lines []uint64, dst []byte) ([]ReadInfo, error)
-	WriteBatch(lines []uint64, src []byte) error
+// checkBatch rejects a malformed batch whole, before any line runs: buf
+// must hold LineSize bytes per line, infos (the ReadInfo slots the
+// caller supplied; writes pass len(lines)) must match the line count,
+// and every line must lie in [0, capacity).
+func checkBatch(lines []uint64, buf []byte, infos int, capacity uint64) error {
+	if len(buf) != len(lines)*LineSize {
+		return fmt.Errorf("core: batch needs %d×%d bytes, got %d: %w",
+			len(lines), LineSize, len(buf), ErrBadLineSize)
+	}
+	if infos != len(lines) {
+		return fmt.Errorf("core: batch needs %d infos, got %d: %w", len(lines), infos, ErrBadLineSize)
+	}
+	for _, line := range lines {
+		if line >= capacity {
+			return fmt.Errorf("core: data line %d out of range [0,%d): %w", line, capacity, ErrOutOfRange)
+		}
+	}
+	return nil
 }
 
-var (
-	_ BatchStore = (*Memory)(nil)
-	_ BatchStore = (*Array)(nil)
-)
+// readLines serves a checked batch as one s.Read per line, in caller
+// order, so each line takes exactly the path a single read would. Every
+// line is attempted; failures collect into one *BatchError instead of
+// aborting the batch, so a degraded-mode caller can skip or retry
+// exactly the poisoned indices.
+func readLines(s Store, lines []uint64, dst []byte, infos []ReadInfo) error {
+	var be *BatchError
+	for k, line := range lines {
+		info, err := s.Read(line, dst[k*LineSize:(k+1)*LineSize])
+		infos[k] = info
+		if err != nil {
+			be = be.add(k, line, err)
+		}
+	}
+	return be.orNil()
+}
+
+// writeLines is readLines for writes: one s.Write per line, in caller
+// order, every line attempted.
+func writeLines(s Store, lines []uint64, src []byte) error {
+	var be *BatchError
+	for k, line := range lines {
+		if err := s.Write(line, src[k*LineSize:(k+1)*LineSize]); err != nil {
+			be = be.add(k, line, err)
+		}
+	}
+	return be.orNil()
+}

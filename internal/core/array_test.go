@@ -248,3 +248,78 @@ func TestDeviceOverArray(t *testing.T) {
 		t.Fatal("array-backed device round trip failed")
 	}
 }
+
+// TestDeviceShortCountOnFailure holds Device to the io.ReaderAt and
+// io.WriterAt contract on a failing line: n counts exactly the bytes
+// before it, the error wraps the engine sentinel, and no line after it
+// is read into p or written to the store.
+func TestDeviceShortCountOnFailure(t *testing.T) {
+	const lines, failing = 64, 5 // global line 5: rank 1, inner line 1
+	old := func(line int) []byte { return fillLine(byte(line)) }
+	setup := func(t *testing.T) (*Array, *Device) {
+		a := newArray(t, lines, 4)
+		d, err := NewDevice(a, a.DataLines())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < lines; i++ {
+			if err := a.Write(uint64(i), old(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return a, d
+	}
+
+	t.Run("ReadAt", func(t *testing.T) {
+		a, d := setup(t)
+		corruptTwoChips(a.Rank(1), 1)
+		buf := bytes.Repeat([]byte{0xEE}, 8*LineSize)
+		n, err := d.ReadAt(buf, 0)
+		if n != failing*LineSize || !errors.Is(err, ErrAttack) {
+			t.Fatalf("ReadAt over lines 0..7 = (%d, %v), want (%d, ErrAttack)", n, err, failing*LineSize)
+		}
+		for i := 0; i < failing; i++ {
+			if !bytes.Equal(buf[i*LineSize:(i+1)*LineSize], old(i)) {
+				t.Fatalf("line %d before the failure read back wrong", i)
+			}
+		}
+		if !bytes.Equal(buf[(failing+1)*LineSize:], bytes.Repeat([]byte{0xEE}, 2*LineSize)) {
+			t.Fatal("lines after the failing one were read into p")
+		}
+	})
+
+	t.Run("WriteAt", func(t *testing.T) {
+		a, d := setup(t)
+		// A two-chip fault on rank 1's counter line fails every write that
+		// walks it; lines 2..4 sit on the other ranks and precede it.
+		m := a.Rank(1)
+		if err := m.FlushNodeCache(); err != nil {
+			t.Fatal(err)
+		}
+		addr, _ := m.Layout().CounterAddr(1)
+		m.Module().InjectTransient(addr, 2, [8]byte{1})
+		m.Module().InjectTransient(addr, 5, [8]byte{2})
+		const first = 2
+		src := bytes.Repeat([]byte{0x77}, 8*LineSize)
+		n, err := d.WriteAt(src, first*LineSize)
+		if n != (failing-first)*LineSize || !errors.Is(err, ErrAttack) {
+			t.Fatalf("WriteAt over lines 2..9 = (%d, %v), want (%d, ErrAttack)", n, err, (failing-first)*LineSize)
+		}
+		buf := make([]byte, LineSize)
+		for i := first; i < first+8; i++ {
+			if i%4 == 1 {
+				continue // rank 1: its counter line is gone
+			}
+			if _, err := a.Read(uint64(i), buf); err != nil {
+				t.Fatalf("read line %d: %v", i, err)
+			}
+			want := old(i)
+			if i < failing {
+				want = src[:LineSize]
+			}
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("line %d: written=%v, want written=%v", i, !bytes.Equal(buf, old(i)), i < failing)
+			}
+		}
+	})
+}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // LineError is one failed line of a batched operation: where it sat in
 // the caller's batch, which data line it addressed, and the underlying
@@ -60,7 +57,8 @@ func (e *BatchError) Unwrap() []error {
 }
 
 // add appends one failure, allocating the BatchError on first use (the
-// success path carries a nil *BatchError and allocates nothing).
+// success path carries a nil *BatchError and allocates nothing). Callers
+// add in batch order, which keeps Failed ascending.
 func (e *BatchError) add(index int, line uint64, err error) *BatchError {
 	if e == nil {
 		e = &BatchError{}
@@ -74,6 +72,5 @@ func (e *BatchError) orNil() error {
 	if e == nil || len(e.Failed) == 0 {
 		return nil
 	}
-	sort.Slice(e.Failed, func(a, b int) bool { return e.Failed[a].Index < e.Failed[b].Index })
 	return e
 }

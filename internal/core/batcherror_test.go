@@ -21,9 +21,8 @@ func poisonGlobal(t *testing.T, arr *Array, g uint64) {
 }
 
 // A multi-rank ReadBatch with failures on several ranks must surface
-// one *BatchError whose entries are in ascending batch-index order
-// after the rank-local → global remap, carry global line addresses,
-// and unwrap to the usual sentinels.
+// one *BatchError whose entries are in ascending batch-index order,
+// carry global line addresses, and unwrap to the usual sentinels.
 func TestBatchErrorMultiRankOrdering(t *testing.T) {
 	arr, err := NewArray(Config{DataLines: 64, Ranks: 4})
 	if err != nil {
@@ -43,8 +42,7 @@ func TestBatchErrorMultiRankOrdering(t *testing.T) {
 	}
 
 	// Batch interleaves healthy and poisoned lines so the failing batch
-	// indices are scattered across ranks and arrive rank-grouped (i.e.
-	// out of caller order) before the remap.
+	// indices are scattered across ranks, out of rank order.
 	lines := []uint64{0, 13, 2, 10, 4, 5, 6, 7, 8}
 	wantFailedIdx := []int{1, 3, 5, 7}
 	dst := make([]byte, len(lines)*LineSize)

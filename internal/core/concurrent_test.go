@@ -10,7 +10,7 @@ import (
 )
 
 // Batch semantics, single-threaded first: ordering, duplicates,
-// cross-rank scatter/gather, and the error taxonomy.
+// batches crossing ranks, and the error taxonomy.
 
 func TestArrayBatchRoundTrip(t *testing.T) {
 	a := newArray(t, 256, 4)
@@ -37,7 +37,7 @@ func TestArrayBatchRoundTrip(t *testing.T) {
 			t.Fatalf("batch slot %d (line %d) wrong data", k, line)
 		}
 	}
-	// A duplicated write lands in one rank group in caller order: the
+	// A duplicated write is written once per copy, in caller order: the
 	// last copy wins.
 	dup := append(bytes.Clone(src[:LineSize]), fillLine(0xD5)...)
 	if err := a.WriteBatch([]uint64{wl[0], wl[0]}, dup); err != nil {

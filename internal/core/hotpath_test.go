@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -202,7 +203,22 @@ func TestBatchEqualsSingles(t *testing.T) {
 // outcome to match.
 func batchVsSingles(t *testing.T, batched, singles *Memory, step int, read bool, line uint64, val byte) {
 	t.Helper()
-	ls := batchLines(line)
+	linesVsSingles(t, batched, singles, step, read, batchLines(line), val)
+}
+
+// batcher is the batch surface Memory and Array share.
+type batcher interface {
+	Store
+	ReadBatch(lines []uint64, dst []byte) ([]ReadInfo, error)
+	WriteBatch(lines []uint64, src []byte) error
+}
+
+// linesVsSingles issues ls as one batch on batched and one call per line
+// on singles. Every line's outcome must match, and the BatchError must
+// list its failures in ascending caller index, each naming the line the
+// caller passed at that index.
+func linesVsSingles(t *testing.T, batched, singles batcher, step int, read bool, ls []uint64, val byte) {
+	t.Helper()
 	buf := [2][]byte{make([]byte, len(ls)*LineSize), make([]byte, len(ls)*LineSize)}
 	if !read {
 		for k := range ls {
@@ -224,7 +240,10 @@ func batchVsSingles(t *testing.T, batched, singles *Memory, step int, read bool,
 		if !errors.As(berr, &be) {
 			t.Fatalf("step %d: batch failed without a BatchError: %v", step, berr)
 		}
-		for _, le := range be.Failed {
+		for j, le := range be.Failed {
+			if j > 0 && le.Index <= be.Failed[j-1].Index {
+				t.Fatalf("step %d: failed indices out of order: %v", step, be.Failed)
+			}
 			if le.Line != ls[le.Index] {
 				t.Fatalf("step %d: failed index %d names line %d, want %d", step, le.Index, le.Line, ls[le.Index])
 			}
@@ -249,6 +268,84 @@ func batchVsSingles(t *testing.T, batched, singles *Memory, step int, read bool,
 		}
 		if !reflect.DeepEqual(infos[0][k], infos[1][k]) {
 			t.Fatalf("step %d: line %d: ReadInfo %+v vs %+v", step, i, infos[0][k], infos[1][k])
+		}
+	}
+}
+
+// TestArrayBatchEqualsSingles is TestBatchEqualsSingles on a 4-rank
+// Array: twin arrays, each with its own registry, run one tape, and one
+// twin issues every batch as a batch spanning all four ranks while the
+// other issues its lines one call at a time. The tape poisons lines on
+// two ranks mid-batch, corrects a single-chip fault, and writes one line
+// twice in a batch. Per-line outcomes, Stats, every rank's device image
+// and the registries' read/write op counts must all match.
+func TestArrayBatchEqualsSingles(t *testing.T) {
+	var twins [2]*Array
+	var regs [2]*telemetry.Registry
+	for k := range twins {
+		regs[k] = telemetry.New()
+		a, err := NewArray(Config{DataLines: 256, Ranks: 4, MetadataCache: 64, Telemetry: regs[k]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		twins[k] = a
+	}
+	batched, singles := twins[0], twins[1]
+	// Unordered, every rank twice; indices 3 and 4 sit on ranks 2 and 1.
+	ls := []uint64{17, 6, 200, 42, 121, 3, 255, 8}
+	dup := append(slices.Clone(ls), 42) // line 42 written twice: the last copy wins
+	both := func(fn func(a *Array)) {
+		for _, a := range twins {
+			fn(a)
+		}
+	}
+	step := 0
+	run := func(read bool, lines []uint64, val byte) {
+		linesVsSingles(t, batched, singles, step, read, lines, val)
+		step++
+	}
+	run(false, dup, 0x10)
+	run(true, ls, 0)
+	both(func(a *Array) { // correctable single-chip fault on line 200
+		m, inner, _ := a.route(200)
+		m.Module().InjectTransient(m.Layout().DataAddr(inner), 3, [dimm.SliceSize]byte{0x81})
+	})
+	run(true, ls, 0)
+	both(func(a *Array) { // uncorrectable faults on lines 42 and 121
+		for _, g := range []uint64{42, 121} {
+			m, inner, _ := a.route(g)
+			corruptTwoChips(m, inner)
+		}
+	})
+	run(true, ls, 0) // lines 42 and 121 fail closed and are poisoned
+	run(true, ls, 0) // and now fail fast
+	run(false, dup, 0x40)
+	run(true, ls, 0) // healed by the write
+	if bs, ss := batched.Stats(), singles.Stats(); bs != ss {
+		t.Fatalf("stats diverge:\nbatched %+v\nsingles %+v", bs, ss)
+	}
+	if bs := batched.Stats(); bs.CorrectionEvents == 0 || bs.LinesPoisoned != 2 || bs.PoisonFastFails != 2 || bs.LinesHealed != 2 {
+		t.Fatalf("the tape missed a case it exists for: %+v", bs)
+	}
+	for r := 0; r < batched.Ranks(); r++ {
+		var images [2][]byte
+		for k, a := range twins {
+			mod := a.Rank(r).Module()
+			images[k] = make([]byte, mod.ImageSize())
+			if err := mod.Serialize(images[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(images[0], images[1]) {
+			t.Fatalf("rank %d: device images diverge", r)
+		}
+	}
+	snaps := [2]telemetry.Snapshot{regs[0].Snapshot(), regs[1].Snapshot()}
+	for _, op := range []string{"read", "write"} {
+		b, s := snaps[0].Ops[op], snaps[1].Ops[op]
+		if b.Count != s.Count || b.Errors != s.Errors || b.Count == 0 {
+			t.Fatalf("%s op: batched count %d errors %d, singles count %d errors %d",
+				op, b.Count, b.Errors, s.Count, s.Errors)
 		}
 	}
 }
@@ -360,8 +457,8 @@ func BenchmarkWriteDefaultHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteBatchHotPath measures the batched write — every line's
-// write under one lock acquisition — over a warm write-back working set.
+// BenchmarkWriteBatchHotPath measures the batched write — one Write per
+// line — over a warm write-back working set.
 func BenchmarkWriteBatchHotPath(b *testing.B) {
 	m, _ := hotWrites(b, 2048, nil)
 	const n = 32

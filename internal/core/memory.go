@@ -224,45 +224,19 @@ type ReadInfo struct {
 
 // New builds a Synergy memory and initializes every region to a
 // consistent encrypted, MACed, parity-protected state (as a trusted
-// boot-time initialization would).
+// boot-time initialization would). It is the one rank of a one-rank
+// Array; cfg.Ranks is ignored.
 func New(cfg Config) (*Memory, error) {
-	if cfg.DataLines == 0 {
-		return nil, errors.New("core: Config.DataLines must be positive")
-	}
-	enc, mac, err := newCrypto(cfg)
+	cfg.Ranks = 1
+	a, err := NewArray(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newRank(cfg, enc, mac, 0)
+	return a.ranks[0], nil
 }
 
-// newCrypto builds the pad engine and MAC for cfg's keys (fixed test
-// keys when unset). Both are read-only after construction, so ranks
-// under one controller share them.
-func newCrypto(cfg Config) (*ctrenc.Engine, *gmac.Mac, error) {
-	encKey := cfg.EncKey
-	if encKey == nil {
-		encKey = make([]byte, ctrenc.KeySize)
-		encKey[0] = 0x01
-	}
-	macKey := cfg.MACKey
-	if macKey == nil {
-		macKey = make([]byte, gmac.KeySize)
-		macKey[0] = 0x02
-	}
-	enc, err := ctrenc.New(encKey)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: bad encryption key: %w", err)
-	}
-	mac, err := gmac.New(macKey)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: bad MAC key: %w", err)
-	}
-	return enc, mac, nil
-}
-
-// newRank builds one rank over the given crypto engines (see New); rank
-// labels its telemetry.
+// newRank builds one rank over the given crypto engines (see NewArray);
+// rank labels its telemetry.
 func newRank(cfg Config, enc *ctrenc.Engine, mac *gmac.Mac, rank int) (*Memory, error) {
 	ctrsPerLine := uint64(integrity.CountersPerLine)
 	if cfg.SplitCounters {
@@ -762,29 +736,24 @@ func (m *Memory) ReadTraced(i uint64, dst []byte, sp *telemetry.Span) (ReadInfo,
 	return m.readCounted(i, dst, sp)
 }
 
-// readBatch is ReadBatchInto without the telemetry wrapper: each line is
-// one Read, so it takes the shared-lock attempt and escalates exactly as
-// a single read would. Every line is attempted; failures collect into
-// one BatchError instead of aborting the batch, so a degraded-mode
-// caller can skip or retry exactly the poisoned indices.
-func (m *Memory) readBatch(lines []uint64, dst []byte, infos []ReadInfo) error {
-	if len(dst) != len(lines)*LineSize {
-		return fmt.Errorf("core: ReadBatch needs %d×%d bytes, got %d: %w",
-			len(lines), LineSize, len(dst), ErrBadLineSize)
+// ReadBatch decrypts lines[k] into dst[k*LineSize:(k+1)*LineSize] for
+// every k, each line one Read (see readLines). A malformed batch is
+// rejected whole; otherwise per-line failures collect into a
+// *BatchError and dst/infos are valid for every index not listed in it.
+func (m *Memory) ReadBatch(lines []uint64, dst []byte) ([]ReadInfo, error) {
+	infos := make([]ReadInfo, len(lines))
+	err := m.ReadBatchInto(lines, dst, infos)
+	return infos, err
+}
+
+// ReadBatchInto is ReadBatch writing into a caller-owned infos slice
+// (len(infos) must equal len(lines)) — the steady-state form that
+// allocates nothing.
+func (m *Memory) ReadBatchInto(lines []uint64, dst []byte, infos []ReadInfo) error {
+	if err := checkBatch(lines, dst, len(infos), m.layout.DataLines); err != nil {
+		return err
 	}
-	if len(infos) != len(lines) {
-		return fmt.Errorf("core: ReadBatch needs %d infos, got %d: %w",
-			len(lines), len(infos), ErrBadLineSize)
-	}
-	var be *BatchError
-	for k, i := range lines {
-		info, err := m.Read(i, dst[k*LineSize:(k+1)*LineSize])
-		infos[k] = info
-		if err != nil {
-			be = be.add(k, i, err)
-		}
-	}
-	return be.orNil()
+	return readLines(m, lines, dst, infos)
 }
 
 // readLocked is Read with m.mu held. The read path mutates engine
@@ -999,22 +968,13 @@ func (m *Memory) WriteTraced(i uint64, plain []byte, sp *telemetry.Span) error {
 	return m.writeCounted(i, plain, sp)
 }
 
-// writeBatch is WriteBatch without the telemetry wrapper: each line is
-// one write, all of them under one exclusive section, in caller order.
-func (m *Memory) writeBatch(lines []uint64, src []byte) error {
-	if len(src) != len(lines)*LineSize {
-		return fmt.Errorf("core: WriteBatch needs %d×%d bytes, got %d: %w",
-			len(lines), LineSize, len(src), ErrBadLineSize)
+// WriteBatch stores src[k*LineSize:(k+1)*LineSize] at lines[k] for
+// every k, each line one Write, in caller order (see writeLines).
+func (m *Memory) WriteBatch(lines []uint64, src []byte) error {
+	if err := checkBatch(lines, src, len(lines), m.layout.DataLines); err != nil {
+		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var be *BatchError
-	for k, i := range lines {
-		if err := m.writeCounted(i, src[k*LineSize:(k+1)*LineSize], nil); err != nil {
-			be = be.add(k, i, err)
-		}
-	}
-	return be.orNil()
+	return writeLines(m, lines, src)
 }
 
 // writeLocked is Write with m.mu held — the one write pipeline. The

@@ -19,8 +19,9 @@ import (
 // reads on every call would dominate it. readCounted times one in
 // Registry.SampleEvery reads (stage marks in readLocked fire only
 // while m.st is active); counters stay exact on every call. Writes,
-// batches, scrub segments and repairs cost microseconds to seconds
-// and are timed unconditionally.
+// scrub segments and repairs cost microseconds to seconds and are
+// timed unconditionally. A batch is its lines' single-line ops, so
+// each of its lines counts under read or write.
 
 // readCounted wraps readLocked with the read op counter, the
 // fail-closed outcome counter, and — on sampled reads — the per-stage
@@ -96,53 +97,6 @@ func (m *Memory) publishMetaStats() {
 	m.telMeta.SetMetaCache(
 		m.stats.MetaCacheHits, m.stats.MetaCacheMisses,
 		m.stats.MetaWritebacks, uint64(m.ncache.dirty))
-}
-
-// ReadBatch decrypts lines[k] into dst[k*LineSize:(k+1)*LineSize] for
-// every k, each line exactly as Read serves it (the shared-lock attempt
-// first, the exclusive path only where that escalates). Every line is
-// attempted; per-line failures collect into a *BatchError (errors.Is
-// sees each wrapped sentinel) and dst/infos are valid for every index
-// not listed in it.
-func (m *Memory) ReadBatch(lines []uint64, dst []byte) ([]ReadInfo, error) {
-	infos := make([]ReadInfo, len(lines))
-	err := m.ReadBatchInto(lines, dst, infos)
-	return infos, err
-}
-
-// ReadBatchInto is ReadBatch writing into a caller-owned infos slice
-// (len(infos) must equal len(lines)) — the steady-state form that
-// allocates nothing.
-func (m *Memory) ReadBatchInto(lines []uint64, dst []byte, infos []ReadInfo) error {
-	if m.tel == nil {
-		return m.readBatch(lines, dst, infos)
-	}
-	m.tel.CountOp(telemetry.OpReadBatch, m.telRank)
-	start := time.Now()
-	err := m.readBatch(lines, dst, infos)
-	m.tel.ObserveOp(telemetry.OpReadBatch, m.telRank, time.Since(start))
-	if err != nil {
-		m.tel.CountOpError(telemetry.OpReadBatch, m.telRank)
-	}
-	return err
-}
-
-// WriteBatch stores src[k*LineSize:(k+1)*LineSize] at lines[k] for
-// every k, in order, acquiring the rank lock once for the whole batch.
-// Every line is attempted; per-line failures collect into a
-// *BatchError.
-func (m *Memory) WriteBatch(lines []uint64, src []byte) error {
-	if m.tel == nil {
-		return m.writeBatch(lines, src)
-	}
-	m.tel.CountOp(telemetry.OpWriteBatch, m.telRank)
-	start := time.Now()
-	err := m.writeBatch(lines, src)
-	m.tel.ObserveOp(telemetry.OpWriteBatch, m.telRank, time.Since(start))
-	if err != nil {
-		m.tel.CountOpError(telemetry.OpWriteBatch, m.telRank)
-	}
-	return err
 }
 
 // Flush seals every dirty metadata cache entry back to the module (in

@@ -409,8 +409,7 @@ func TestCondemnedChipWritesLogNothing(t *testing.T) {
 
 // TestBatchZeroAllocSteadyState is the executable form of the hot-path
 // budget: once warm, batched reads and writes allocate nothing — on one
-// rank, and on a 4-rank Array whose batches group, stage and scatter
-// through pooled scratch.
+// rank, and on a 4-rank Array whose batches cross every rank.
 func TestBatchZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; exact counts only hold without -race")

@@ -18,8 +18,8 @@
 // every read would more than double the hot path, while sampling keeps
 // the steady-state overhead within the ≤5% budget and still converges
 // on the true distribution within a second of traffic. Coarse
-// operations (writes, batches, scrub segments, repairs) are timed on
-// every call; their cost dwarfs the clock's.
+// operations (writes, scrub segments, repairs) are timed on every
+// call; their cost dwarfs the clock's.
 //
 // # Concurrency
 //
@@ -45,13 +45,9 @@ const (
 	// batch and the reads a scrub pass issues — "reads" in the sense of
 	// core.Stats.Reads).
 	OpRead Op = iota
-	// OpWrite is one data-line write served.
+	// OpWrite is one data-line write served (each line of a batch
+	// included).
 	OpWrite
-	// OpReadBatch is one ReadBatch call (the per-line reads inside it
-	// also count under OpRead).
-	OpReadBatch
-	// OpWriteBatch is one WriteBatch call.
-	OpWriteBatch
 	// OpScrub is one scrub segment: a ScrubFrom call scanning from its
 	// cursor to completion or cancellation.
 	OpScrub
@@ -97,10 +93,6 @@ func (o Op) String() string {
 		return "read"
 	case OpWrite:
 		return "write"
-	case OpReadBatch:
-		return "read_batch"
-	case OpWriteBatch:
-		return "write_batch"
 	case OpScrub:
 		return "scrub"
 	case OpRepairChip:

@@ -29,15 +29,15 @@ func TestParseTraceparentRejects(t *testing.T) {
 	bad := []string{
 		"",
 		"00",
-		valid[:54],                // truncated
-		valid + "0",               // too long
-		"ff" + valid[2:],          // version ff is invalid
-		"zz" + valid[2:],          // non-hex version
-		strings.Replace(valid, "-", "_", 1),                              // wrong separator
-		"00-00000000000000000000000000000000-" + valid[36:],              // zero trace ID
-		valid[:36] + "0000000000000000-01",                               // zero span ID
-		"00-" + strings.Repeat("g", 32) + "-" + valid[36:],               // non-hex trace
-		valid[:36] + strings.Repeat("g", 16) + "-01",                     // non-hex span
+		valid[:54],                          // truncated
+		valid + "0",                         // too long
+		"ff" + valid[2:],                    // version ff is invalid
+		"zz" + valid[2:],                    // non-hex version
+		strings.Replace(valid, "-", "_", 1), // wrong separator
+		"00-00000000000000000000000000000000-" + valid[36:],                    // zero trace ID
+		valid[:36] + "0000000000000000-01",                                     // zero span ID
+		"00-" + strings.Repeat("g", 32) + "-" + valid[36:],                     // non-hex trace
+		valid[:36] + strings.Repeat("g", 16) + "-01",                           // non-hex span
 		strings.ToUpper(valid[:3]) + valid[3:35] + strings.ToUpper(valid[35:]), // no-op edit guard below
 	}
 	for _, h := range bad[:len(bad)-1] {
