@@ -191,9 +191,10 @@ type ErrorAssessment = core.Assessment
 type ChipFault = core.ChipFault
 
 // Telemetry is the engine's metrics registry: sharded counters,
-// sampled latency histograms and the event-sink hook API. Pass one in
-// Config.Telemetry and serve it with ServeMetrics. The nil registry
-// is valid and records nothing (see TelemetryDisabled).
+// sampled latency histograms, scrape-time views of each rank's engine
+// counts and the event-sink hook API. Pass one in Config.Telemetry and
+// serve it with ServeMetrics. The nil registry is valid and records
+// nothing (see TelemetryDisabled).
 type Telemetry = telemetry.Registry
 
 // TelemetrySnapshot is a point-in-time copy of a registry — the
@@ -211,7 +212,7 @@ type (
 // poisons, scrub passes, repairs) synchronously as they happen; embed
 // TelemetryBaseSink and override the hooks you need. Sinks run under
 // engine locks: return quickly and never call back into the emitting
-// Memory/Array.
+// Memory/Array, nor into Telemetry.Snapshot or WritePrometheus.
 type TelemetrySink = telemetry.Sink
 
 // TelemetryBaseSink is the no-op Sink to embed.

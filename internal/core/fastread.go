@@ -101,11 +101,12 @@ func (m *Memory) bumpAllGens() {
 	}
 }
 
-// escalate records one fast-path attempt giving up (by reason) before
-// the caller falls through to the exclusive path.
-func (m *Memory) escalate(i uint64, reason telemetry.EscReason) {
+// escalate counts one fast-path attempt giving up, by reason, and
+// marks it on the request's span, before the caller falls through to
+// the exclusive path.
+func (m *Memory) escalate(reason telemetry.EscReason, sp *telemetry.Span) {
 	m.escalations[reason].Add(1)
-	m.tel.CountEscalation(m.telRank, reason, int(i))
+	sp.Escalation(reason)
 }
 
 // fastRead attempts to serve data line i under the shared lock alone.
@@ -124,7 +125,7 @@ func (m *Memory) fastRead(i uint64, dst []byte, sp *telemetry.Span) (info ReadIn
 	if len(dst) != LineSize || i >= m.layout.DataLines {
 		return ReadInfo{}, nil, false // exclusive path formats the error
 	}
-	// Sampled stage timing, mirroring readCounted: the load-then-add
+	// Sampled stage timing, mirroring ReadTraced: the load-then-add
 	// pair races between readers, which only jitters the sample phase.
 	var st telemetry.StageTimer
 	if m.tel != nil {
@@ -142,9 +143,7 @@ func (m *Memory) fastRead(i uint64, dst []byte, sp *telemetry.Span) (info ReadIn
 		if _, bad := m.poisoned[i]; bad {
 			m.mu.RUnlock()
 			m.fastPoisonFails.Add(1)
-			m.tel.CountOp(telemetry.OpRead, int(i))
 			m.tel.CountOpError(telemetry.OpRead, m.telRank)
-			m.tel.CountFailClosed(m.telRank, int(i))
 			sp.Flag(telemetry.AnomalyFailClosed)
 			return ReadInfo{}, fmt.Errorf("core: data line %d: %w", i, ErrPoisoned), true
 		}
@@ -152,8 +151,7 @@ func (m *Memory) fastRead(i uint64, dst []byte, sp *telemetry.Span) (info ReadIn
 		cn, hit := m.ncache.peek(ca)
 		if !hit {
 			m.mu.RUnlock()
-			m.escalate(i, telemetry.EscCacheMiss)
-			sp.Escalation(telemetry.EscCacheMiss)
+			m.escalate(telemetry.EscCacheMiss, sp)
 			return ReadInfo{}, nil, false
 		}
 		var ctr uint64
@@ -182,18 +180,15 @@ func (m *Memory) fastRead(i uint64, dst []byte, sp *telemetry.Span) (info ReadIn
 				// A mutator landed mid-attempt (scrub correction, racing
 				// write): the snapshot straddled it. Re-snapshot.
 				m.genRetries.Add(1)
-				m.tel.CountGenRetry(m.telRank, int(i))
 				continue
 			}
-			m.escalate(i, telemetry.EscMismatch)
-			sp.Escalation(telemetry.EscMismatch)
+			m.escalate(telemetry.EscMismatch, sp)
 			return ReadInfo{}, nil, false
 		}
 		if stale {
 			// Verified, but the cells still hold the damage the candidate
 			// repairs: the exclusive path writes the fix back.
-			m.escalate(i, telemetry.EscDegraded)
-			sp.Escalation(telemetry.EscDegraded)
+			m.escalate(telemetry.EscDegraded, sp)
 			return ReadInfo{}, nil, false
 		}
 		if preempt {
@@ -210,18 +205,14 @@ func (m *Memory) fastRead(i uint64, dst []byte, sp *telemetry.Span) (info ReadIn
 		// PreemptiveFix, as it is on the exclusive path.
 		if preempt {
 			m.preemptReads.Add(1)
-			m.tel.CountPreemptive(m.telRank, int(i))
 		} else {
 			m.fastReads.Add(1)
-			m.tel.CountFastRead(m.telRank, int(i))
 		}
-		m.tel.CountOp(telemetry.OpRead, int(i))
 		if st.Active() {
 			st.Finish(telemetry.OpRead)
 		}
 		return ReadInfo{Preemptive: preempt}, nil, true
 	}
-	m.escalate(i, telemetry.EscGenConflict)
-	sp.Escalation(telemetry.EscGenConflict)
+	m.escalate(telemetry.EscGenConflict, sp)
 	return ReadInfo{}, nil, false
 }

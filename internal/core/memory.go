@@ -80,11 +80,13 @@ type Config struct {
 	// entries and has every write seal and store its own path before it
 	// returns, so stored device state is consistent after every write.
 	MetadataCache int
-	// Telemetry, when non-nil, receives operation counters, sampled
-	// latency histograms and engine events (see internal/telemetry).
-	// Nil disables instrumentation down to one pointer compare per
-	// operation. Events carry the rank index: each Array rank's own, 0
-	// for a memory built by New.
+	// Telemetry, when non-nil, receives operation error counts, sampled
+	// latency histograms and engine events, and reads each rank's
+	// counts when a snapshot is taken (see internal/telemetry). Nil
+	// disables instrumentation down to a few compares per operation.
+	// Events and counts carry the rank index: each Array rank's own, 0
+	// for a memory built by New. The registry references every memory
+	// built on it for the registry's lifetime.
 	Telemetry *telemetry.Registry
 }
 
@@ -129,21 +131,21 @@ type Memory struct {
 	log    *ErrorLog
 	stats  Stats
 
-	// tel receives op counters, sampled stage timings and events
-	// (nil when telemetry is unconfigured — the wrappers in
-	// telemetry.go then cost one pointer compare). telTick counts
-	// served reads — published through telReads and driving the
-	// 1-in-N stage-sampling decision — and st carries the active
-	// sampled read's stage timer; both are plain fields because every
+	// tel receives op error counts, sampled stage timings and sink
+	// events, and reads this rank's counts at scrape time (fillRank);
+	// nil when telemetry is unconfigured. telTick and telWTick count
+	// the reads and writes served under the exclusive lock and drive
+	// the 1-in-N stage-sampling decision; st carries the active sampled
+	// operation's stage timer. All three are plain fields because every
 	// path that touches them holds mu exclusively.
 	tel      *telemetry.Registry
 	telRank  int
 	telMask  uint64 // cached tel.SampleMask()
 	telTick  uint64
-	telWTick uint64                  // served writes, drives write-stage sampling
-	telReads *telemetry.LocalOpCount // single-writer served-reads slot
-	telMeta  *telemetry.RankMetrics  // cached rank block for meta-cache stats
+	telWTick uint64
 	st       telemetry.StageTimer
+
+	tally tally // counts Stats has no field for; guarded by mu
 
 	// Reusable scratch for the zero-allocation hot paths. All of it is
 	// guarded by mu (exclusive): loadPath fills pathBuf, preemptPath
@@ -180,7 +182,7 @@ type Stats struct {
 	MACComputations        uint64 // total MAC evaluations (detection + correction)
 	MismatchesSeen         uint64 // MAC mismatches observed before correction
 	CorrectionEvents       uint64 // lines successfully corrected
-	ReconstructionAttempts uint64 // candidate reconstructions tried
+	ReconstructionAttempts uint64 // candidate reconstructions tried, a data line's MAC-chip candidate included
 	ParityPUses            uint64 // corrections that needed the parity-of-parities
 	PreemptiveFixes        uint64 // reads served via the known-bad-chip fast path, under either lock
 	AttacksDeclared        uint64 // uncorrectable events
@@ -214,7 +216,10 @@ type ReadInfo struct {
 	// FaultyChips lists the chip index identified by each repair.
 	FaultyChips []int
 	// MACRecomputations counts MAC evaluations spent on correction for
-	// this access (≤16 for a data line, ≤8 per counter/tree line).
+	// this access (≤16 for a data line, ≤8 per counter/tree line). A
+	// data line's MAC-chip candidate reuses the MAC over the as-read
+	// line and is not counted, though Stats.ReconstructionAttempts
+	// counts it.
 	MACRecomputations int
 	// UsedParityP is true if the parity-of-parities was needed.
 	UsedParityP bool
@@ -273,12 +278,7 @@ func newRank(cfg Config, enc *ctrenc.Engine, mac *gmac.Mac, rank int) (*Memory, 
 		tel:            cfg.Telemetry,
 		telRank:        rank,
 		telMask:        cfg.Telemetry.SampleMask(),
-		telReads:       cfg.Telemetry.LocalOp(telemetry.OpRead),
 	}
-	// Pre-create the rank's metrics block so exporters show the rank
-	// (at zero) before its first event; the cached pointer is the
-	// single-writer publish target for the meta-cache counters.
-	m.telMeta = m.tel.Rank(m.telRank)
 	capacity := cfg.MetadataCache
 	if capacity <= 0 {
 		m.syncWrites = true
@@ -291,6 +291,7 @@ func newRank(cfg Config, enc *ctrenc.Engine, mac *gmac.Mac, rank int) (*Memory, 
 	if err := m.initialize(); err != nil {
 		return nil, err
 	}
+	m.tel.RegisterRank(rank, m.fillRank)
 	return m, nil
 }
 
@@ -394,6 +395,13 @@ func (m *Memory) Stats() Stats {
 	m.mu.RLock()
 	s := m.stats
 	m.mu.RUnlock()
+	m.addShared(&s)
+	return s
+}
+
+// addShared folds the shared-lock path's atomics into s, a copy of
+// m.stats.
+func (m *Memory) addShared(s *Stats) {
 	fast, pre := m.fastReads.Load(), m.preemptReads.Load()
 	s.FastReads = fast
 	s.PreemptiveFixes += pre
@@ -406,7 +414,6 @@ func (m *Memory) Stats() Stats {
 	for k := range m.escalations {
 		s.ReadEscalations += m.escalations[k].Load()
 	}
-	return s
 }
 
 // KnownBadChip returns the chip the scoreboard has condemned, or -1.
@@ -733,7 +740,14 @@ func (m *Memory) ReadTraced(i uint64, dst []byte, sp *telemetry.Span) (ReadInfo,
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.readCounted(i, dst, sp)
+	m.telTick++
+	m.startStages(m.telTick, sp)
+	info, err := m.readLocked(i, dst)
+	if IsFailClosed(err) {
+		m.tally.failClosed++
+	}
+	m.finishStages(telemetry.OpRead, err)
+	return info, err
 }
 
 // ReadBatch decrypts lines[k] into dst[k*LineSize:(k+1)*LineSize] for
@@ -803,7 +817,6 @@ func (m *Memory) readLocked(i uint64, dst []byte) (ReadInfo, error) {
 		} else if ok {
 			info.Preemptive = true
 			m.stats.PreemptiveFixes++
-			m.tel.CountPreemptive(m.telRank, m.telRank)
 			m.st.Mark(telemetry.StageReconstruct)
 			m.cachePath(path)
 			if err := m.trimCache(); err != nil {
@@ -965,7 +978,11 @@ func (m *Memory) Write(i uint64, plain []byte) error {
 func (m *Memory) WriteTraced(i uint64, plain []byte, sp *telemetry.Span) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.writeCounted(i, plain, sp)
+	m.telWTick++
+	m.startStages(m.telWTick, sp)
+	err := m.writeLocked(i, plain)
+	m.finishStages(telemetry.OpWrite, err)
+	return err
 }
 
 // WriteBatch stores src[k*LineSize:(k+1)*LineSize] at lines[k] for

@@ -5,6 +5,7 @@ import (
 
 	"synergy/internal/dimm"
 	"synergy/internal/integrity"
+	"synergy/internal/telemetry"
 )
 
 // This file implements the RAID-3 Reconstruction Engine of Fig. 5(b):
@@ -38,12 +39,28 @@ func (m *Memory) reconstructEntry(e *pathEntry, parentCtr uint64) (int, int, err
 		m.stats.ReconstructionAttempts++
 		if m.entryVerify(&cand, parentCtr) {
 			*e = cand
-			m.emitReconstruction(e.addr, regionOfLevel(e.level), attempts, true)
+			m.noteReconstruction(e.addr, regionOfLevel(e.level), attempts, true)
 			return chip, attempts, nil
 		}
 	}
-	m.emitReconstruction(e.addr, regionOfLevel(e.level), attempts, false)
+	m.noteReconstruction(e.addr, regionOfLevel(e.level), attempts, false)
 	return -1, attempts, ErrAttack
+}
+
+// noteReconstruction counts one run of a reconstruction loop, and
+// whether it failed, and hands the run to the registry's sinks.
+func (m *Memory) noteReconstruction(addr uint64, r Region, attempts int, success bool) {
+	m.tally.reconstructions++
+	if !success {
+		m.tally.reconstructionFailures++
+	}
+	m.tel.EmitReconstruction(telemetry.ReconstructionEvent{
+		Rank:     m.telRank,
+		Line:     addr,
+		Region:   r.String(),
+		Attempts: attempts,
+		Success:  success,
+	})
 }
 
 // rebuildSlice replaces chip's 8-byte slice of a 64-byte line with
@@ -79,7 +96,7 @@ func (m *Memory) reconstructData(i uint64, ctr uint64, raw *dimm.Line) (fixed di
 	var p1 [8]byte
 	copy(p1[:], pl.Data[slot*8:slot*8+8])
 	defer func() {
-		m.emitReconstruction(dataAddr, RegionData, attempts, err == nil)
+		m.noteReconstruction(dataAddr, RegionData, attempts, err == nil)
 	}()
 
 	// The MAC over the as-read data is computed once and reused for

@@ -8,95 +8,97 @@ import (
 	"synergy/internal/telemetry"
 )
 
-// This file is the engine's telemetry shim: thin counted wrappers
-// around the locked operation bodies in memory.go. Keeping the
-// instrumentation at the operation boundary — one counter update, and
-// two clock reads for the coarse ops — leaves the hot paths readable
-// and makes the disabled case (nil registry) a single pointer compare
-// per operation.
+// This file is the engine's telemetry shim. The engine keeps the only
+// copy of every per-rank count — Stats, the shared-path atomics, the
+// error log and tally — and the registry reads them at scrape time
+// through fillRank. What the registry owns is pushed from here: error
+// counts per op, latency and stage histograms, and sink events.
 //
-// Sampling: the single-line read runs in ~300ns, so per-stage clock
-// reads on every call would dominate it. readCounted times one in
-// Registry.SampleEvery reads (stage marks in readLocked fire only
-// while m.st is active); counters stay exact on every call. Writes,
-// scrub segments and repairs cost microseconds to seconds and are
-// timed unconditionally. A batch is its lines' single-line ops, so
+// Sampling: a single-line read or write runs in a few hundred
+// nanoseconds, so per-stage clock reads on every call would dominate
+// it. ReadTraced and WriteTraced time one in Registry.SampleEvery of
+// their exclusive-lock operations (stage marks in readLocked and
+// writeLocked fire only while m.st is active), and fastRead samples its
+// own; the sampled timer's Finish is the op's latency observation.
+// Scrub segments, flushes and repairs cost microseconds to seconds and
+// are timed unconditionally. A batch is its lines' single-line ops, so
 // each of its lines counts under read or write.
 
-// readCounted wraps readLocked with the read op counter, the
-// fail-closed outcome counter, and — on sampled reads — the per-stage
-// pipeline timer behind the live Fig. 5 breakdown. Callers hold m.mu
-// exclusively (telTick and st are plain fields under the lock).
-//
-// sp is the request's trace span: nil on the untraced path; non-nil
-// forces stage timing (an explicitly traced request always gets its
-// breakdown) and mirrors every mark into the span as events.
-func (m *Memory) readCounted(i uint64, dst []byte, sp *telemetry.Span) (ReadInfo, error) {
-	if m.tel == nil {
-		return m.readLocked(i, dst)
-	}
-	// telTick doubles as the served-read total; publishing it through
-	// the single-writer slot costs a plain store instead of CountOp's
-	// locked add — the difference between fitting the ≤5% hot-path
-	// budget and not.
-	m.telTick++
-	m.telReads.Set(m.telTick)
-	if sp != nil {
-		m.st = m.tel.StartStagesSpan(m.telRank, sp)
-	} else if m.telTick&m.telMask == 0 {
-		m.st = m.tel.StartStages(m.telRank)
-	}
-	info, err := m.readLocked(i, dst)
-	if m.st.Active() {
-		m.st.Finish(telemetry.OpRead)
-		m.st = telemetry.StageTimer{}
-		m.publishMetaStats()
-	}
-	if err != nil {
-		m.tel.CountOpError(telemetry.OpRead, m.telRank)
-		if IsFailClosed(err) {
-			m.tel.CountFailClosed(m.telRank, m.telRank)
-		}
-	}
-	return info, err
+// tally holds the per-rank counts that have no Stats field: they exist
+// only for telemetry. Guarded by mu.
+type tally struct {
+	reconstructions        uint64 // reconstruction-loop runs
+	reconstructionFailures uint64 // runs where no candidate verified
+	failClosed             uint64 // exclusive-path reads that returned ErrAttack or ErrPoisoned
+	scrubSegments          uint64 // ScrubFrom calls, completing or not
+	scrubPasses            uint64 // segments that reached the end of the data region
+	scrubScanned           uint64 // data lines scanned by those segments
+	scrubCorrected         uint64 // scanned lines that needed correction
 }
 
-// writeCounted wraps writeLocked with the write op counter and
-// latency; one in SampleEvery writes additionally gets the per-stage
-// pipeline timer (counter fetch / meta update / OTP), mirroring the
-// read-side sampling. Callers hold m.mu exclusively.
-func (m *Memory) writeCounted(i uint64, plain []byte, sp *telemetry.Span) error {
-	if m.tel == nil {
-		return m.writeLocked(i, plain)
-	}
-	m.tel.CountOp(telemetry.OpWrite, m.telRank)
-	m.telWTick++
-	start := time.Now()
+// startStages arms m.st for an exclusive-lock operation that is traced,
+// or whose tick falls on the sampling period. Callers hold m.mu
+// exclusively.
+func (m *Memory) startStages(tick uint64, sp *telemetry.Span) {
 	if sp != nil {
 		m.st = m.tel.StartStagesSpan(m.telRank, sp)
-	} else if m.telWTick&m.telMask == 0 {
+	} else if tick&m.telMask == 0 {
 		m.st = m.tel.StartStages(m.telRank)
 	}
-	err := m.writeLocked(i, plain)
-	if m.st.Active() {
-		m.st = telemetry.StageTimer{}
-		m.publishMetaStats()
-	}
-	m.tel.ObserveOp(telemetry.OpWrite, m.telRank, time.Since(start))
-	if err != nil {
-		m.tel.CountOpError(telemetry.OpWrite, m.telRank)
-	}
-	return err
 }
 
-// publishMetaStats publishes the metadata-cache counters to the
-// per-rank telemetry block with plain atomic stores. Called at sampled
-// operation boundaries (never per cache probe) so the hot paths pay
-// map probes, not atomics. Callers hold m.mu exclusively.
-func (m *Memory) publishMetaStats() {
-	m.telMeta.SetMetaCache(
-		m.stats.MetaCacheHits, m.stats.MetaCacheMisses,
-		m.stats.MetaWritebacks, uint64(m.ncache.dirty))
+// finishStages records an armed timer's span as op's latency, disarms
+// it, and counts a failed op. Callers hold m.mu exclusively.
+func (m *Memory) finishStages(op telemetry.Op, err error) {
+	if m.st.Active() {
+		m.st.Finish(op)
+		m.st = telemetry.StageTimer{}
+	}
+	if err != nil {
+		m.tel.CountOpError(op, m.telRank)
+	}
+}
+
+// fillRank adds this rank's counts to rs and its served read and write
+// totals to ops: the registry's scrape-time view of the engine
+// (telemetry.RankFill), registered once by newRank. One read-lock hold
+// copies the lock-guarded counts.
+func (m *Memory) fillRank(rs *telemetry.RankSnapshot, ops *[telemetry.NumOps]uint64) {
+	m.mu.RLock()
+	s, t, dirty := m.stats, m.tally, m.ncache.dirty
+	reads, writes := m.telTick, m.telWTick
+	m.mu.RUnlock()
+	m.addShared(&s)
+	poisonFails := m.fastPoisonFails.Load()
+
+	for c, n := range m.log.ByChip() {
+		rs.Corrections[c] += n
+	}
+	rs.Preemptive += s.PreemptiveFixes
+	rs.Reconstructions += t.reconstructions
+	rs.ReconstructionAttempts += s.ReconstructionAttempts
+	rs.ReconstructionFailures += t.reconstructionFailures
+	rs.Poisoned += s.LinesPoisoned
+	rs.Healed += s.LinesHealed
+	rs.FailClosed += t.failClosed + poisonFails
+	rs.Repairs += s.ChipRepairs
+	rs.ScrubSegments += t.scrubSegments
+	rs.ScrubPasses += t.scrubPasses
+	rs.ScrubScanned += t.scrubScanned
+	rs.ScrubCorrected += t.scrubCorrected
+	rs.MetaCacheHits += s.MetaCacheHits
+	rs.MetaCacheMisses += s.MetaCacheMisses
+	rs.MetaWritebacks += s.MetaWritebacks
+	rs.MetaDirty += uint64(dirty)
+	rs.FastReads += s.FastReads
+	rs.GenRetries += s.GenRetries
+	for k := range rs.Escalations {
+		rs.Escalations[k] += m.escalations[k].Load()
+	}
+	// A read is served under the exclusive lock (telTick) or, clean,
+	// pre-emptive or poison fast-fail, under the shared one.
+	ops[telemetry.OpRead] += reads + s.FastReads + m.preemptReads.Load() + poisonFails
+	ops[telemetry.OpWrite] += writes
 }
 
 // Flush seals every dirty metadata cache entry back to the module (in
@@ -115,7 +117,6 @@ func (m *Memory) Flush() error {
 	start := time.Now()
 	m.mu.Lock()
 	err := m.flushMetadata()
-	m.publishMetaStats()
 	m.mu.Unlock()
 	m.tel.ObserveOp(telemetry.OpFlush, m.telRank, time.Since(start))
 	if err != nil {
@@ -130,9 +131,6 @@ func (m *Memory) Flush() error {
 // the primitive background scrubbers use to resume an interrupted
 // pass instead of restarting it.
 func (m *Memory) ScrubFrom(ctx context.Context, start uint64) (ScrubReport, uint64, error) {
-	if m.tel == nil {
-		return m.scrubFrom(ctx, start)
-	}
 	m.tel.CountOp(telemetry.OpScrub, m.telRank)
 	t0 := time.Now()
 	rep, next, err := m.scrubFrom(ctx, start)
@@ -142,8 +140,16 @@ func (m *Memory) ScrubFrom(ctx context.Context, start uint64) (ScrubReport, uint
 	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		m.tel.CountOpError(telemetry.OpScrub, m.telRank)
 	}
-	m.tel.CountScrubSegment(m.telRank, rep.Scanned, rep.Corrected)
-	if next == m.layout.DataLines {
+	passed := next == m.layout.DataLines
+	m.mu.Lock()
+	m.tally.scrubSegments++
+	m.tally.scrubScanned += rep.Scanned
+	m.tally.scrubCorrected += uint64(rep.Corrected)
+	if passed {
+		m.tally.scrubPasses++
+	}
+	m.mu.Unlock()
+	if passed {
 		m.tel.EmitScrubPass(telemetry.ScrubEvent{
 			Rank:      m.telRank,
 			Scanned:   rep.Scanned,
@@ -182,18 +188,6 @@ func (m *Memory) RepairChip(chip int) error {
 		m.tel.EmitRepair(telemetry.RepairEvent{Rank: m.telRank, Chip: chip})
 	}
 	return err
-}
-
-// emitReconstruction publishes one reconstruction-loop run (the
-// registry fans it to sinks and the per-rank counters).
-func (m *Memory) emitReconstruction(addr uint64, r Region, attempts int, success bool) {
-	m.tel.EmitReconstruction(telemetry.ReconstructionEvent{
-		Rank:     m.telRank,
-		Line:     addr,
-		Region:   r.String(),
-		Attempts: attempts,
-		Success:  success,
-	})
 }
 
 // Telemetry returns the registry this memory records into (Disabled

@@ -298,6 +298,127 @@ func TestArrayTelemetryRankLabels(t *testing.T) {
 	}
 }
 
+// rankFamilies projects a rank snapshot onto the families
+// TestTelemetryMatchesStats holds to their engine sources.
+func rankFamilies(rs telemetry.RankSnapshot) telemetry.RankSnapshot {
+	return telemetry.RankSnapshot{
+		Corrections:            rs.Corrections,
+		Preemptive:             rs.Preemptive,
+		ReconstructionAttempts: rs.ReconstructionAttempts,
+		Poisoned:               rs.Poisoned,
+		Healed:                 rs.Healed,
+		MetaCacheHits:          rs.MetaCacheHits,
+		MetaCacheMisses:        rs.MetaCacheMisses,
+		MetaWritebacks:         rs.MetaWritebacks,
+		MetaDirty:              rs.MetaDirty,
+		FastReads:              rs.FastReads,
+		GenRetries:             rs.GenRetries,
+		Escalations:            rs.Escalations,
+	}
+}
+
+// engineFamilies reads the same families from the engine's own
+// sources, summed over the memories that share one rank index, and
+// returns them with the summed Stats.CorrectionEvents.
+func engineFamilies(ms []*Memory) (telemetry.RankSnapshot, uint64) {
+	var w telemetry.RankSnapshot
+	var corrections uint64
+	for _, m := range ms {
+		st := m.Stats()
+		for c, n := range m.ErrorLog().ByChip() {
+			w.Corrections[c] += n
+		}
+		corrections += st.CorrectionEvents
+		w.Preemptive += st.PreemptiveFixes
+		w.ReconstructionAttempts += st.ReconstructionAttempts
+		w.Poisoned += st.LinesPoisoned
+		w.Healed += st.LinesHealed
+		w.MetaCacheHits += st.MetaCacheHits
+		w.MetaCacheMisses += st.MetaCacheMisses
+		w.MetaWritebacks += st.MetaWritebacks
+		w.MetaDirty += uint64(m.ncache.dirty)
+		w.FastReads += st.FastReads
+		w.GenRetries += st.GenRetries
+		for k := range w.Escalations {
+			w.Escalations[k] += m.escalations[k].Load()
+		}
+	}
+	return w, corrections
+}
+
+// TestTelemetryMatchesStats runs op tapes over instrumented engines and,
+// after every op, requires each per-rank family on the registry to equal
+// its engine source: Stats, the error log's per-chip counts, the
+// escalation counters and the metadata cache's dirty count. byRank[r]
+// lists the memories registered under rank index r; their counts must
+// sum.
+func TestTelemetryMatchesStats(t *testing.T) {
+	tapes := []struct {
+		name string
+		ops  []byte
+	}{
+		{"diff", diffScript(21, 96)},
+		{"dead-data-chip", deadChipScript(22, 5, 63)},
+		{"dead-mac-chip", deadChipScript(23, dimm.ECCChip, 63)},
+	}
+	for _, tape := range tapes {
+		t.Run(tape.name+"/memory", func(t *testing.T) {
+			reg := telemetry.New()
+			m, err := New(Config{DataLines: diffLines, MetadataCache: diffCache, Telemetry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runMatched(t, reg, [][]*Memory{{m}}, tape.ops)
+		})
+		t.Run(tape.name+"/two-arrays", func(t *testing.T) {
+			reg := telemetry.New()
+			byRank := make([][]*Memory, 4)
+			for k := 0; k < 2; k++ {
+				a, err := NewArray(Config{DataLines: 4 * diffLines, Ranks: 4, MetadataCache: diffCache, Telemetry: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := range byRank {
+					byRank[r] = append(byRank[r], a.Rank(r))
+				}
+			}
+			runMatched(t, reg, byRank, tape.ops)
+		})
+	}
+}
+
+// runMatched applies each op of the tape to every memory in byRank in
+// turn and checks the registry against the engines after each one.
+func runMatched(t *testing.T, reg *telemetry.Registry, byRank [][]*Memory, ops []byte) {
+	t.Helper()
+	for step := 0; step+2 < len(ops); step += 3 {
+		for _, ms := range byRank {
+			for _, m := range ms {
+				diffOp(t, m, step/3, ops[step], ops[step+1], ops[step+2])
+				s := reg.Snapshot()
+				if len(s.Ranks) != len(byRank) {
+					t.Fatalf("step %d: %d rank snapshots, want %d", step/3, len(s.Ranks), len(byRank))
+				}
+				for r := range byRank {
+					want, corrections := engineFamilies(byRank[r])
+					if got := rankFamilies(s.Ranks[r]); got != want {
+						t.Fatalf("step %d (op %d), rank %d:\n registry %+v\n engine   %+v",
+							step/3, ops[step]%10, r, got, want)
+					}
+					var sum uint64
+					for _, n := range s.Ranks[r].Corrections {
+						sum += n
+					}
+					if sum != corrections {
+						t.Fatalf("step %d, rank %d: corrections by chip sum to %d, CorrectionEvents = %d",
+							step/3, r, sum, corrections)
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkReadHotPathInstrumented is BenchmarkReadHotPath with an
 // enabled registry at the default sampling period — the pair
 // scripts/bench.sh compares to bound telemetry overhead at ≤5%.

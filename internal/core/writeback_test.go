@@ -6,11 +6,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"io"
 	"slices"
 	"sync"
 	"testing"
 
 	"synergy/internal/dimm"
+	"synergy/internal/telemetry"
 )
 
 // Differential harness: drive the same operation sequence against a
@@ -507,23 +509,24 @@ func TestChurnZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestWriteBackConcurrentFlushScrub races writers against a concurrent
-// flusher and scrubber on a multi-rank write-back array — the -race CI
-// step's main subject. Correctness bar: no data race, no error, and
-// every line readable with its last-written contents after a final
-// Sync.
+// flusher, scrubber and telemetry scraper on a multi-rank write-back
+// array — the -race CI step's main subject. Correctness bar: no data
+// race, no error, and every line readable with its last-written
+// contents after a final Sync.
 func TestWriteBackConcurrentFlushScrub(t *testing.T) {
 	const (
 		lines   = 512
 		writers = 4
 		rounds  = 200
 	)
-	a, err := NewArray(Config{DataLines: lines, Ranks: 2, MetadataCache: 64})
+	reg := telemetry.New()
+	a, err := NewArray(Config{DataLines: lines, Ranks: 2, MetadataCache: 64, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var writersWG, bgWG sync.WaitGroup
 	done := make(chan struct{})
-	errCh := make(chan error, writers+2)
+	errCh := make(chan error, writers+3)
 	for w := 0; w < writers; w++ {
 		writersWG.Add(1)
 		go func(w int) {
@@ -547,7 +550,7 @@ func TestWriteBackConcurrentFlushScrub(t *testing.T) {
 			}
 		}(w)
 	}
-	bgWG.Add(2)
+	bgWG.Add(3)
 	go func() { // flusher
 		defer bgWG.Done()
 		for {
@@ -571,6 +574,21 @@ func TestWriteBackConcurrentFlushScrub(t *testing.T) {
 			default:
 			}
 			if _, err := a.Scrub(context.Background()); err != nil {
+				errCh <- err
+				return
+			}
+		}
+	}()
+	go func() { // scraper: every scrape reads each rank under its read lock
+		defer bgWG.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			reg.Snapshot()
+			if err := reg.WritePrometheus(io.Discard); err != nil {
 				errCh <- err
 				return
 			}

@@ -64,7 +64,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		ew.sample("synergy_op_errors_total", lbl("op", name), op.Errors)
 	})
 
-	ew.family("synergy_op_latency_seconds", "histogram", "Operation latency. Single-line reads are sampled (see DESIGN.md §11); coarse ops are timed on every call.")
+	ew.family("synergy_op_latency_seconds", "histogram", "Operation latency. Single-line reads and writes are sampled (see DESIGN.md §11); coarse ops are timed on every call.")
 	forEachOp(s, func(name string, op OpSnapshot) {
 		if name == OpTrial.String() || name == OpRPCRejected.String() {
 			return // trials and rejections are counted, never timed
@@ -100,7 +100,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			subClamp(rk.Reconstructions, rk.ReconstructionFailures))
 		ew.sample("synergy_reconstructions_total", rl+","+lbl("outcome", "failed"), rk.ReconstructionFailures)
 	}
-	ew.family("synergy_reconstruction_attempts_total", "counter", "Candidate reconstructions tried (MAC recomputations spent correcting).")
+	ew.family("synergy_reconstruction_attempts_total", "counter", "Candidate reconstructions tried, including the MAC-chip candidate, which reuses the as-read MAC.")
 	for _, rk := range s.Ranks {
 		ew.sample("synergy_reconstruction_attempts_total", lbl("rank", strconv.Itoa(rk.Rank)), rk.ReconstructionAttempts)
 	}

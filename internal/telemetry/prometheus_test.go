@@ -54,17 +54,23 @@ func TestWritePrometheus(t *testing.T) {
 	r.ObserveOp(OpRead, 0, 300*time.Nanosecond)
 	r.ObserveStage(StageCounterFetch, 0, 80*time.Nanosecond)
 	r.ObserveStage(StageOTP, 0, 40*time.Nanosecond)
-	r.EmitCorrection(CorrectionEvent{Rank: 0, Chip: 4, Region: "data", Line: 12})
-	r.EmitCorrection(CorrectionEvent{Rank: 1, Chip: 7, Region: "tree", Line: 90})
-	r.EmitPoison(PoisonEvent{Rank: 0, Line: 3})
-	r.EmitScrubPass(ScrubEvent{Rank: 0, Scanned: 128, Corrected: 1})
-	r.CountScrubSegment(0, 128, 1)
-	r.EmitRepair(RepairEvent{Rank: 1, Chip: 7})
+	r.RegisterRank(0, func(rs *RankSnapshot, _ *[NumOps]uint64) {
+		rs.Corrections[4]++
+		rs.Poisoned++
+		rs.ScrubSegments++
+		rs.ScrubPasses++
+		rs.ScrubScanned += 128
+		rs.ScrubCorrected++
+		rs.FastReads++
+		rs.GenRetries++
+		rs.Escalations[EscCacheMiss]++
+		rs.Escalations[EscMismatch]++
+	})
+	r.RegisterRank(1, func(rs *RankSnapshot, _ *[NumOps]uint64) {
+		rs.Corrections[7]++
+		rs.Repairs++
+	})
 	r.AddTrials(10_000)
-	r.CountFastRead(0, 0)
-	r.CountGenRetry(0, 0)
-	r.CountEscalation(0, EscCacheMiss, 0)
-	r.CountEscalation(0, EscMismatch, 0)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -166,7 +172,7 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	r.CountOp(OpRead, 0)
 	r.ObserveOp(OpRead, 0, time.Microsecond)
 	r.ObserveStage(StageMACVerify, 0, 100*time.Nanosecond)
-	r.CountEscalation(0, EscCacheMiss, 0)
+	r.RegisterRank(0, func(rs *RankSnapshot, _ *[NumOps]uint64) { rs.Escalations[EscCacheMiss]++ })
 
 	slo := NewSLO(SLOConfig{Name: "acme"})
 	slo.Observe(false, time.Millisecond)

@@ -4,8 +4,12 @@ package telemetry
 // calls sinks from inside its locked sections (a correction fires
 // mid-read, under the rank lock), so implementations must be fast,
 // must not block, and must never call back into the Memory/Array that
-// emitted the event — that deadlocks. Fan slow consumers out through a
-// channel the sink owns.
+// emitted the event — that deadlocks. Nor may a hook call
+// Registry.Snapshot or WritePrometheus: a snapshot takes every
+// registered rank's read lock, including the one the hook runs under.
+// Fan slow consumers out through a channel the sink owns. Sinks only
+// see events; the per-rank counts exporters show are read from the
+// engine, attached sink or not.
 //
 // BaseSink provides no-op defaults: embed it and override the hooks
 // you need, and new hooks added later won't break your build.
@@ -54,8 +58,10 @@ type ReconstructionEvent struct {
 	Line uint64
 	// Region names the line's region: "data", "counter" or "tree".
 	Region string
-	// Attempts is the number of candidate reconstructions tried (MAC
-	// recomputations spent).
+	// Attempts is the number of MAC recomputations the run spent. A
+	// data-line run's MAC-chip candidate reuses the MAC already computed
+	// over the as-read line and is not counted here, though
+	// synergy_reconstruction_attempts_total counts it.
 	Attempts int
 	// Success reports whether any candidate verified.
 	Success bool
@@ -131,90 +137,36 @@ func (r *Registry) sinkList() []Sink {
 	return nil
 }
 
-// EmitCorrection records a correction in the rank's counters and fans
-// it out to the sinks.
+// EmitCorrection fans a correction out to the sinks.
 func (r *Registry) EmitCorrection(e CorrectionEvent) {
-	if r == nil {
-		return
-	}
-	if rm := r.Rank(e.Rank); rm != nil {
-		if e.Chip >= 0 && e.Chip < NumChips {
-			rm.corrections[e.Chip].AddAt(e.Rank, 1)
-		}
-		if e.Preemptive {
-			rm.preemptive.AddAt(e.Rank, 1)
-		}
-	}
 	for _, s := range r.sinkList() {
 		s.OnCorrection(e)
 	}
 }
 
-// EmitReconstruction records a reconstruction-loop run.
+// EmitReconstruction fans a reconstruction-loop run out to the sinks.
 func (r *Registry) EmitReconstruction(e ReconstructionEvent) {
-	if r == nil {
-		return
-	}
-	if rm := r.Rank(e.Rank); rm != nil {
-		rm.reconstructions.AddAt(e.Rank, 1)
-		rm.reconstructionAttempts.AddAt(e.Rank, uint64(e.Attempts))
-		if !e.Success {
-			rm.reconstructionFailures.AddAt(e.Rank, 1)
-		}
-	}
 	for _, s := range r.sinkList() {
 		s.OnReconstruction(e)
 	}
 }
 
-// EmitPoison records a poison (or heal) event.
+// EmitPoison fans a poison (or heal) event out to the sinks.
 func (r *Registry) EmitPoison(e PoisonEvent) {
-	if r == nil {
-		return
-	}
-	if rm := r.Rank(e.Rank); rm != nil {
-		if e.Healed {
-			rm.healed.AddAt(e.Rank, 1)
-		} else {
-			rm.poisoned.AddAt(e.Rank, 1)
-		}
-	}
 	for _, s := range r.sinkList() {
 		s.OnPoison(e)
 	}
 }
 
-// EmitScrubPass records a completed per-rank scrub scan.
+// EmitScrubPass fans a completed per-rank scrub scan out to the sinks.
 func (r *Registry) EmitScrubPass(e ScrubEvent) {
-	if r == nil {
-		return
-	}
-	if rm := r.Rank(e.Rank); rm != nil {
-		rm.scrubPasses.AddAt(e.Rank, 1)
-	}
 	for _, s := range r.sinkList() {
 		s.OnScrubPass(e)
 	}
 }
 
-// CountScrubSegment records one scrub segment's progress (every
-// ScrubFrom call, completing or not).
-func (r *Registry) CountScrubSegment(rank int, scanned uint64, corrected int) {
-	if rm := r.Rank(rank); rm != nil {
-		rm.scrubSegments.AddAt(rank, 1)
-		rm.scrubScanned.AddAt(rank, scanned)
-		rm.scrubCorrected.AddAt(rank, uint64(corrected))
-	}
-}
-
-// EmitRepair records a completed RepairChip sweep.
+// EmitRepair fans a completed RepairChip sweep out to the sinks.
 func (r *Registry) EmitRepair(e RepairEvent) {
-	if r == nil {
-		return
-	}
-	if rm := r.Rank(e.Rank); rm != nil {
-		rm.repairs.AddAt(e.Rank, 1)
-	}
 	for _, s := range r.sinkList() {
 		s.OnRepair(e)
 	}

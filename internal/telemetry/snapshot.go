@@ -14,7 +14,8 @@ type Snapshot struct {
 	// Stages maps Stage labels ("counter_fetch", "otp", ...) to the
 	// sampled secure-read stage latency histograms.
 	Stages map[string]HistogramSnapshot `json:"stages"`
-	// Ranks holds per-rank event counters, indexed by rank.
+	// Ranks holds per-rank event counters, indexed by rank: every rank
+	// up to the highest registered one.
 	Ranks []RankSnapshot `json:"ranks"`
 	// SLOs holds one evaluation per registered SLO tracker.
 	SLOs []SLOSnapshot `json:"slos,omitempty"`
@@ -29,7 +30,8 @@ type OpSnapshot struct {
 	Latency HistogramSnapshot `json:"latency"`
 }
 
-// RankSnapshot is one rank's event counters.
+// RankSnapshot is one rank's event counters, as the engine keeps them
+// (see RegisterRank); ranks that share an index are summed.
 type RankSnapshot struct {
 	Rank                   int              `json:"rank"`
 	Corrections            [NumChips]uint64 `json:"corrections_by_chip"`
@@ -58,8 +60,11 @@ type RankSnapshot struct {
 	Escalations [NumEscReasons]uint64 `json:"read_escalations_by_reason"`
 }
 
-// Snapshot captures the registry's current totals. On a disabled
-// registry it returns an empty (but well-formed) snapshot.
+// Snapshot captures the registry's current totals. Per-rank counts and
+// the engine's read and write totals come from the registered rank
+// sources, each of which takes its rank's read lock for one copy, so
+// Snapshot must never run under a rank lock (from a Sink hook, say). On
+// a disabled registry it returns an empty (but well-formed) snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		TakenUnixNanos: time.Now().UnixNano(),
@@ -69,18 +74,25 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
+	var engine [NumOps]uint64
+	r.mu.Lock()
+	sources := r.sources
+	r.mu.Unlock()
+	for _, src := range sources {
+		for len(s.Ranks) <= src.rank {
+			s.Ranks = append(s.Ranks, RankSnapshot{Rank: len(s.Ranks)})
+		}
+		src.fill(&s.Ranks[src.rank], &engine)
+	}
 	for op := Op(0); op < NumOps; op++ {
 		s.Ops[op.String()] = OpSnapshot{
-			Count:   r.opCount(op),
+			Count:   r.ops[op].count.Load() + engine[op],
 			Errors:  r.ops[op].errors.Load(),
 			Latency: r.ops[op].latency.Snapshot(),
 		}
 	}
 	for st := Stage(0); st < NumStages; st++ {
 		s.Stages[st.String()] = r.stages[st].Snapshot()
-	}
-	for _, rm := range r.rankList() {
-		s.Ranks = append(s.Ranks, rm.snapshot())
 	}
 	for _, t := range r.sloList() {
 		s.SLOs = append(s.SLOs, t.Snapshot())
@@ -90,37 +102,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Flight = &fs
 	}
 	return s
-}
-
-func (rm *RankMetrics) snapshot() RankSnapshot {
-	rs := RankSnapshot{
-		Rank:                   rm.rank,
-		Preemptive:             rm.preemptive.Load(),
-		Reconstructions:        rm.reconstructions.Load(),
-		ReconstructionAttempts: rm.reconstructionAttempts.Load(),
-		ReconstructionFailures: rm.reconstructionFailures.Load(),
-		Poisoned:               rm.poisoned.Load(),
-		Healed:                 rm.healed.Load(),
-		FailClosed:             rm.failClosed.Load(),
-		Repairs:                rm.repairs.Load(),
-		ScrubSegments:          rm.scrubSegments.Load(),
-		ScrubPasses:            rm.scrubPasses.Load(),
-		ScrubScanned:           rm.scrubScanned.Load(),
-		ScrubCorrected:         rm.scrubCorrected.Load(),
-		MetaCacheHits:          rm.metaHits.Load(),
-		MetaCacheMisses:        rm.metaMisses.Load(),
-		MetaWritebacks:         rm.metaWritebacks.Load(),
-		MetaDirty:              rm.metaDirty.Load(),
-		FastReads:              rm.fastReads.Load(),
-		GenRetries:             rm.genRetries.Load(),
-	}
-	for c := range rm.corrections {
-		rs.Corrections[c] = rm.corrections[c].Load()
-	}
-	for e := range rm.escalations {
-		rs.Escalations[e] = rm.escalations[e].Load()
-	}
-	return rs
 }
 
 // Sub returns the delta s - prev: counter-wise subtraction with clamp

@@ -2,8 +2,9 @@
 // layer: sharded atomic counters, fixed-bucket log2 latency histograms,
 // per-stage timing of the secure-read pipeline (the paper's Fig. 5
 // cost breakdown, produced from a live run instead of a benchmark),
-// and an event-hook Sink API that the core engine, the background
-// scrubber and the chaos harness publish into.
+// scrape-time views of the per-rank counts each engine keeps
+// (RegisterRank), and an event-hook Sink API the engine fans its
+// correction, poison, scrub and repair events out through.
 //
 // # Overhead contract
 //
@@ -12,23 +13,26 @@
 // call — every method is nil-receiver safe, so instrumented code holds
 // a *Registry unconditionally and never branches on configuration.
 //
-// Counters are exact. Latency histograms for the single-line read —
-// the ~300ns hot path — are *sampled* (default 1 in 64 reads): a
-// single clock read costs ~25ns, so timing five pipeline stages on
-// every read would more than double the hot path, while sampling keeps
-// the steady-state overhead within the ≤5% budget and still converges
-// on the true distribution within a second of traffic. Coarse
-// operations (writes, scrub segments, repairs) are timed on every
-// call; their cost dwarfs the clock's.
+// Counters are exact. Per-rank event counts are not recorded here at
+// all: the engine keeps the only copy, and Snapshot reads it. Latency
+// histograms for the single-line read and write — the ~150-350ns hot
+// paths — are *sampled* (default 1 in 64 of each): a single clock read
+// costs ~25ns, so timing the pipeline stages of every op would eat the
+// ≤5% budget several times over, while sampling still converges on
+// the true distribution within a second of traffic. Coarse operations
+// (scrub segments, repairs, flushes) are timed on every call; their
+// cost dwarfs the clock's.
 //
 // # Concurrency
 //
 // Everything is safe for concurrent use. Counters and histograms
 // stripe their hot words across shards to keep cross-rank traffic off
-// shared cachelines; exact totals are summed at read time. Sinks are
-// invoked synchronously from inside the engine (often under a rank
-// lock): implementations must return quickly and must never call back
-// into the Memory/Array that emitted the event.
+// shared cachelines; exact totals are summed at read time. A snapshot
+// takes each registered rank's read lock for one copy of its counts.
+// Sinks are invoked synchronously from inside the engine (often under
+// a rank lock): implementations must return quickly and must never
+// call back into the Memory/Array that emitted the event, nor into
+// Snapshot or WritePrometheus.
 package telemetry
 
 import (
@@ -223,8 +227,8 @@ func (e EscReason) String() string {
 }
 
 // DefaultSampleEvery is the default sampling period for hot-path
-// latency observations: one in every 64 reads gets stage-by-stage
-// clock reads; the rest pay only counter updates.
+// latency observations: one in every 64 reads, and one in every 64
+// writes, gets stage-by-stage clock reads; the rest pay none.
 const DefaultSampleEvery = 64
 
 // Option configures a Registry.
@@ -255,7 +259,8 @@ type opMetrics struct {
 }
 
 // Registry is one telemetry domain: a set of counters, histograms and
-// sinks that instrumented components record into. The zero *Registry
+// sinks that instrumented components record into, and the rank sources
+// it reads when a snapshot is taken. The zero *Registry
 // (nil, exported as Disabled) is valid and records nothing.
 type Registry struct {
 	sampleMask uint64
@@ -263,12 +268,36 @@ type Registry struct {
 	ops    [NumOps]opMetrics
 	stages [NumStages]Histogram
 
-	mu     sync.Mutex
-	ranks  atomic.Pointer[[]*RankMetrics]
-	sinks  atomic.Pointer[[]Sink]
-	locals atomic.Pointer[[]*LocalOpCount]
-	slos   atomic.Pointer[[]*SLOTracker]
-	flight atomic.Pointer[FlightRecorder]
+	mu      sync.Mutex
+	sources []rankSource // append-only under mu
+	sinks   atomic.Pointer[[]Sink]
+	slos    atomic.Pointer[[]*SLOTracker]
+	flight  atomic.Pointer[FlightRecorder]
+}
+
+// RankFill adds one engine rank's current counts to rs, and its served
+// operation totals to ops (indexed by Op). It adds rather than
+// assigns, so engines that share a rank index sum.
+type RankFill func(rs *RankSnapshot, ops *[NumOps]uint64)
+
+// rankSource is one registered engine rank.
+type rankSource struct {
+	rank int
+	fill RankFill
+}
+
+// RegisterRank makes fill the source of rank's per-rank counts: every
+// Snapshot (and so every scrape) calls it. The engine keeps the only
+// copy of each count and the registry reads it, so the two can never
+// disagree. The registry keeps fill, and whatever it references, for
+// its own lifetime. No-op on a disabled registry or a negative rank.
+func (r *Registry) RegisterRank(rank int, fill RankFill) {
+	if r == nil || rank < 0 || fill == nil {
+		return
+	}
+	r.mu.Lock()
+	r.sources = append(r.sources, rankSource{rank: rank, fill: fill})
+	r.mu.Unlock()
 }
 
 // Disabled is the no-op registry: every method on it is safe and free.
@@ -330,62 +359,6 @@ func (r *Registry) CountOpError(op Op, shard int) {
 	r.ops[op].errors.AddAt(shard, 1)
 }
 
-// LocalOpCount is a dedicated single-writer accumulator for one
-// engine's running total of one operation (see Registry.LocalOp).
-type LocalOpCount struct {
-	op Op
-	n  atomic.Uint64
-	_  [48]byte // keep the hot word off shared cachelines
-}
-
-// Set publishes the writer's running total. A plain atomic store, no
-// read-modify-write: cheaper than the locked add behind CountOp,
-// which is what keeps per-read counting inside the hot-path budget.
-// Safe only because a LocalOpCount has exactly one writer.
-func (c *LocalOpCount) Set(n uint64) {
-	if c != nil {
-		c.n.Store(n)
-	}
-}
-
-// LocalOp allocates a dedicated accumulator that exporters fold into
-// op's total at read time. For hot paths where even an uncontended
-// atomic add is measurable: the single owner keeps a plain running
-// count under its own serialization (core.Memory counts reads under
-// the rank lock) and publishes it with Set. Returns nil on a disabled
-// registry; Set on nil is a no-op.
-func (r *Registry) LocalOp(op Op) *LocalOpCount {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var cur []*LocalOpCount
-	if ls := r.locals.Load(); ls != nil {
-		cur = *ls
-	}
-	c := &LocalOpCount{op: op}
-	grown := make([]*LocalOpCount, len(cur)+1)
-	copy(grown, cur)
-	grown[len(cur)] = c
-	r.locals.Store(&grown)
-	return c
-}
-
-// opCount returns op's total: the striped counter plus every local
-// accumulator registered for op.
-func (r *Registry) opCount(op Op) uint64 {
-	n := r.ops[op].count.Load()
-	if ls := r.locals.Load(); ls != nil {
-		for _, c := range *ls {
-			if c.op == op {
-				n += c.n.Load()
-			}
-		}
-	}
-	return n
-}
-
 // ObserveOp records one operation's latency.
 func (r *Registry) ObserveOp(op Op, shard int, d time.Duration) {
 	if r == nil {
@@ -410,147 +383,9 @@ func (r *Registry) AddTrials(n int) {
 	r.ops[OpTrial].count.Add(uint64(n))
 }
 
-// Rank returns the per-rank metrics block for rank i, creating it (and
-// any lower-numbered blocks) on first use. Returns nil on a disabled
-// registry or a negative rank. The returned pointer is stable: callers
-// cache it.
-func (r *Registry) Rank(i int) *RankMetrics {
-	if r == nil || i < 0 {
-		return nil
-	}
-	if rs := r.ranks.Load(); rs != nil && i < len(*rs) {
-		return (*rs)[i]
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var cur []*RankMetrics
-	if rs := r.ranks.Load(); rs != nil {
-		cur = *rs
-	}
-	if i < len(cur) {
-		return cur[i]
-	}
-	grown := make([]*RankMetrics, i+1)
-	copy(grown, cur)
-	for k := len(cur); k <= i; k++ {
-		grown[k] = &RankMetrics{rank: k}
-	}
-	r.ranks.Store(&grown)
-	return grown[i]
-}
-
-// rankList returns the current per-rank blocks (read-only).
-func (r *Registry) rankList() []*RankMetrics {
-	if r == nil {
-		return nil
-	}
-	if rs := r.ranks.Load(); rs != nil {
-		return *rs
-	}
-	return nil
-}
-
-// RankMetrics holds one rank's event counters. All fields are updated
-// through Registry.Emit* and read via Snapshot / WritePrometheus.
-type RankMetrics struct {
-	rank                   int
-	corrections            [NumChips]Counter
-	preemptive             Counter
-	reconstructions        Counter
-	reconstructionAttempts Counter
-	reconstructionFailures Counter
-	poisoned               Counter
-	healed                 Counter
-	failClosed             Counter
-	repairs                Counter
-	scrubSegments          Counter
-	scrubPasses            Counter
-	scrubScanned           Counter
-	scrubCorrected         Counter
-
-	// Optimistic read-path counters: clean reads served entirely under
-	// the shared lock, attempts retried after a generation conflict, and
-	// escalations to the exclusive path by reason. Striped — many
-	// concurrent readers record here, which is the whole point of the
-	// fast path.
-	fastReads   Counter
-	genRetries  Counter
-	escalations [NumEscReasons]Counter
-
-	// Metadata-cache gauges/counters, published by the owning engine
-	// with plain atomic stores at sampled operation boundaries (exactly
-	// one writer per rank block — the rank's Memory, under its lock) so
-	// the cache's map probes never pay read-modify-write atomics.
-	metaHits       atomic.Uint64
-	metaMisses     atomic.Uint64
-	metaWritebacks atomic.Uint64
-	metaDirty      atomic.Uint64
-}
-
-// SetMetaCache publishes the rank's metadata-cache running totals:
-// path-load hits and misses, dirty entries sealed and written back,
-// and the current dirty-entry count (a gauge). Single-writer: only the
-// rank's owning engine may call this. Nil-receiver safe.
-func (rm *RankMetrics) SetMetaCache(hits, misses, writebacks, dirty uint64) {
-	if rm == nil {
-		return
-	}
-	rm.metaHits.Store(hits)
-	rm.metaMisses.Store(misses)
-	rm.metaWritebacks.Store(writebacks)
-	rm.metaDirty.Store(dirty)
-}
-
-// NumChips is the chips per rank the per-chip correction counters
-// cover (the 9-chip ECC-DIMM organization).
+// NumChips is the chips per rank the per-chip correction counts cover
+// (the 9-chip ECC-DIMM organization).
 const NumChips = 9
-
-// CountFailClosed adds one fail-closed read outcome (ErrAttack or a
-// poisoned-line fast fail) for rank i.
-func (r *Registry) CountFailClosed(rank, shard int) {
-	if rm := r.Rank(rank); rm != nil {
-		rm.failClosed.AddAt(shard, 1)
-	}
-}
-
-// CountPreemptive adds one read served via the §IV-A condemned-chip
-// fast path. Counter-only — no sink fan-out: while a chip is
-// condemned this fires on every read, far too hot for per-event
-// delivery (corrections that commit repairs still reach sinks via
-// EmitCorrection).
-func (r *Registry) CountPreemptive(rank, shard int) {
-	if rm := r.Rank(rank); rm != nil {
-		rm.preemptive.AddAt(shard, 1)
-	}
-}
-
-// CountFastRead adds one clean read served entirely under the shared
-// lock (the optimistic fast path; a pre-emptive read served there
-// counts through CountPreemptive instead). shard spreads concurrent
-// readers of one rank across counter stripes — pass something
-// reader-local, e.g. the line index.
-func (r *Registry) CountFastRead(rank, shard int) {
-	if rm := r.Rank(rank); rm != nil {
-		rm.fastReads.AddAt(shard, 1)
-	}
-}
-
-// CountGenRetry adds one optimistic read attempt retried after a
-// generation conflict (a concurrent mutator advanced the line's
-// generation between snapshot and verify).
-func (r *Registry) CountGenRetry(rank, shard int) {
-	if rm := r.Rank(rank); rm != nil {
-		rm.genRetries.AddAt(shard, 1)
-	}
-}
-
-// CountEscalation adds one optimistic read attempt that gave up and
-// took the exclusive slow path, by reason.
-func (r *Registry) CountEscalation(rank int, reason EscReason, shard int) {
-	if rm := r.Rank(rank); rm != nil && reason < NumEscReasons {
-		rm.escalations[reason].AddAt(shard, 1)
-	}
-}
 
 // StageTimer times consecutive pipeline stages with one clock read per
 // boundary. The zero StageTimer (from a disabled or unsampled start)

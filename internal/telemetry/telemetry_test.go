@@ -3,15 +3,26 @@ package telemetry
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// The satellite contract: hammer counters and histograms from
-// GOMAXPROCS goroutines and require snapshot totals to equal the
+// countingSink counts correction deliveries.
+type countingSink struct {
+	BaseSink
+	corrections atomic.Uint64
+}
+
+func (s *countingSink) OnCorrection(CorrectionEvent) { s.corrections.Add(1) }
+
+// The satellite contract: hammer counters, histograms and sink fan-out
+// from GOMAXPROCS goroutines and require snapshot totals to equal the
 // deterministic shadow count. Run under -race in CI.
 func TestRegistryConcurrentHammer(t *testing.T) {
 	r := New(SampleEvery(1))
+	sink := &countingSink{}
+	r.Attach(sink)
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 {
 		workers = 2
@@ -55,14 +66,8 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 	if got := s.Ops[OpTrial.String()].Count; got != total {
 		t.Errorf("OpTrial count = %d, want %d", got, total)
 	}
-	var corrections uint64
-	for _, rk := range s.Ranks {
-		for _, n := range rk.Corrections {
-			corrections += n
-		}
-	}
-	if corrections != total {
-		t.Errorf("corrections total = %d, want %d", corrections, total)
+	if got := sink.corrections.Load(); got != total {
+		t.Errorf("corrections delivered = %d, want %d", got, total)
 	}
 	// Histogram bucket sums must equal the count — no observation may
 	// be lost or double-bucketed.
@@ -75,19 +80,25 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 	}
 }
 
-// Local single-writer slots fold into the op total next to the
-// striped counter, across multiple slots of the same op.
-func TestLocalOpCount(t *testing.T) {
+// opsSource is a rank source reporting only served read and write
+// totals, read at scrape time like an engine's.
+func opsSource(reads, writes *uint64) RankFill {
+	return func(_ *RankSnapshot, ops *[NumOps]uint64) {
+		ops[OpRead] += *reads
+		ops[OpWrite] += *writes
+	}
+}
+
+// Rank sources' op totals fold into the op count next to the striped
+// counter, summed across sources and read afresh by every snapshot.
+func TestRankSourceOpCounts(t *testing.T) {
 	r := New()
 	r.CountOp(OpRead, 0)
 	r.CountOp(OpRead, 1)
-	a := r.LocalOp(OpRead)
-	b := r.LocalOp(OpRead)
-	w := r.LocalOp(OpWrite)
-	a.Set(5)
-	a.Set(7) // running totals: the slot holds the latest, not a sum
-	b.Set(3)
-	w.Set(11)
+	var aReads, aWrites, bReads, bWrites uint64 = 5, 0, 3, 11
+	r.RegisterRank(0, opsSource(&aReads, &aWrites))
+	r.RegisterRank(1, opsSource(&bReads, &bWrites))
+	aReads = 7 // running totals: the source is read at scrape time
 	s := r.Snapshot()
 	if got := s.Ops["read"].Count; got != 2+7+3 {
 		t.Errorf("read count = %d, want 12", got)
@@ -95,8 +106,6 @@ func TestLocalOpCount(t *testing.T) {
 	if got := s.Ops["write"].Count; got != 11 {
 		t.Errorf("write count = %d, want 11", got)
 	}
-	// Disabled registry: nil slot, no-op Set.
-	Disabled.LocalOp(OpRead).Set(99)
 }
 
 func TestCounterStripes(t *testing.T) {
@@ -162,13 +171,18 @@ func TestHistogramMeanQuantile(t *testing.T) {
 
 func TestSnapshotSub(t *testing.T) {
 	r := New()
+	var poisoned, healed uint64
+	r.RegisterRank(1, func(rs *RankSnapshot, _ *[NumOps]uint64) {
+		rs.Poisoned += poisoned
+		rs.Healed += healed
+	})
 	r.CountOp(OpWrite, 0)
-	r.EmitPoison(PoisonEvent{Rank: 1, Line: 7})
+	poisoned++
 	prev := r.Snapshot()
 	r.CountOp(OpWrite, 0)
 	r.CountOp(OpWrite, 1)
-	r.EmitPoison(PoisonEvent{Rank: 1, Line: 8})
-	r.EmitPoison(PoisonEvent{Rank: 1, Line: 8, Healed: true})
+	poisoned++
+	healed++
 	cur := r.Snapshot()
 
 	d := cur.Sub(prev)
@@ -250,11 +264,10 @@ func TestSinkDelivery(t *testing.T) {
 		t.Errorf("poisons/scrubs/repairs = %d/%d/%d, want 1/1/1",
 			len(sink.poisons), len(sink.scrubs), len(sink.repairs))
 	}
-	// Emits also feed the rank counters.
-	rk := r.Snapshot().Ranks[0]
-	if rk.Corrections[3] != 1 || rk.Reconstructions != 1 || rk.Poisoned != 1 ||
-		rk.ScrubPasses != 1 || rk.Repairs != 1 {
-		t.Errorf("rank counters not fed by emits: %+v", rk)
+	// Emits are sink fan-out only: per-rank counts come from registered
+	// rank sources, so no rank appears.
+	if ranks := r.Snapshot().Ranks; len(ranks) != 0 {
+		t.Errorf("emits created rank counters: %+v", ranks)
 	}
 }
 
@@ -270,17 +283,13 @@ func TestDisabledRegistry(t *testing.T) {
 	r.ObserveOp(OpRead, 0, time.Second)
 	r.ObserveStage(StageOTP, 0, time.Second)
 	r.AddTrials(5)
-	r.CountFailClosed(0, 0)
-	r.CountScrubSegment(0, 1, 1)
+	r.RegisterRank(2, func(*RankSnapshot, *[NumOps]uint64) { t.Fatal("Disabled called a rank source") })
 	r.Attach(&recordingSink{})
 	r.EmitCorrection(CorrectionEvent{})
 	r.EmitReconstruction(ReconstructionEvent{})
 	r.EmitPoison(PoisonEvent{})
 	r.EmitScrubPass(ScrubEvent{})
 	r.EmitRepair(RepairEvent{})
-	if rm := r.Rank(2); rm != nil {
-		t.Fatal("Disabled.Rank returned non-nil")
-	}
 	st := r.StartStages(0)
 	if st.Active() {
 		t.Fatal("Disabled stage timer active")
@@ -308,15 +317,31 @@ func TestSampleEveryRounding(t *testing.T) {
 	}
 }
 
+// A snapshot lists every rank up to the highest registered one, sums
+// sources that share a rank index, ignores negative ranks, and tolerates
+// registration racing scrapes.
 func TestRankGrowth(t *testing.T) {
 	r := New()
-	a := r.Rank(2)
-	b := r.Rank(2)
-	if a == nil || a != b {
-		t.Fatal("Rank not stable")
+	hits := func(n uint64) RankFill {
+		return func(rs *RankSnapshot, _ *[NumOps]uint64) { rs.MetaCacheHits += n }
 	}
-	if r.Rank(-1) != nil {
-		t.Fatal("negative rank must return nil")
+	r.RegisterRank(2, hits(3))
+	r.RegisterRank(2, hits(4))
+	r.RegisterRank(-1, hits(100))
+	s := r.Snapshot()
+	if len(s.Ranks) != 3 {
+		t.Fatalf("rank count = %d, want 3", len(s.Ranks))
+	}
+	for i, rk := range s.Ranks {
+		if rk.Rank != i {
+			t.Errorf("Ranks[%d].Rank = %d", i, rk.Rank)
+		}
+	}
+	if got := s.Ranks[2].MetaCacheHits; got != 7 {
+		t.Errorf("rank 2 hits = %d, want 3+4", got)
+	}
+	if got := s.Ranks[0].MetaCacheHits; got != 0 {
+		t.Errorf("rank 0 hits = %d, want 0", got)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -324,13 +349,22 @@ func TestRankGrowth(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 64; i++ {
-				r.Rank(i % 7)
+				r.RegisterRank(i%7, hits(1))
+				r.Snapshot()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := len(r.Snapshot().Ranks); got != 7 {
+	s = r.Snapshot()
+	if got := len(s.Ranks); got != 7 {
 		t.Fatalf("rank count = %d, want 7", got)
+	}
+	var total uint64
+	for _, rk := range s.Ranks {
+		total += rk.MetaCacheHits
+	}
+	if total != 7+8*64 {
+		t.Fatalf("summed hits = %d, want %d", total, 7+8*64)
 	}
 }
 
@@ -338,8 +372,6 @@ func TestRankGrowth(t *testing.T) {
 // atomics and fixed buckets.
 func TestRecordPathAllocs(t *testing.T) {
 	r := New(SampleEvery(1))
-	rm := r.Rank(0)
-	_ = rm
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.CountOp(OpRead, 0)
 		r.ObserveOp(OpRead, 0, 250*time.Nanosecond)
@@ -347,7 +379,8 @@ func TestRecordPathAllocs(t *testing.T) {
 		st := r.StartStages(0)
 		st.Mark(StageCounterFetch)
 		st.Finish(OpRead)
-		r.CountFailClosed(0, 0)
+		r.CountOpError(OpRead, 0)
+		r.EmitCorrection(CorrectionEvent{Rank: 0, Chip: 3, Region: "data"})
 	})
 	if allocs != 0 {
 		t.Fatalf("record path allocates: %.1f allocs/op", allocs)

@@ -2,8 +2,8 @@
 # CI smoke test for the live metrics endpoint: start a chaos run
 # serving telemetry, scrape /metrics mid-run, and validate that the
 # Prometheus text exposition parses and carries the per-chip
-# correction counters and the per-stage read-latency histograms the
-# acceptance criteria require.
+# correction counters, the per-stage read-latency histograms, and live
+# metadata-cache and fast-read counts.
 #
 # Usage: scripts/metrics_smoke.sh [addr] [duration]
 set -eu
@@ -78,6 +78,12 @@ assert re.search(r'synergy_read_stage_seconds_bucket\{stage="mac_verify",le="[^"
     "no mac_verify stage bucket sample"
 assert re.search(r'synergy_ops_total\{op="read"\} [1-9]', text), \
     "read counter not advancing mid-run"
+# Per-rank families are read from the engine at scrape time; these two
+# must be live mid-run, not only at sampled operations.
+assert re.search(r'synergy_metacache_lookups_total\{rank="\d+",result="hit"\} [1-9]', text), \
+    "metadata-cache hits not visible mid-run"
+assert re.search(r'synergy_read_fast_total\{rank="\d+"\} [1-9]', text), \
+    "fast reads not visible mid-run"
 
 print(f"metrics_smoke: {len(samples)} samples across {len(types)} families, exposition OK")
 EOF
