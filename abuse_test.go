@@ -55,8 +55,8 @@ func TestAbuseConstructors(t *testing.T) {
 		}
 	})
 	noPanic(t, "NewDevice/nil store", func() {
-		if _, err := synergy.NewDevice(nil, 0); err == nil {
-			t.Error("NewDevice accepted a nil store")
+		if _, err := synergy.NewDevice(nil); err == nil {
+			t.Error("NewDevice accepted a nil array")
 		}
 	})
 }
@@ -196,7 +196,7 @@ func TestAbuseDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := synergy.NewDevice(arr, 8)
+	dev, err := synergy.NewDevice(arr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,17 +39,20 @@ const LineSize = core.LineSize
 // (default 1; Table III uses 4).
 type Config = core.Config
 
-// Memory is one functional Synergy secure rank on a simulated 9-chip
-// ECC-DIMM: counter-mode encryption, MAC-in-ECC-chip integrity, Bonsai
-// counter tree replay protection, and chipkill-level error correction
-// via the 9-chip parity. Array.Rank exposes it for fault injection,
-// stats and logs.
-type Memory = core.Memory
+// Rank is one 9-chip rank of an Array, as Array.Rank returns it: the
+// fault-injection and inspection handle (InjectTransient(s),
+// InjectPermanent, ClearFault, FlushNodeCache, ErrorLog, KnownBadChip,
+// IsPoisoned, Stats, Module, Layout). Reads and writes go through the
+// Array.
+type Rank = core.Memory
 
-// Array is a multi-rank memory (Table III: 4 ranks of 9 chips); each
-// rank is an independent protection domain, so one chip may fail in
-// every rank simultaneously. It is the concurrent serving surface:
-// accesses to different ranks proceed in parallel.
+// Array is a Synergy secure memory of one or more ranks (Table III: 4
+// ranks of 9 chips): counter-mode encryption, MAC-in-ECC-chip
+// integrity, Bonsai counter tree replay protection, and chipkill-level
+// error correction via the 9-chip parity. Each rank is an independent
+// protection domain, so one chip may fail in every rank simultaneously.
+// It is the only type that serves reads and writes, and the concurrent
+// serving surface: accesses to different ranks proceed in parallel.
 type Array = core.Array
 
 // ReadInfo describes corrections performed during a Read.
@@ -168,26 +171,23 @@ type LineError = core.LineError
 // per-line detail.
 type BatchError = core.BatchError
 
-// Store is the line read/write contract shared by Memory and Array.
-type Store = core.Store
-
-// Device adapts a Memory or Array to io.ReaderAt/io.WriterAt: one
-// Read or Write per line, stopping at the first failing line with the
-// byte count before it.
+// Device adapts an Array to io.ReaderAt/io.WriterAt: one Read or Write
+// per line, stopping at the first failing line with the byte count
+// before it.
 type Device = core.Device
 
-// NewDevice wraps a store exposing `lines` cachelines as a byte-
-// addressable block device.
-func NewDevice(store Store, lines uint64) (*Device, error) {
-	return core.NewDevice(store, lines)
+// NewDevice wraps a as a byte-addressable block device of
+// a.DataLines() cachelines.
+func NewDevice(a *Array) (*Device, error) {
+	return core.NewDevice(a)
 }
 
 // ErrorAssessment classifies corrected-error history (§IV-B DoS
-// analysis); see Memory.ErrorLog().Analyze.
+// analysis); see Rank.ErrorLog().Analyze.
 type ErrorAssessment = core.Assessment
 
 // ChipFault pairs a chip index with a corruption mask for atomic
-// multi-chip injection via Memory.InjectTransients.
+// multi-chip injection via Rank.InjectTransients.
 type ChipFault = core.ChipFault
 
 // Telemetry is the engine's metrics registry: sharded counters,
@@ -212,7 +212,7 @@ type (
 // poisons, scrub passes, repairs) synchronously as they happen; embed
 // TelemetryBaseSink and override the hooks you need. Sinks run under
 // engine locks: return quickly and never call back into the emitting
-// Memory/Array, nor into Telemetry.Snapshot or WritePrometheus.
+// Array or Rank, nor into Telemetry.Snapshot or WritePrometheus.
 type TelemetrySink = telemetry.Sink
 
 // TelemetryBaseSink is the no-op Sink to embed.

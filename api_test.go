@@ -121,6 +121,70 @@ func TestPublicCorrectionAndAttack(t *testing.T) {
 	}
 }
 
+// Restore through the facade: a checkpoint taken with Array.Snapshot
+// boots back byte-identical, a line poisoned before the checkpoint
+// still fails closed, and a damaged or empty store yields no array.
+func TestPublicSnapshotRestore(t *testing.T) {
+	cfg := synergy.Config{DataLines: 64, Ranks: 2}
+	arr, err := synergy.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := func(i uint64) []byte { return bytes.Repeat([]byte{byte(i*5 + 1)}, synergy.LineSize) }
+	for i := uint64(0); i < 64; i++ {
+		if err := arr.Write(i, line(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Global line 9 lives on rank 1 as its line 4; a two-chip fault
+	// poisons it.
+	const victim = 9
+	rank := arr.Rank(1)
+	faults := []synergy.ChipFault{{Chip: 1, Mask: [8]byte{1}}, {Chip: 6, Mask: [8]byte{2}}}
+	if err := rank.InjectTransients(rank.Layout().DataAddr(victim/2), faults); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, synergy.LineSize)
+	if _, err := arr.Read(victim, buf); !synergy.IsFailClosed(err) {
+		t.Fatalf("two-chip read: %v, want fail-closed", err)
+	}
+	store := synergy.NewMemStore()
+	if err := arr.Snapshot(context.Background(), store); err != nil {
+		t.Fatal(err)
+	}
+
+	restored, err := synergy.Restore(cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 64; i++ {
+		_, err := restored.Read(i, buf)
+		if i == victim {
+			if !errors.Is(err, synergy.ErrPoisoned) {
+				t.Fatalf("restored poisoned line: %v, want ErrPoisoned", err)
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(buf, line(i)) {
+			t.Fatalf("restored line %d: err %v, bytes equal %v", i, err, bytes.Equal(buf, line(i)))
+		}
+	}
+
+	img, ok := store.Bytes()
+	if !ok {
+		t.Fatal("store holds no committed snapshot")
+	}
+	img[len(img)/2] ^= 0x01
+	flipped := synergy.NewMemStore()
+	flipped.SetBytes(img)
+	if got, err := synergy.Restore(cfg, flipped); !errors.Is(err, synergy.ErrSnapshotCorrupt) || got != nil {
+		t.Fatalf("one flipped byte: array %v, err %v; want nil, ErrSnapshotCorrupt", got, err)
+	}
+	if got, err := synergy.Restore(cfg, synergy.NewMemStore()); !errors.Is(err, synergy.ErrNoSnapshot) || got != nil {
+		t.Fatalf("empty store: array %v, err %v; want nil, ErrNoSnapshot", got, err)
+	}
+}
+
 func TestPublicReliability(t *testing.T) {
 	secded, err := synergy.SimulateReliability(synergy.PolicySECDED, 50_000)
 	if err != nil {

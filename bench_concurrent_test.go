@@ -13,12 +13,12 @@ import (
 // concurrent clients, in the two regimes the engine scales along:
 //
 //   - single-rank: every client hammers ONE rank with a read-heavy mix
-//     (1 write per 64 operations). Before the shared-lock optimistic
-//     read path this was flat — the rank's exclusive mutex serialized
-//     all readers; now clean cache-hit reads run under RLock and
-//     throughput scales with cores. One goroutine per GOMAXPROCS
-//     worker, so a `-cpu 1,2,4,8` sweep (scripts/bench.sh emits it as
-//     BENCH_concurrency.json) is the cores-vs-throughput curve.
+//     (1 write per 64 operations). Clean cache-hit reads run under the
+//     rank's shared lock, so throughput may scale with cores. One
+//     goroutine per GOMAXPROCS worker, so a `-cpu 1,2,4,8` sweep is the
+//     cores-vs-throughput curve. That curve is unmeasured: no committed
+//     run comes from a host with enough CPUs to show it (README "Cores
+//     vs. throughput").
 //
 //   - multi-rank: goroutine w is pinned to rank w%4 of a 4-rank Array,
 //     so at 4 goroutines each rank's lock is uncontended and the

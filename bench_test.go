@@ -173,13 +173,14 @@ func BenchmarkFigure17(b *testing.B) {
 // the scoreboard engages (worst case) — the latency §IV-A's mitigation
 // addresses.
 func BenchmarkCorrectionLatency(b *testing.B) {
-	mem, err := core.New(core.Config{DataLines: 1024, FaultThreshold: 1 << 30})
+	arr, err := core.NewArray(core.Config{DataLines: 1024, FaultThreshold: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
+	mem := arr.Rank(0)
 	buf := make([]byte, core.LineSize)
 	for i := uint64(0); i < 1024; i++ {
-		if err := mem.Write(i, buf); err != nil {
+		if err := arr.Write(i, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,7 +190,7 @@ func BenchmarkCorrectionLatency(b *testing.B) {
 	before := mem.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mem.Read(uint64(i)%1024, buf); err != nil {
+		if _, err := arr.Read(uint64(i)%1024, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

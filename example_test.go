@@ -66,7 +66,7 @@ func ExampleNewDevice() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dev, err := synergy.NewDevice(mem, 16)
+	dev, err := synergy.NewDevice(mem)
 	if err != nil {
 		log.Fatal(err)
 	}

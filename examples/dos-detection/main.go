@@ -22,13 +22,14 @@ func main() {
 }
 
 func natural() {
-	mem, err := core.New(core.Config{DataLines: 128, FaultThreshold: 1 << 30})
+	arr, err := core.NewArray(core.Config{DataLines: 128, FaultThreshold: 1 << 30})
 	if err != nil {
 		log.Fatal(err)
 	}
+	mem := arr.Rank(0)
 	line := make([]byte, core.LineSize)
 	for i := uint64(0); i < 64; i++ {
-		mem.Write(i, line)
+		arr.Write(i, line)
 	}
 	// Chip 3 fails for good.
 	mem.Module().InjectPermanent(3, 0, mem.Module().Lines()-1, [8]byte{0x18})
@@ -37,7 +38,7 @@ func natural() {
 		if i%8 == 3 {
 			continue
 		}
-		if _, err := mem.Read(i, buf); err != nil {
+		if _, err := arr.Read(i, buf); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -45,13 +46,14 @@ func natural() {
 }
 
 func adversarial() {
-	mem, err := core.New(core.Config{DataLines: 128})
+	arr, err := core.NewArray(core.Config{DataLines: 128})
 	if err != nil {
 		log.Fatal(err)
 	}
+	mem := arr.Rank(0)
 	line := make([]byte, core.LineSize)
 	for i := uint64(0); i < 32; i++ {
-		mem.Write(i, line)
+		arr.Write(i, line)
 	}
 	// The adversary flips bits wherever the bus allows — across chips —
 	// each flip individually correctable, each costing reconstruction
@@ -61,7 +63,7 @@ func adversarial() {
 		target := uint64(k % 32)
 		chip := k % 9
 		mem.Module().InjectTransient(mem.Layout().DataAddr(target), chip, [8]byte{0x80})
-		if _, err := mem.Read(target, buf); err != nil {
+		if _, err := arr.Read(target, buf); err != nil {
 			log.Fatal(err)
 		}
 	}

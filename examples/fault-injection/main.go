@@ -22,17 +22,18 @@ import (
 )
 
 func main() {
-	mem, err := core.New(core.Config{DataLines: 512, FaultThreshold: 3})
+	a, err := core.NewArray(core.Config{DataLines: 512, FaultThreshold: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
+	mem := a.Rank(0)
 	want := make(map[uint64][]byte)
 	for i := uint64(0); i < 512; i++ {
 		line := make([]byte, core.LineSize)
 		for b := range line {
 			line[b] = byte(i) ^ byte(b)
 		}
-		if err := mem.Write(i, line); err != nil {
+		if err := a.Write(i, line); err != nil {
 			log.Fatal(err)
 		}
 		want[i] = line
@@ -41,7 +42,7 @@ func main() {
 
 	check := func(scenario string, line uint64) core.ReadInfo {
 		buf := make([]byte, core.LineSize)
-		info, err := mem.Read(line, buf)
+		info, err := a.Read(line, buf)
 		if err != nil {
 			log.Fatalf("%s: %v", scenario, err)
 		}
@@ -86,7 +87,7 @@ func main() {
 	for pass := 0; pass < 4; pass++ {
 		for _, line := range []uint64{1, 2, 3, 5, 6} {
 			buf := make([]byte, core.LineSize)
-			if _, err := mem.Read(line, buf); err != nil {
+			if _, err := a.Read(line, buf); err != nil {
 				log.Fatalf("permanent fault pass %d line %d: %v", pass, line, err)
 			}
 			if !bytes.Equal(buf, want[line]) {
@@ -96,16 +97,17 @@ func main() {
 	}
 	fmt.Printf("scoreboard condemned chip: %d (injected: 4)\n", mem.KnownBadChip())
 	buf := make([]byte, core.LineSize)
-	ri, _ := mem.Read(1, buf)
+	ri, _ := a.Read(1, buf)
 	fmt.Printf("steady-state read: preemptive=%v (1 MAC computation, like the baseline)\n", ri.Preemptive)
 
 	fmt.Println("\n-- uncorrectable patterns fail closed (attack declared) --")
-	mem2, _ := core.New(core.Config{DataLines: 64})
+	a2, _ := core.NewArray(core.Config{DataLines: 64})
+	mem2 := a2.Rank(0)
 	line := make([]byte, core.LineSize)
-	mem2.Write(5, line)
+	a2.Write(5, line)
 	mem2.Module().InjectTransient(mem2.Layout().DataAddr(5), 1, [8]byte{1})
 	mem2.Module().InjectTransient(mem2.Layout().DataAddr(5), 6, [8]byte{2})
-	if _, err := mem2.Read(5, buf); errors.Is(err, core.ErrAttack) {
+	if _, err := a2.Read(5, buf); errors.Is(err, core.ErrAttack) {
 		fmt.Println("two-chip corruption -> ErrAttack (no silent data corruption)")
 	} else {
 		log.Fatalf("expected ErrAttack, got %v", err)
@@ -114,35 +116,34 @@ func main() {
 	fmt.Println("\n-- poison lifecycle: fast-fail, then heal by write --")
 	// The attacked line is now poisoned: re-reads fail fast with
 	// ErrPoisoned instead of re-running the 16-attempt reconstruction.
-	if _, err := mem2.Read(5, buf); !errors.Is(err, core.ErrPoisoned) {
+	if _, err := a2.Read(5, buf); !errors.Is(err, core.ErrPoisoned) {
 		log.Fatalf("expected ErrPoisoned on re-read, got %v", err)
 	}
-	fmt.Printf("re-read -> ErrPoisoned (fast-fail), poisoned lines: %v\n", mem2.Poisoned())
+	fmt.Printf("re-read -> ErrPoisoned (fast-fail), poisoned lines: %v\n", a2.Poisoned())
 	// A write regenerates ciphertext, MAC and parity: the line is clean.
-	if err := mem2.Write(5, line); err != nil {
+	if err := a2.Write(5, line); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := mem2.Read(5, buf); err != nil {
+	if _, err := a2.Read(5, buf); err != nil {
 		log.Fatalf("healed line still failing: %v", err)
 	}
-	fmt.Printf("write re-seals the line, poisoned lines: %v\n", mem2.Poisoned())
+	fmt.Printf("write re-seals the line, poisoned lines: %v\n", a2.Poisoned())
 
 	fmt.Println("\n-- patrol scrub: logs and continues past uncorrectables --")
 	// One correctable fault on line 7, one uncorrectable on line 9.
 	mem2.Module().InjectTransient(mem2.Layout().DataAddr(7), 3, [8]byte{0x70})
 	mem2.Module().InjectTransient(mem2.Layout().DataAddr(9), 0, [8]byte{3})
 	mem2.Module().InjectTransient(mem2.Layout().DataAddr(9), 5, [8]byte{4})
-	rep, err := mem2.Scrub(context.Background())
+	rep, err := a2.Scrub(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("scrub report: scanned=%d corrected=%d poisoned=%v\n",
 		rep.Scanned, rep.Corrected, rep.Poisoned)
-	mem2.Write(9, line) // heal the poisoned line for the scrubber demo
+	a2.Write(9, line) // heal the poisoned line for the scrubber demo
 
 	// The background scrubber runs the same pass on a tick, resuming
-	// interrupted passes from per-rank cursors. (Array wraps one or
-	// more ranks; a single Memory is wrapped the same way here.)
+	// interrupted passes from per-rank cursors, here over two ranks.
 	arr, err := core.NewArray(core.Config{DataLines: 256, Ranks: 2})
 	if err != nil {
 		log.Fatal(err)
@@ -161,10 +162,10 @@ func main() {
 	// clear its faults, re-verify every line (MAC-checked — a blind
 	// parity rebuild would corrupt lines with a second fault), rebuild
 	// the parity region, reset the scoreboard.
-	if err := mem.RepairChip(4); err != nil {
+	if err := a.RepairChip(0, 4); err != nil {
 		log.Fatal(err)
 	}
-	ri, _ = mem.Read(1, buf)
+	ri, _ = a.Read(1, buf)
 	fmt.Printf("after RepairChip: knownBad=%d preemptive=%v corrected=%v\n",
 		mem.KnownBadChip(), ri.Preemptive, ri.Corrected)
 

@@ -45,14 +45,15 @@ func main() {
 	fmt.Println("\n-- The same guarantee, end to end on the functional engine --")
 	// Kill one entire chip out of 9 and verify every line survives: the
 	// property the Monte Carlo assumes Synergy provides.
-	mem, err := core.New(core.Config{DataLines: 256})
+	arr, err := core.NewArray(core.Config{DataLines: 256})
 	if err != nil {
 		log.Fatal(err)
 	}
+	mem := arr.Rank(0)
 	want := make([][]byte, 256)
 	for i := range want {
 		want[i] = bytes.Repeat([]byte{byte(i)}, core.LineSize)
-		if err := mem.Write(uint64(i), want[i]); err != nil {
+		if err := arr.Write(uint64(i), want[i]); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -62,7 +63,7 @@ func main() {
 	buf := make([]byte, core.LineSize)
 	corrected := 0
 	for i := range want {
-		info, err := mem.Read(uint64(i), buf)
+		info, err := arr.Read(uint64(i), buf)
 		if err != nil {
 			log.Fatalf("line %d unrecoverable: %v", i, err)
 		}

@@ -31,14 +31,15 @@ func TestFunctionalEngineMatchesReliabilityModelSingleChip(t *testing.T) {
 			{"bank-like", 0, 127},
 			{"whole-chip", 0, ^uint64(0)},
 		} {
-			mem, err := core.New(core.Config{DataLines: lines, FaultThreshold: 3})
+			arr, err := core.NewArray(core.Config{DataLines: lines, FaultThreshold: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
+			mem := arr.Rank(0)
 			want := make([][]byte, lines)
 			for i := range want {
 				want[i] = bytes.Repeat([]byte{byte(i), byte(chip)}, core.LineSize/2)
-				if err := mem.Write(uint64(i), want[i]); err != nil {
+				if err := arr.Write(uint64(i), want[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -51,7 +52,7 @@ func TestFunctionalEngineMatchesReliabilityModelSingleChip(t *testing.T) {
 			}
 			buf := make([]byte, core.LineSize)
 			for i := 0; i < lines; i++ {
-				if _, err := mem.Read(uint64(i), buf); err != nil {
+				if _, err := arr.Read(uint64(i), buf); err != nil {
 					t.Fatalf("chip %d %s: line %d unrecoverable: %v", chip, shape.name, i, err)
 				}
 				if !bytes.Equal(buf, want[i]) {
@@ -65,21 +66,22 @@ func TestFunctionalEngineMatchesReliabilityModelSingleChip(t *testing.T) {
 // Two faulty chips in the rank must be *detected* (attack, fail-closed)
 // on any line where both footprints intersect — never silently wrong.
 func TestFunctionalEngineFailsClosedOnTwoChips(t *testing.T) {
-	mem, err := core.New(core.Config{DataLines: 64})
+	arr, err := core.NewArray(core.Config{DataLines: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mem := arr.Rank(0)
 	want := make([][]byte, 64)
 	for i := range want {
 		want[i] = bytes.Repeat([]byte{byte(i)}, core.LineSize)
-		mem.Write(uint64(i), want[i])
+		arr.Write(uint64(i), want[i])
 	}
 	end := mem.Module().Lines() - 1
 	mem.Module().InjectPermanent(1, 0, end, [8]byte{0x0F})
 	mem.Module().InjectPermanent(5, 0, end, [8]byte{0xF0})
 	buf := make([]byte, core.LineSize)
 	for i := uint64(0); i < 64; i++ {
-		_, err := mem.Read(i, buf)
+		_, err := arr.Read(i, buf)
 		if err == nil {
 			// The engine may only succeed if the data is right.
 			if !bytes.Equal(buf, want[i]) {
@@ -105,10 +107,11 @@ func TestSynergyMACColocationConsistency(t *testing.T) {
 	// Functional side: a data line's module footprint is exactly one
 	// line (data+MAC together); verifying needs no second line beyond
 	// the counter path.
-	mem, err := core.New(core.Config{DataLines: 64})
+	arr, err := core.NewArray(core.Config{DataLines: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mem := arr.Rank(0)
 	lay := mem.Layout()
 	ctr, par, _ := lay.StorageOverheads()
 	if ctr != 0.125 || par != 0.125 {
@@ -142,10 +145,11 @@ func TestSynergyMACColocationConsistency(t *testing.T) {
 // transient faults (single chip at a time per line) and scrubs must
 // never produce wrong data or an unwarranted attack.
 func TestEndToEndSoakWithScrubbing(t *testing.T) {
-	mem, err := core.New(core.Config{DataLines: 96})
+	arr, err := core.NewArray(core.Config{DataLines: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mem := arr.Rank(0)
 	rng := rand.New(rand.NewSource(2024))
 	shadow := map[uint64][]byte{}
 	faulted := map[uint64]int{}
@@ -156,13 +160,13 @@ func TestEndToEndSoakWithScrubbing(t *testing.T) {
 		case 0, 1:
 			p := make([]byte, core.LineSize)
 			rng.Read(p)
-			if err := mem.Write(line, p); err != nil {
+			if err := arr.Write(line, p); err != nil {
 				t.Fatalf("op %d write: %v", op, err)
 			}
 			shadow[line] = p
 			delete(faulted, line)
 		case 2, 3:
-			if _, err := mem.Read(line, buf); err != nil {
+			if _, err := arr.Read(line, buf); err != nil {
 				t.Fatalf("op %d read(%d): %v", op, line, err)
 			}
 			want := shadow[line]
@@ -186,7 +190,7 @@ func TestEndToEndSoakWithScrubbing(t *testing.T) {
 			faulted[line] = chip
 		}
 		if op%1000 == 999 {
-			if _, err := mem.Scrub(context.Background()); err != nil {
+			if _, err := arr.Scrub(context.Background()); err != nil {
 				t.Fatalf("op %d scrub: %v", op, err)
 			}
 			faulted = map[uint64]int{}
@@ -199,14 +203,15 @@ func TestEndToEndSoakWithScrubbing(t *testing.T) {
 // are a real corner of the address map.
 func TestOddSizedMemory(t *testing.T) {
 	for _, n := range []uint64{1, 3, 7, 9, 13, 65} {
-		mem, err := core.New(core.Config{DataLines: n})
+		arr, err := core.NewArray(core.Config{DataLines: n})
 		if err != nil {
 			t.Fatalf("DataLines=%d: %v", n, err)
 		}
+		mem := arr.Rank(0)
 		want := make([][]byte, n)
 		for i := uint64(0); i < n; i++ {
 			want[i] = bytes.Repeat([]byte{byte(i + 1)}, core.LineSize)
-			if err := mem.Write(i, want[i]); err != nil {
+			if err := arr.Write(i, want[i]); err != nil {
 				t.Fatalf("n=%d write(%d): %v", n, i, err)
 			}
 		}
@@ -216,7 +221,7 @@ func TestOddSizedMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := make([]byte, core.LineSize)
-		info, err := mem.Read(last, buf)
+		info, err := arr.Read(last, buf)
 		if err != nil {
 			t.Fatalf("n=%d read(last): %v", n, err)
 		}

@@ -67,23 +67,26 @@ type Scenario struct {
 	Run func(env *Env) (Outcome, error)
 }
 
-// Env gives scenarios a populated victim memory and helpers.
+// Env gives scenarios a populated one-rank victim memory and helpers.
 type Env struct {
-	Mem    *core.Memory
-	Target uint64 // victim data line
-	Want   []byte // its current plaintext
+	Arr    *core.Array // serves the victim's reads and writes
+	Target uint64      // victim data line
+	Want   []byte      // its current plaintext
 }
+
+// rank is the victim's only rank: the attacker's view of off-chip state.
+func (e *Env) rank() *core.Memory { return e.Arr.Rank(0) }
 
 // newEnv builds a fresh, populated victim.
 func newEnv() (*Env, error) {
-	mem, err := core.New(core.Config{DataLines: 128})
+	arr, err := core.NewArray(core.Config{DataLines: 128})
 	if err != nil {
 		return nil, err
 	}
-	env := &Env{Mem: mem, Target: 37}
+	env := &Env{Arr: arr, Target: 37}
 	for i := uint64(0); i < 128; i++ {
 		line := bytes.Repeat([]byte{byte(i*3 + 1)}, core.LineSize)
-		if err := mem.Write(i, line); err != nil {
+		if err := arr.Write(i, line); err != nil {
 			return nil, err
 		}
 		if i == env.Target {
@@ -93,14 +96,14 @@ func newEnv() (*Env, error) {
 	// Attacks tamper with off-chip state; the on-chip metadata cache
 	// legitimately survives an attack, but for classification we want
 	// every scenario to traverse memory.
-	mem.FlushNodeCache()
+	env.rank().FlushNodeCache()
 	return env, nil
 }
 
 // classifyRead reads the target and classifies against Want.
 func (e *Env) classifyRead() (Outcome, error) {
 	buf := make([]byte, core.LineSize)
-	info, err := e.Mem.Read(e.Target, buf)
+	info, err := e.Arr.Read(e.Target, buf)
 	switch {
 	case errors.Is(err, core.ErrAttack):
 		return Detected, nil
@@ -122,8 +125,8 @@ func Scenarios() []Scenario {
 			Name:   "single-chip ciphertext tamper (Rowhammer-style)",
 			Expect: []Outcome{Corrected},
 			Run: func(e *Env) (Outcome, error) {
-				addr := e.Mem.Layout().DataAddr(e.Target)
-				if err := e.Mem.Module().InjectTransient(addr, 2, [8]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+				addr := e.rank().Layout().DataAddr(e.Target)
+				if err := e.rank().Module().InjectTransient(addr, 2, [8]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
 					return Silent, err
 				}
 				return e.classifyRead()
@@ -133,8 +136,8 @@ func Scenarios() []Scenario {
 			Name:   "MAC-chip tamper",
 			Expect: []Outcome{Corrected},
 			Run: func(e *Env) (Outcome, error) {
-				addr := e.Mem.Layout().DataAddr(e.Target)
-				if err := e.Mem.Module().InjectTransient(addr, dimm.ECCChip, [8]byte{0xA5, 0x5A, 0xA5, 0x5A, 0xA5, 0x5A, 0xA5, 0x5A}); err != nil {
+				addr := e.rank().Layout().DataAddr(e.Target)
+				if err := e.rank().Module().InjectTransient(addr, dimm.ECCChip, [8]byte{0xA5, 0x5A, 0xA5, 0x5A, 0xA5, 0x5A, 0xA5, 0x5A}); err != nil {
 					return Silent, err
 				}
 				return e.classifyRead()
@@ -144,9 +147,9 @@ func Scenarios() []Scenario {
 			Name:   "cross-chip ciphertext tamper",
 			Expect: []Outcome{Detected},
 			Run: func(e *Env) (Outcome, error) {
-				addr := e.Mem.Layout().DataAddr(e.Target)
-				e.Mem.Module().InjectTransient(addr, 0, [8]byte{1})
-				e.Mem.Module().InjectTransient(addr, 7, [8]byte{1})
+				addr := e.rank().Layout().DataAddr(e.Target)
+				e.rank().Module().InjectTransient(addr, 0, [8]byte{1})
+				e.rank().Module().InjectTransient(addr, 7, [8]byte{1})
 				return e.classifyRead()
 			},
 		},
@@ -154,19 +157,19 @@ func Scenarios() []Scenario {
 			Name:   "replay stale {data, MAC} tuple",
 			Expect: []Outcome{Detected},
 			Run: func(e *Env) (Outcome, error) {
-				lay := e.Mem.Layout()
-				old, err := e.Mem.Module().ReadLine(lay.DataAddr(e.Target))
+				lay := e.rank().Layout()
+				old, err := e.rank().Module().ReadLine(lay.DataAddr(e.Target))
 				if err != nil {
 					return Silent, err
 				}
 				// Victim writes fresh data; attacker replays the old tuple.
 				fresh := bytes.Repeat([]byte{0xEE}, core.LineSize)
-				if err := e.Mem.Write(e.Target, fresh); err != nil {
+				if err := e.Arr.Write(e.Target, fresh); err != nil {
 					return Silent, err
 				}
 				e.Want = fresh
-				e.Mem.FlushNodeCache()
-				if err := e.Mem.Module().WriteLine(lay.DataAddr(e.Target), old.Data[:], old.ECC[:]); err != nil {
+				e.rank().FlushNodeCache()
+				if err := e.rank().Module().WriteLine(lay.DataAddr(e.Target), old.Data[:], old.ECC[:]); err != nil {
 					return Silent, err
 				}
 				return e.classifyRead()
@@ -176,18 +179,18 @@ func Scenarios() []Scenario {
 			Name:   "replay full {data, MAC, counter-line} tuple",
 			Expect: []Outcome{Detected},
 			Run: func(e *Env) (Outcome, error) {
-				lay := e.Mem.Layout()
+				lay := e.rank().Layout()
 				ctrAddr, _ := lay.CounterAddr(e.Target)
-				oldData, _ := e.Mem.Module().ReadLine(lay.DataAddr(e.Target))
-				oldCtr, _ := e.Mem.Module().ReadLine(ctrAddr)
+				oldData, _ := e.rank().Module().ReadLine(lay.DataAddr(e.Target))
+				oldCtr, _ := e.rank().Module().ReadLine(ctrAddr)
 				fresh := bytes.Repeat([]byte{0xDD}, core.LineSize)
-				if err := e.Mem.Write(e.Target, fresh); err != nil {
+				if err := e.Arr.Write(e.Target, fresh); err != nil {
 					return Silent, err
 				}
 				e.Want = fresh
-				e.Mem.FlushNodeCache()
-				e.Mem.Module().WriteLine(lay.DataAddr(e.Target), oldData.Data[:], oldData.ECC[:])
-				e.Mem.Module().WriteLine(ctrAddr, oldCtr.Data[:], oldCtr.ECC[:])
+				e.rank().FlushNodeCache()
+				e.rank().Module().WriteLine(lay.DataAddr(e.Target), oldData.Data[:], oldData.ECC[:])
+				e.rank().Module().WriteLine(ctrAddr, oldCtr.Data[:], oldCtr.ECC[:])
 				return e.classifyRead()
 			},
 		},
@@ -195,14 +198,14 @@ func Scenarios() []Scenario {
 			Name:   "splice: relocate another line's {data, MAC}",
 			Expect: []Outcome{Detected},
 			Run: func(e *Env) (Outcome, error) {
-				lay := e.Mem.Layout()
+				lay := e.rank().Layout()
 				// Copy line 90's tuple over the target (MACs are bound
 				// to the address, so this must fail verification).
-				donor, err := e.Mem.Module().ReadLine(lay.DataAddr(90))
+				donor, err := e.rank().Module().ReadLine(lay.DataAddr(90))
 				if err != nil {
 					return Silent, err
 				}
-				if err := e.Mem.Module().WriteLine(lay.DataAddr(e.Target), donor.Data[:], donor.ECC[:]); err != nil {
+				if err := e.rank().Module().WriteLine(lay.DataAddr(e.Target), donor.Data[:], donor.ECC[:]); err != nil {
 					return Silent, err
 				}
 				return e.classifyRead()
@@ -212,24 +215,24 @@ func Scenarios() []Scenario {
 			Name:   "tree-node rollback",
 			Expect: []Outcome{Detected},
 			Run: func(e *Env) (Outcome, error) {
-				lay := e.Mem.Layout()
+				lay := e.rank().Layout()
 				if len(lay.TreeBase) == 0 {
 					return Detected, nil // degenerate memory: nothing to roll back
 				}
 				treeAddr := lay.TreeAddr(0, 0)
-				old, err := e.Mem.Module().ReadLine(treeAddr)
+				old, err := e.rank().Module().ReadLine(treeAddr)
 				if err != nil {
 					return Silent, err
 				}
 				// Advance the tree (writes bump the whole path), then
 				// roll the node back.
 				fresh := bytes.Repeat([]byte{0x66}, core.LineSize)
-				if err := e.Mem.Write(e.Target, fresh); err != nil {
+				if err := e.Arr.Write(e.Target, fresh); err != nil {
 					return Silent, err
 				}
 				e.Want = fresh
-				e.Mem.FlushNodeCache()
-				if err := e.Mem.Module().WriteLine(treeAddr, old.Data[:], old.ECC[:]); err != nil {
+				e.rank().FlushNodeCache()
+				if err := e.rank().Module().WriteLine(treeAddr, old.Data[:], old.ECC[:]); err != nil {
 					return Silent, err
 				}
 				return e.classifyRead()
@@ -239,8 +242,8 @@ func Scenarios() []Scenario {
 			Name:   "parity tamper on an error-free line (§IV-B)",
 			Expect: []Outcome{Harmless},
 			Run: func(e *Env) (Outcome, error) {
-				pAddr, slot := e.Mem.Layout().ParityAddr(e.Target)
-				if err := e.Mem.Module().InjectTransient(pAddr, slot, [8]byte{0xDE, 0xAD}); err != nil {
+				pAddr, slot := e.rank().Layout().ParityAddr(e.Target)
+				if err := e.rank().Module().InjectTransient(pAddr, slot, [8]byte{0xDE, 0xAD}); err != nil {
 					return Silent, err
 				}
 				return e.classifyRead()
@@ -254,12 +257,12 @@ func Scenarios() []Scenario {
 				// the parity: correction must still fail — accepting a
 				// forged-parity reconstruction would require a MAC
 				// collision (§IV-B, probability ~2^-64).
-				lay := e.Mem.Layout()
+				lay := e.rank().Layout()
 				addr := lay.DataAddr(e.Target)
-				e.Mem.Module().InjectTransient(addr, 1, [8]byte{0x42})
-				e.Mem.Module().InjectTransient(addr, 6, [8]byte{0x24})
+				e.rank().Module().InjectTransient(addr, 1, [8]byte{0x42})
+				e.rank().Module().InjectTransient(addr, 6, [8]byte{0x24})
 				pAddr, slot := lay.ParityAddr(e.Target)
-				e.Mem.Module().InjectTransient(pAddr, slot, [8]byte{0x99, 0x99})
+				e.rank().Module().InjectTransient(pAddr, slot, [8]byte{0x99, 0x99})
 				return e.classifyRead()
 			},
 		},
@@ -267,8 +270,8 @@ func Scenarios() []Scenario {
 			Name:   "counter-line tamper (single chip)",
 			Expect: []Outcome{Corrected},
 			Run: func(e *Env) (Outcome, error) {
-				ctrAddr, slot := e.Mem.Layout().CounterAddr(e.Target)
-				if err := e.Mem.Module().InjectTransient(ctrAddr, slot, [8]byte{0x13, 0x37}); err != nil {
+				ctrAddr, slot := e.rank().Layout().CounterAddr(e.Target)
+				if err := e.rank().Module().InjectTransient(ctrAddr, slot, [8]byte{0x13, 0x37}); err != nil {
 					return Silent, err
 				}
 				return e.classifyRead()
@@ -278,10 +281,10 @@ func Scenarios() []Scenario {
 			Name:   "counter-line tamper (multi chip)",
 			Expect: []Outcome{Detected},
 			Run: func(e *Env) (Outcome, error) {
-				ctrAddr, _ := e.Mem.Layout().CounterAddr(e.Target)
-				e.Mem.Module().InjectTransient(ctrAddr, 0, [8]byte{0x01})
-				e.Mem.Module().InjectTransient(ctrAddr, 3, [8]byte{0x02})
-				e.Mem.Module().InjectTransient(ctrAddr, 6, [8]byte{0x04})
+				ctrAddr, _ := e.rank().Layout().CounterAddr(e.Target)
+				e.rank().Module().InjectTransient(ctrAddr, 0, [8]byte{0x01})
+				e.rank().Module().InjectTransient(ctrAddr, 3, [8]byte{0x02})
+				e.rank().Module().InjectTransient(ctrAddr, 6, [8]byte{0x04})
 				return e.classifyRead()
 			},
 		},

@@ -69,14 +69,15 @@ func TestOutcomeString(t *testing.T) {
 func TestRandomTamperNeverSilent(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 30; trial++ {
-		mem, err := core.New(core.Config{DataLines: 64})
+		arr, err := core.NewArray(core.Config{DataLines: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
+		mem := arr.Rank(0)
 		want := make([][]byte, 64)
 		for i := range want {
 			want[i] = bytes.Repeat([]byte{byte(i + trial)}, core.LineSize)
-			mem.Write(uint64(i), want[i])
+			arr.Write(uint64(i), want[i])
 		}
 		mem.FlushNodeCache()
 		// Tamper 1-4 random chips across random lines anywhere in the
@@ -94,7 +95,7 @@ func TestRandomTamperNeverSilent(t *testing.T) {
 		}
 		buf := make([]byte, core.LineSize)
 		for i := uint64(0); i < 64; i++ {
-			_, err := mem.Read(i, buf)
+			_, err := arr.Read(i, buf)
 			if err != nil {
 				continue // fail-closed is acceptable
 			}

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -99,7 +99,9 @@ func (a *Array) Ranks() int { return len(a.ranks) }
 // DataLines returns the total capacity in cachelines.
 func (a *Array) DataLines() uint64 { return a.dataLines }
 
-// Rank exposes one rank's Memory (fault injection, stats, logs). It
+// Rank returns rank i's fault-injection and inspection handle (Inject*,
+// ClearFault, FlushNodeCache, ErrorLog, KnownBadChip, IsPoisoned,
+// Stats, Module, Layout); reads and writes go through the Array. It
 // returns nil when i is not in [0, Ranks()) — no public entry point
 // panics on hostile indices.
 func (a *Array) Rank(i int) *Memory {
@@ -138,7 +140,7 @@ func (a *Array) ReadTraced(i uint64, dst []byte, sp *telemetry.Span) (ReadInfo, 
 		return ReadInfo{}, err
 	}
 	sp.Locate(m.telRank, i)
-	return m.ReadTraced(inner, dst, sp)
+	return m.readTraced(inner, dst, sp)
 }
 
 // WriteTraced is Write carrying a trace span (see ReadTraced).
@@ -148,15 +150,17 @@ func (a *Array) WriteTraced(i uint64, plain []byte, sp *telemetry.Span) error {
 		return err
 	}
 	sp.Locate(m.telRank, i)
-	return m.WriteTraced(inner, plain, sp)
+	return m.writeTraced(inner, plain, sp)
 }
 
 // ReadBatch decrypts lines[k] into dst[k*LineSize:(k+1)*LineSize] for
-// every k, each line one Read, in caller order (see readLines).
-// Duplicate lines are allowed. A malformed batch is rejected whole;
-// otherwise per-line failures collect into a *BatchError carrying the
+// every k, each line one Read, in caller order, so each line takes
+// exactly the path a single read would. Duplicate lines are allowed. A
+// malformed batch is rejected whole; otherwise every line is attempted
+// and per-line failures collect into a *BatchError carrying the
 // caller's batch indices and global line addresses (errors.Is still
-// matches the wrapped sentinels), and dst and infos are valid for every
+// matches the wrapped sentinels), so a degraded-mode caller can skip or
+// retry exactly the failed indices; dst and infos are valid for every
 // index not listed in it.
 func (a *Array) ReadBatch(lines []uint64, dst []byte) ([]ReadInfo, error) {
 	infos := make([]ReadInfo, len(lines))
@@ -171,7 +175,15 @@ func (a *Array) ReadBatchInto(lines []uint64, dst []byte, infos []ReadInfo) erro
 	if err := checkBatch(lines, dst, len(infos), a.dataLines); err != nil {
 		return err
 	}
-	return readLines(a, lines, dst, infos)
+	var be *BatchError
+	for k, line := range lines {
+		info, err := a.Read(line, dst[k*LineSize:(k+1)*LineSize])
+		infos[k] = info
+		if err != nil {
+			be = be.add(k, line, err)
+		}
+	}
+	return be.orNil()
 }
 
 // WriteBatch stores src[k*LineSize:(k+1)*LineSize] at lines[k] for
@@ -184,7 +196,13 @@ func (a *Array) WriteBatch(lines []uint64, src []byte) error {
 	if err := checkBatch(lines, src, len(lines), a.dataLines); err != nil {
 		return err
 	}
-	return writeLines(a, lines, src)
+	var be *BatchError
+	for k, line := range lines {
+		if err := a.Write(line, src[k*LineSize:(k+1)*LineSize]); err != nil {
+			be = be.add(k, line, err)
+		}
+	}
+	return be.orNil()
 }
 
 // globalLine maps a rank-local data line back to its global address
@@ -217,7 +235,7 @@ func (a *Array) Scrub(ctx context.Context) (ScrubReport, error) {
 		go func(r int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rep, serr := a.ranks[r].Scrub(ctx)
+			rep, _, serr := a.ranks[r].scrubFrom(ctx, 0)
 			for k, inner := range rep.Poisoned {
 				rep.Poisoned[k] = a.globalLine(r, inner)
 			}
@@ -232,7 +250,7 @@ func (a *Array) Scrub(ctx context.Context) (ScrubReport, error) {
 	for _, rep := range reps {
 		total.merge(rep)
 	}
-	sort.Slice(total.Poisoned, func(i, j int) bool { return total.Poisoned[i] < total.Poisoned[j] })
+	slices.Sort(total.Poisoned)
 	return total, errors.Join(errs...)
 }
 
@@ -241,11 +259,13 @@ func (a *Array) Scrub(ctx context.Context) (ScrubReport, error) {
 func (a *Array) Poisoned() []uint64 {
 	var out []uint64
 	for r, m := range a.ranks {
-		for _, inner := range m.Poisoned() {
+		m.mu.RLock()
+		for inner := range m.poisoned {
 			out = append(out, a.globalLine(r, inner))
 		}
+		m.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -264,7 +284,7 @@ func (a *Array) Flush(ctx context.Context) error {
 			errs = append(errs, err)
 			break
 		}
-		if err := m.Flush(); err != nil {
+		if err := m.flush(); err != nil {
 			errs = append(errs, fmt.Errorf("core: rank %d: %w", r, err))
 		}
 	}
@@ -275,12 +295,16 @@ func (a *Array) Flush(ctx context.Context) error {
 // at shutdown.
 func (a *Array) Sync() error { return a.Flush(context.Background()) }
 
-// RepairChip repairs chip on the given rank (see Memory.RepairChip).
+// RepairChip models replacing chip on the given rank: the chip's
+// faults are cleared, its slice of every line is rebuilt from parity
+// under MAC verification, the rank's parity region is recomputed, and
+// its scoreboard resets; lines the repair fixed are healed, and any
+// still uncorrectable stay poisoned.
 func (a *Array) RepairChip(rank, chip int) error {
 	if rank < 0 || rank >= len(a.ranks) {
 		return fmt.Errorf("core: rank %d out of range [0,%d)", rank, len(a.ranks))
 	}
-	if err := a.ranks[rank].RepairChip(chip); err != nil {
+	if err := a.ranks[rank].repairChip(chip); err != nil {
 		return fmt.Errorf("core: rank %d: %w", rank, err)
 	}
 	return nil
@@ -318,13 +342,6 @@ func (a *Array) Stats() Stats {
 	return total
 }
 
-// Store is the read/write contract shared by Memory and Array; the
-// block-device adapter accepts either.
-type Store interface {
-	Read(line uint64, dst []byte) (ReadInfo, error)
-	Write(line uint64, plain []byte) error
-}
-
 // checkBatch rejects a malformed batch whole, before any line runs: buf
 // must hold LineSize bytes per line, infos (the ReadInfo slots the
 // caller supplied; writes pass len(lines)) must match the line count,
@@ -343,33 +360,4 @@ func checkBatch(lines []uint64, buf []byte, infos int, capacity uint64) error {
 		}
 	}
 	return nil
-}
-
-// readLines serves a checked batch as one s.Read per line, in caller
-// order, so each line takes exactly the path a single read would. Every
-// line is attempted; failures collect into one *BatchError instead of
-// aborting the batch, so a degraded-mode caller can skip or retry
-// exactly the poisoned indices.
-func readLines(s Store, lines []uint64, dst []byte, infos []ReadInfo) error {
-	var be *BatchError
-	for k, line := range lines {
-		info, err := s.Read(line, dst[k*LineSize:(k+1)*LineSize])
-		infos[k] = info
-		if err != nil {
-			be = be.add(k, line, err)
-		}
-	}
-	return be.orNil()
-}
-
-// writeLines is readLines for writes: one s.Write per line, in caller
-// order, every line attempted.
-func writeLines(s Store, lines []uint64, src []byte) error {
-	var be *BatchError
-	for k, line := range lines {
-		if err := s.Write(line, src[k*LineSize:(k+1)*LineSize]); err != nil {
-			be = be.add(k, line, err)
-		}
-	}
-	return be.orNil()
 }

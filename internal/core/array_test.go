@@ -143,18 +143,14 @@ func TestArrayScrub(t *testing.T) {
 // --- block device ---
 
 func TestDeviceValidation(t *testing.T) {
-	if _, err := NewDevice(nil, 4); err == nil {
-		t.Fatal("accepted nil store")
-	}
-	m := newMemory(t, 8)
-	if _, err := NewDevice(m, 0); err == nil {
-		t.Fatal("accepted zero capacity")
+	if _, err := NewDevice(nil); err == nil {
+		t.Fatal("accepted nil array")
 	}
 }
 
 func TestDeviceAlignedRoundTrip(t *testing.T) {
-	m := newMemory(t, 16)
-	d, err := NewDevice(m, 16)
+	a, _ := newMemory(t, 16)
+	d, err := NewDevice(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +171,8 @@ func TestDeviceAlignedRoundTrip(t *testing.T) {
 }
 
 func TestDeviceUnalignedRMW(t *testing.T) {
-	m := newMemory(t, 16)
-	d, _ := NewDevice(m, 16)
+	a, _ := newMemory(t, 16)
+	d, _ := NewDevice(a)
 	base := bytes.Repeat([]byte{0x11}, 3*LineSize)
 	d.WriteAt(base, 0)
 	// Overwrite a span that starts and ends mid-line.
@@ -200,8 +196,8 @@ func TestDeviceUnalignedRMW(t *testing.T) {
 }
 
 func TestDeviceEOFAndBounds(t *testing.T) {
-	m := newMemory(t, 4)
-	d, _ := NewDevice(m, 4)
+	a, _ := newMemory(t, 4)
+	d, _ := NewDevice(a)
 	buf := make([]byte, 100)
 	n, err := d.ReadAt(buf, d.Size()-50)
 	if err != io.EOF || n != 50 {
@@ -216,8 +212,8 @@ func TestDeviceEOFAndBounds(t *testing.T) {
 }
 
 func TestDeviceSurfacesAttack(t *testing.T) {
-	m := newMemory(t, 8)
-	d, _ := NewDevice(m, 8)
+	a, m := newMemory(t, 8)
+	d, _ := NewDevice(a)
 	d.WriteAt(bytes.Repeat([]byte{1}, LineSize), 0)
 	addr := m.Layout().DataAddr(0)
 	m.Module().InjectTransient(addr, 0, [8]byte{1})
@@ -230,7 +226,7 @@ func TestDeviceSurfacesAttack(t *testing.T) {
 
 func TestDeviceOverArray(t *testing.T) {
 	a := newArray(t, 64, 4)
-	d, err := NewDevice(a, a.DataLines())
+	d, err := NewDevice(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +254,7 @@ func TestDeviceShortCountOnFailure(t *testing.T) {
 	old := func(line int) []byte { return fillLine(byte(line)) }
 	setup := func(t *testing.T) (*Array, *Device) {
 		a := newArray(t, lines, 4)
-		d, err := NewDevice(a, a.DataLines())
+		d, err := NewDevice(a)
 		if err != nil {
 			t.Fatal(err)
 		}

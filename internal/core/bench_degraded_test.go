@@ -15,16 +15,16 @@ func BenchmarkDegradedRead(b *testing.B) {
 
 	// Baseline: the same loop shape with no fault, for comparison.
 	b.Run("clean", func(b *testing.B) {
-		m := newMemory(b, 1024)
-		if err := m.Write(42, line); err != nil {
+		a, _ := newMemory(b, 1024)
+		if err := a.Write(42, line); err != nil {
 			b.Fatal(err)
 		}
-		m.Read(42, buf)
+		a.Read(42, buf)
 		b.SetBytes(LineSize)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.Read(42, buf); err != nil {
+			if _, err := a.Read(42, buf); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -36,15 +36,16 @@ func BenchmarkDegradedRead(b *testing.B) {
 	// MAC walks). FaultThreshold is parked high so the scoreboard never
 	// condemns the rotating chip.
 	b.Run("transient-reconstruct", func(b *testing.B) {
-		m, err := New(Config{DataLines: 1024, FaultThreshold: 1 << 30})
+		a, err := NewArray(Config{DataLines: 1024, FaultThreshold: 1 << 30})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := m.Write(42, line); err != nil {
+		m := a.ranks[0]
+		if err := a.Write(42, line); err != nil {
 			b.Fatal(err)
 		}
 		addr := m.Layout().DataAddr(42)
-		m.Read(42, buf)
+		a.Read(42, buf)
 		b.SetBytes(LineSize)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -52,7 +53,7 @@ func BenchmarkDegradedRead(b *testing.B) {
 			if err := m.InjectTransient(addr, i%8, [8]byte{0x80}); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := m.Read(42, buf); err != nil {
+			if _, err := a.Read(42, buf); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -63,15 +64,15 @@ func BenchmarkDegradedRead(b *testing.B) {
 	// fault onset and chip replacement — served under the shared lock,
 	// one MAC per read and no store-back.
 	b.Run("permanent-preemptive", func(b *testing.B) {
-		m := newMemory(b, 1024)
-		if err := m.Write(42, line); err != nil {
+		a, m := newMemory(b, 1024)
+		if err := a.Write(42, line); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := m.InjectPermanent(2, 0, m.Module().Lines()-1, [8]byte{0x55}); err != nil {
 			b.Fatal(err)
 		}
 		for m.KnownBadChip() != 2 { // warm until the scoreboard condemns
-			if _, err := m.Read(42, buf); err != nil {
+			if _, err := a.Read(42, buf); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -79,7 +80,7 @@ func BenchmarkDegradedRead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.Read(42, buf); err != nil {
+			if _, err := a.Read(42, buf); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -88,20 +89,20 @@ func BenchmarkDegradedRead(b *testing.B) {
 	// Re-read of an attacked line: the ErrPoisoned fast-fail, which is
 	// the whole point of poison — no re-running reconstruction per read.
 	b.Run("poisoned-fastfail", func(b *testing.B) {
-		m := newMemory(b, 1024)
-		if err := m.Write(42, line); err != nil {
+		a, m := newMemory(b, 1024)
+		if err := a.Write(42, line); err != nil {
 			b.Fatal(err)
 		}
 		addr := m.Layout().DataAddr(42)
 		m.InjectTransient(addr, 1, [8]byte{1})
 		m.InjectTransient(addr, 6, [8]byte{2})
-		if _, err := m.Read(42, buf); !errors.Is(err, ErrAttack) {
+		if _, err := a.Read(42, buf); !errors.Is(err, ErrAttack) {
 			b.Fatalf("setup read: %v, want ErrAttack", err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.Read(42, buf); !errors.Is(err, ErrPoisoned) {
+			if _, err := a.Read(42, buf); !errors.Is(err, ErrPoisoned) {
 				b.Fatal(err)
 			}
 		}

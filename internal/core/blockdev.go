@@ -6,31 +6,30 @@ import (
 	"io"
 )
 
-// Device adapts a Synergy Store (Memory or Array) to byte-granular
-// io.ReaderAt / io.WriterAt, so the secure memory can back anything
-// that speaks block I/O. Every line moves with one Read or Write;
+// Device adapts an Array to byte-granular io.ReaderAt / io.WriterAt, so
+// the secure memory can back anything that speaks block I/O. Every line
+// moves with one Array.Read or Array.Write;
 // unaligned writes are read-modify-write at cacheline granularity (with
 // full integrity verification on the read half, as the hardware would
 // do). A failure stops the transfer at the failing line: the returned
 // count is the bytes before it, and no later line is touched.
 //
-// Device is as safe for concurrent use as its store; concurrent
+// Device is safe for concurrent use, as its Array is; concurrent
 // WriteAt calls to overlapping byte ranges have no defined order.
 type Device struct {
-	store Store
-	lines uint64
+	a *Array
 }
 
-// NewDevice wraps a store exposing `lines` cachelines of capacity.
-func NewDevice(store Store, lines uint64) (*Device, error) {
-	if store == nil || lines == 0 {
-		return nil, errors.New("core: NewDevice needs a store and capacity")
+// NewDevice wraps a as a device of a.DataLines() cachelines.
+func NewDevice(a *Array) (*Device, error) {
+	if a == nil {
+		return nil, errors.New("core: NewDevice needs an array")
 	}
-	return &Device{store: store, lines: lines}, nil
+	return &Device{a: a}, nil
 }
 
 // Size returns the device capacity in bytes.
-func (d *Device) Size() int64 { return int64(d.lines) * LineSize }
+func (d *Device) Size() int64 { return int64(d.a.DataLines()) * LineSize }
 
 // ReadAt implements io.ReaderAt. A short read at end-of-device returns
 // io.EOF per the contract; any integrity failure surfaces as ErrAttack.
@@ -47,7 +46,7 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 		}
 		idx := uint64(pos) / LineSize
 		within := int(uint64(pos) % LineSize)
-		if _, err := d.store.Read(idx, line[:]); err != nil {
+		if _, err := d.a.Read(idx, line[:]); err != nil {
 			return n, fmt.Errorf("core: device read line %d: %w", idx, err)
 		}
 		n += copy(p[n:], line[within:])
@@ -71,17 +70,17 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 		idx := uint64(pos) / LineSize
 		within := int(uint64(pos) % LineSize)
 		if within == 0 && len(p)-n >= LineSize {
-			if err := d.store.Write(idx, p[n:n+LineSize]); err != nil {
+			if err := d.a.Write(idx, p[n:n+LineSize]); err != nil {
 				return n, fmt.Errorf("core: device write line %d: %w", idx, err)
 			}
 			n += LineSize
 			continue
 		}
-		if _, err := d.store.Read(idx, line[:]); err != nil {
+		if _, err := d.a.Read(idx, line[:]); err != nil {
 			return n, fmt.Errorf("core: device rmw read line %d: %w", idx, err)
 		}
 		k := copy(line[within:], p[n:])
-		if err := d.store.Write(idx, line[:]); err != nil {
+		if err := d.a.Write(idx, line[:]); err != nil {
 			return n, fmt.Errorf("core: device rmw write line %d: %w", idx, err)
 		}
 		n += k

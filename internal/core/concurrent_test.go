@@ -60,13 +60,6 @@ func TestBatchErrorTaxonomy(t *testing.T) {
 	if err := a.WriteBatch([]uint64{0}, buf); !errors.Is(err, ErrBadLineSize) {
 		t.Fatalf("misized batch write: %v", err)
 	}
-	m := newMemory(t, 8)
-	if _, err := m.ReadBatch([]uint64{9}, make([]byte, LineSize)); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("memory batch out of range: %v", err)
-	}
-	if err := m.WriteBatch([]uint64{1, 2}, make([]byte, LineSize)); !errors.Is(err, ErrBadLineSize) {
-		t.Fatalf("memory misized batch: %v", err)
-	}
 }
 
 // A batch that hits a tampered line fails closed and says which rank.
@@ -363,7 +356,7 @@ func TestConcurrentScrubUnderPermanentFault(t *testing.T) {
 func TestDeviceConcurrentIO(t *testing.T) {
 	const G = 6
 	a := newArray(t, 192, 4)
-	d, err := NewDevice(a, a.DataLines())
+	d, err := NewDevice(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ type ErrorEvent struct {
 
 // ErrorLog is a bounded ring of corrected-error events with the
 // aggregate statistics the §IV-B analysis needs. The zero value is not
-// usable; Memory owns one. The log carries its own lock so the
+// usable; each rank owns one. The log carries its own lock so the
 // platform's security apparatus can inspect and Analyze it while the
 // engine serves traffic.
 type ErrorLog struct {
@@ -162,6 +162,12 @@ type Analysis struct {
 // wherever the bus allows produces corrections across chips at rates
 // far beyond field FIT rates.
 //
+// The verdict is over the log's lifetime, not the retained window: it
+// reads the per-chip totals (ByChip), which ring eviction never
+// reduces. Corrections on three chips therefore count however far
+// apart they happened, so independent transients spread over a long
+// run can yield AssessmentSuspectedDoS with no attacker present.
+//
 // accesses == 0 is well-defined: RatePerMAccess is reported as 0 (no
 // access baseline to rate against) and the assessment — which depends
 // only on the correction counts and their chip spread, never on the
@@ -197,8 +203,9 @@ func (l *ErrorLog) Analyze(accesses uint64) Analysis {
 		// (and with the scoreboard's own condemnation logic).
 		a.Assessment = AssessmentNaturalFault
 	case chipsWithErrors >= 3:
-		// Errors across ≥3 chips within one log window: no Table I
-		// failure mode does that; flag for the security apparatus.
+		// Corrections on ≥3 chips over the log's lifetime (evicted
+		// events included): no single Table I failure mode does that;
+		// flag for the security apparatus.
 		a.Assessment = AssessmentSuspectedDoS
 	default:
 		a.Assessment = AssessmentNaturalFault

@@ -7,10 +7,10 @@ import (
 )
 
 func TestErrorLogRecordsCorrections(t *testing.T) {
-	m := newMemory(t, 64)
-	m.Write(3, fillLine(1))
+	a, m := newMemory(t, 64)
+	a.Write(3, fillLine(1))
 	m.Module().InjectTransient(m.Layout().DataAddr(3), 2, [8]byte{0x11})
-	mustRead(t, m, 3)
+	mustRead(t, a, 3)
 
 	log := m.ErrorLog()
 	if log.Total() != 1 {
@@ -30,13 +30,13 @@ func TestErrorLogRecordsCorrections(t *testing.T) {
 }
 
 func TestErrorLogRecordsParityPUse(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	const line = 26
-	m.Write(line, fillLine(7))
+	a.Write(line, fillLine(7))
 	pAddr, slot := m.Layout().ParityAddr(line)
 	m.Module().InjectTransient(m.Layout().DataAddr(line), slot, [8]byte{0x5A})
 	m.Module().InjectTransient(pAddr, slot, [8]byte{0xC3})
-	mustRead(t, m, line)
+	mustRead(t, a, line)
 	evs := m.ErrorLog().Events()
 	if len(evs) != 1 || !evs[0].UsedParityP {
 		t.Fatalf("expected a ParityP-marked event, got %+v", evs)
@@ -44,15 +44,16 @@ func TestErrorLogRecordsParityPUse(t *testing.T) {
 }
 
 func TestErrorLogRingBound(t *testing.T) {
-	m, err := New(Config{DataLines: 64, ErrorLogCapacity: 4, FaultThreshold: 1 << 30})
+	a, err := NewArray(Config{DataLines: 64, ErrorLogCapacity: 4, FaultThreshold: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := a.ranks[0]
 	for k := 0; k < 10; k++ {
 		line := uint64(k % 32)
-		m.Write(line, fillLine(byte(k)))
+		a.Write(line, fillLine(byte(k)))
 		m.Module().InjectTransient(m.Layout().DataAddr(line), 1, [8]byte{1})
-		mustRead(t, m, line)
+		mustRead(t, a, line)
 	}
 	log := m.ErrorLog()
 	if log.Total() != 10 {
@@ -92,15 +93,16 @@ func TestErrorLogRingBound(t *testing.T) {
 
 // Dropped stays zero while the ring has room.
 func TestErrorLogDroppedZeroUntilFull(t *testing.T) {
-	m, err := New(Config{DataLines: 64, ErrorLogCapacity: 8, FaultThreshold: 1 << 30})
+	a, err := NewArray(Config{DataLines: 64, ErrorLogCapacity: 8, FaultThreshold: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := a.ranks[0]
 	for k := 0; k < 8; k++ {
 		line := uint64(k)
-		m.Write(line, fillLine(byte(k)))
+		a.Write(line, fillLine(byte(k)))
 		m.Module().InjectTransient(m.Layout().DataAddr(line), 1, [8]byte{1})
-		mustRead(t, m, line)
+		mustRead(t, a, line)
 	}
 	log := m.ErrorLog()
 	if log.Dropped() != 0 {
@@ -114,12 +116,12 @@ func TestErrorLogDroppedZeroUntilFull(t *testing.T) {
 // Analyze with accesses == 0 is well-defined: the rate is reported as 0
 // and the assessment (which never depends on the rate) is unchanged.
 func TestAnalyzeZeroAccesses(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	for k := 0; k < 6; k++ {
 		line := uint64(k)
-		m.Write(line, fillLine(byte(k)))
+		a.Write(line, fillLine(byte(k)))
 		m.Module().InjectTransient(m.Layout().DataAddr(line), 3, [8]byte{0x40})
-		mustRead(t, m, line)
+		mustRead(t, a, line)
 	}
 	withAccesses := m.ErrorLog().Analyze(m.Stats().Reads + m.Stats().Writes)
 	zero := m.ErrorLog().Analyze(0)
@@ -134,7 +136,7 @@ func TestAnalyzeZeroAccesses(t *testing.T) {
 }
 
 func TestAnalyzeQuiet(t *testing.T) {
-	m := newMemory(t, 64)
+	_, m := newMemory(t, 64)
 	a := m.ErrorLog().Analyze(100)
 	if a.Assessment != AssessmentQuiet || a.DominantChip != -1 {
 		t.Fatalf("empty log analysis = %+v", a)
@@ -143,19 +145,20 @@ func TestAnalyzeQuiet(t *testing.T) {
 
 // A permanent single-chip fault produces a natural-fault assessment.
 func TestAnalyzeNaturalFault(t *testing.T) {
-	m, err := New(Config{DataLines: 64, FaultThreshold: 1 << 30})
+	arr, err := NewArray(Config{DataLines: 64, FaultThreshold: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := arr.ranks[0]
 	for i := uint64(0); i < 32; i++ {
-		m.Write(i, fillLine(byte(i)))
+		arr.Write(i, fillLine(byte(i)))
 	}
 	m.Module().InjectPermanent(5, 0, m.Module().Lines()-1, [8]byte{0x42})
 	for i := uint64(0); i < 32; i++ {
 		if i%8 == 5 {
 			continue // parity-slot residual window; see DESIGN.md §7.1
 		}
-		mustRead(t, m, i)
+		mustRead(t, arr, i)
 	}
 	a := m.ErrorLog().Analyze(m.Stats().Reads + m.Stats().Writes)
 	if a.Assessment != AssessmentNaturalFault {
@@ -172,19 +175,40 @@ func TestAnalyzeNaturalFault(t *testing.T) {
 // An adversary planting correctable flips across many chips triggers
 // the DoS assessment (§IV-B).
 func TestAnalyzeSuspectedDoS(t *testing.T) {
-	m := newMemory(t, 64)
+	arr, m := newMemory(t, 64)
 	for i := uint64(0); i < 16; i++ {
-		m.Write(i, fillLine(byte(i)))
+		arr.Write(i, fillLine(byte(i)))
 	}
 	for k := 0; k < 12; k++ {
 		line := uint64(k % 16)
 		chip := k % dimm.Chips // errors spread across all chips
 		m.Module().InjectTransient(m.Layout().DataAddr(line), chip, [8]byte{0x80})
-		mustRead(t, m, line)
+		mustRead(t, arr, line)
 	}
 	a := m.ErrorLog().Analyze(m.Stats().Reads + m.Stats().Writes)
 	if a.Assessment != AssessmentSuspectedDoS {
 		t.Fatalf("assessment = %v, want suspected-dos (%+v)", a.Assessment, a)
+	}
+}
+
+// Analyze judges lifetime per-chip counts, not the retained window: a
+// capacity-2 ring that has evicted the corrections on chips 0 and 1,
+// and retains only chip 2's, still counts three chips.
+func TestAnalyzeCountsEvictedCorrections(t *testing.T) {
+	log := newErrorLog(2)
+	for seq, chip := range []int{0, 1, 2, 2} {
+		log.add(ErrorEvent{Seq: uint64(seq), Region: RegionData, Chip: chip})
+	}
+	if log.Dropped() != 2 {
+		t.Fatalf("Dropped = %d, want 2", log.Dropped())
+	}
+	for _, e := range log.Events() {
+		if e.Chip != 2 {
+			t.Fatalf("retained event on chip %d, want only chip 2's", e.Chip)
+		}
+	}
+	if a := log.Analyze(100); a.Assessment != AssessmentSuspectedDoS {
+		t.Fatalf("assessment = %v, want suspected-dos from lifetime counts (%+v)", a.Assessment, a)
 	}
 }
 

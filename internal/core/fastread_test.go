@@ -18,15 +18,15 @@ import (
 // The steady-state clean read must be served by the shared-lock
 // optimistic path: warm cache, healthy rank, no faults.
 func TestFastReadServesWarmLine(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	for i := uint64(0); i < 64; i++ {
-		if err := m.Write(i, fillLine(byte(i))); err != nil {
+		if err := a.Write(i, fillLine(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s0 := m.Stats()
 	for i := uint64(0); i < 32; i++ {
-		got, info := mustRead(t, m, i)
+		got, info := mustRead(t, a, i)
 		if !bytes.Equal(got, fillLine(byte(i))) {
 			t.Fatalf("line %d wrong via fast path", i)
 		}
@@ -51,15 +51,15 @@ func TestFastReadServesWarmLine(t *testing.T) {
 // no replay protection), and the exclusive walk it falls back to must
 // re-warm the cache so the next read is fast again.
 func TestFastReadEscalatesOnCacheMiss(t *testing.T) {
-	m := newMemory(t, 64)
-	if err := m.Write(7, fillLine(0x5A)); err != nil {
+	a, m := newMemory(t, 64)
+	if err := a.Write(7, fillLine(0x5A)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.FlushNodeCache(); err != nil {
 		t.Fatal(err)
 	}
 	s0 := m.Stats()
-	got, _ := mustRead(t, m, 7)
+	got, _ := mustRead(t, a, 7)
 	if !bytes.Equal(got, fillLine(0x5A)) {
 		t.Fatal("wrong data after cache flush")
 	}
@@ -71,7 +71,7 @@ func TestFastReadEscalatesOnCacheMiss(t *testing.T) {
 		t.Fatalf("ReadEscalations = %d, want %d", s1.ReadEscalations, s0.ReadEscalations+1)
 	}
 	// The escalated walk re-filled the cache: fast again.
-	mustRead(t, m, 7)
+	mustRead(t, a, 7)
 	if s2 := m.Stats(); s2.FastReads != s1.FastReads+1 {
 		t.Fatal("read after escalation did not return to the fast path")
 	}
@@ -81,16 +81,16 @@ func TestFastReadEscalatesOnCacheMiss(t *testing.T) {
 // unchanged generation, so the read escalates to the exclusive
 // correction machinery — and still returns the right bytes.
 func TestFastReadEscalatesOnCorruption(t *testing.T) {
-	m := newMemory(t, 64)
-	if err := m.Write(3, fillLine(0xC3)); err != nil {
+	a, m := newMemory(t, 64)
+	if err := a.Write(3, fillLine(0xC3)); err != nil {
 		t.Fatal(err)
 	}
-	mustRead(t, m, 3) // confirm warm fast path first
+	mustRead(t, a, 3) // confirm warm fast path first
 	if err := m.InjectTransient(m.Layout().DataAddr(3), 2, [dimm.SliceSize]byte{0xFF}); err != nil {
 		t.Fatal(err)
 	}
 	s0 := m.Stats()
-	got, info := mustRead(t, m, 3)
+	got, info := mustRead(t, a, 3)
 	if !bytes.Equal(got, fillLine(0xC3)) {
 		t.Fatal("wrong data after single-chip corruption")
 	}
@@ -115,19 +115,19 @@ func TestFastReadEscalatesOnCorruption(t *testing.T) {
 // fail-closed answer needs no exclusive work, and a healing write
 // restores the fast path.
 func TestFastReadPoisonFastFail(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	for i := uint64(0); i < 64; i++ {
-		if err := m.Write(i, fillLine(byte(i))); err != nil {
+		if err := a.Write(i, fillLine(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	corruptTwoChips(m, 7)
 	buf := make([]byte, LineSize)
-	if _, err := m.Read(7, buf); !errors.Is(err, ErrAttack) {
+	if _, err := a.Read(7, buf); !errors.Is(err, ErrAttack) {
 		t.Fatalf("uncorrectable read: %v, want ErrAttack", err)
 	}
 	s0 := m.Stats()
-	if _, err := m.Read(7, buf); !errors.Is(err, ErrPoisoned) {
+	if _, err := a.Read(7, buf); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("poisoned read: %v, want ErrPoisoned", err)
 	}
 	s1 := m.Stats()
@@ -139,10 +139,10 @@ func TestFastReadPoisonFastFail(t *testing.T) {
 	}
 	// Healing write bumps the generation and clears the poison; the
 	// line serves fast again.
-	if err := m.Write(7, fillLine(0xEE)); err != nil {
+	if err := a.Write(7, fillLine(0xEE)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := mustRead(t, m, 7)
+	got, _ := mustRead(t, a, 7)
 	if !bytes.Equal(got, fillLine(0xEE)) {
 		t.Fatal("wrong data after healing write")
 	}
@@ -161,11 +161,11 @@ const degradedLines = 16
 // warm pass escalates once per counter line (a cache miss) and no more;
 // and they write back only cells that differ from the fix, so with the
 // chip merely dead they store nothing.
-func condemnedMemory(t *testing.T, chip int) *Memory {
+func condemnedMemory(t *testing.T, chip int) (*Array, *Memory) {
 	t.Helper()
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	for i := uint64(0); i < 64; i++ {
-		if err := m.Write(i, fillLine(byte(i))); err != nil {
+		if err := a.Write(i, fillLine(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func condemnedMemory(t *testing.T, chip int) *Memory {
 	}
 	buf := make([]byte, LineSize)
 	for i := uint64(0); i < 64; i++ {
-		if _, err := m.Read(i, buf); err != nil {
+		if _, err := a.Read(i, buf); err != nil {
 			t.Fatalf("read %d under chip %d fault: %v", i, chip, err)
 		}
 	}
@@ -190,7 +190,7 @@ func condemnedMemory(t *testing.T, chip int) *Memory {
 	misses := m.escalations[telemetry.EscCacheMiss].Load()
 	s0, w0 := m.Stats(), m.Module().Writes()
 	for i := uint64(0); i < degradedLines; i++ {
-		if _, err := m.Read(i, buf); err != nil {
+		if _, err := a.Read(i, buf); err != nil {
 			t.Fatalf("warm read %d: %v", i, err)
 		}
 	}
@@ -204,18 +204,19 @@ func condemnedMemory(t *testing.T, chip int) *Memory {
 	if got := m.escalations[telemetry.EscCacheMiss].Load() - misses; got != want {
 		t.Fatalf("warm pass escalated %d cache misses, want %d", got, want)
 	}
-	return m
+	return a, m
 }
 
 // requireShared reads lines and requires every one to be served by the
 // shared-lock pre-emptive path: right bytes, info.Preemptive, counted as
 // a PreemptiveFix and not a FastRead, no escalation, one MAC per read
 // and no device store.
-func requireShared(t *testing.T, m *Memory, lines []uint64) {
+func requireShared(t *testing.T, a *Array, lines []uint64) {
 	t.Helper()
+	m := a.ranks[0]
 	s0, w0 := m.Stats(), m.Module().Writes()
 	for _, i := range lines {
-		got, info := mustRead(t, m, i)
+		got, info := mustRead(t, a, i)
 		if !bytes.Equal(got, fillLine(byte(i))) {
 			t.Fatalf("line %d wrong in degraded mode", i)
 		}
@@ -264,8 +265,8 @@ func TestFastReadDegradedServesPreemptive(t *testing.T) {
 		{"chip3/parity-slot-on-chip", 3, []uint64{3, 11}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := condemnedMemory(t, tc.chip)
-			requireShared(t, m, tc.lines)
+			a, _ := condemnedMemory(t, tc.chip)
+			requireShared(t, a, tc.lines)
 		})
 	}
 }
@@ -277,14 +278,14 @@ func TestFastReadDegradedTransientEscalates(t *testing.T) {
 	const line = 5
 	for _, chip := range []int{3, dimm.ECCChip} {
 		t.Run(fmt.Sprintf("chip%d", chip), func(t *testing.T) {
-			m := condemnedMemory(t, chip)
+			a, m := condemnedMemory(t, chip)
 			addr := m.Layout().DataAddr(line)
 			want, _ := m.Module().PeekLine(addr)
 			if err := m.InjectTransient(addr, chip, [dimm.SliceSize]byte{0x0F}); err != nil {
 				t.Fatal(err)
 			}
 			s0, deg0 := m.Stats(), m.escalations[telemetry.EscDegraded].Load()
-			got, info := mustRead(t, m, line)
+			got, info := mustRead(t, a, line)
 			if !bytes.Equal(got, fillLine(line)) || !info.Preemptive {
 				t.Fatalf("transient read: right bytes %v, preemptive %v", bytes.Equal(got, fillLine(line)), info.Preemptive)
 			}
@@ -297,7 +298,7 @@ func TestFastReadDegradedTransientEscalates(t *testing.T) {
 			if stored, _ := m.Module().PeekLine(addr); stored != want {
 				t.Fatal("the exclusive path did not write the pre-emptive fix back")
 			}
-			requireShared(t, m, []uint64{line})
+			requireShared(t, a, []uint64{line})
 		})
 	}
 }
@@ -309,7 +310,7 @@ func TestReadBatchDegradedServesPreemptive(t *testing.T) {
 	const line = 5
 	for _, chip := range []int{3, dimm.ECCChip} {
 		t.Run(fmt.Sprintf("chip%d", chip), func(t *testing.T) {
-			m := condemnedMemory(t, chip)
+			a, m := condemnedMemory(t, chip)
 			lines := make([]uint64, degradedLines)
 			for k := range lines {
 				lines[k] = uint64(k)
@@ -319,7 +320,7 @@ func TestReadBatchDegradedServesPreemptive(t *testing.T) {
 			batch := func(wantEsc uint64) {
 				t.Helper()
 				s0, w0 := m.Stats(), m.Module().Writes()
-				if err := m.ReadBatchInto(lines, dst, infos); err != nil {
+				if err := a.ReadBatchInto(lines, dst, infos); err != nil {
 					t.Fatal(err)
 				}
 				s1 := m.Stats()
@@ -359,23 +360,24 @@ func TestReadBatchDegradedServesPreemptive(t *testing.T) {
 // The batched read's optimistic phase must serve warm clean lines
 // without the exclusive lock and agree byte-for-byte with Read.
 func TestReadBatchFastPath(t *testing.T) {
-	m, err := New(Config{DataLines: 256, MetadataCache: 256})
+	a, err := NewArray(Config{DataLines: 256, MetadataCache: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := a.ranks[0]
 	lines := make([]uint64, 32)
 	src := make([]byte, len(lines)*LineSize)
 	for k := range lines {
 		lines[k] = uint64(k * 7)
 		copy(src[k*LineSize:], fillLine(byte(k)))
 	}
-	if err := m.WriteBatch(lines, src); err != nil {
+	if err := a.WriteBatch(lines, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, len(src))
 	infos := make([]ReadInfo, len(lines))
 	s0 := m.Stats()
-	if err := m.ReadBatchInto(lines, dst, infos); err != nil {
+	if err := a.ReadBatchInto(lines, dst, infos); err != nil {
 		t.Fatal(err)
 	}
 	s1 := m.Stats()
@@ -387,7 +389,7 @@ func TestReadBatchFastPath(t *testing.T) {
 	}
 	// Cross-check against the single-line path.
 	for k, i := range lines {
-		got, _ := mustRead(t, m, i)
+		got, _ := mustRead(t, a, i)
 		if !bytes.Equal(got, dst[k*LineSize:(k+1)*LineSize]) {
 			t.Fatalf("line %d: batch and single read disagree", i)
 		}
@@ -398,12 +400,12 @@ func TestReadBatchFastPath(t *testing.T) {
 // its generation slot, so an optimistic reader mid-flight can tell
 // mutator interference from genuine corruption.
 func TestGenerationBumps(t *testing.T) {
-	m := newMemory(t, 64)
-	if err := m.Write(5, fillLine(1)); err != nil {
+	a, m := newMemory(t, 64)
+	if err := a.Write(5, fillLine(1)); err != nil {
 		t.Fatal(err)
 	}
 	g0 := m.genSlot(5).Load()
-	if err := m.Write(5, fillLine(2)); err != nil {
+	if err := a.Write(5, fillLine(2)); err != nil {
 		t.Fatal(err)
 	}
 	if m.genSlot(5).Load() == g0 {
@@ -416,7 +418,7 @@ func TestGenerationBumps(t *testing.T) {
 	}
 	g1 := m.genSlot(63).Load()
 	buf := make([]byte, LineSize)
-	if _, err := m.Read(5, buf); err != nil {
+	if _, err := a.Read(5, buf); err != nil {
 		t.Fatal(err)
 	}
 	if m.genSlot(63).Load() == g1 {
@@ -428,15 +430,15 @@ func TestGenerationBumps(t *testing.T) {
 // read totals and per-reason escalation counters.
 func TestFastReadTelemetry(t *testing.T) {
 	reg := telemetry.New()
-	m := newInstrumentedMemory(t, 64, reg)
-	if err := m.Write(9, fillLine(0x77)); err != nil {
+	a, m := newInstrumentedMemory(t, 64, reg)
+	if err := a.Write(9, fillLine(0x77)); err != nil {
 		t.Fatal(err)
 	}
-	mustRead(t, m, 9) // fast
+	mustRead(t, a, 9) // fast
 	if err := m.FlushNodeCache(); err != nil {
 		t.Fatal(err)
 	}
-	mustRead(t, m, 9) // cache-miss escalation
+	mustRead(t, a, 9) // cache-miss escalation
 
 	rk := reg.Snapshot().Ranks[0]
 	stats := m.Stats()
@@ -506,10 +508,11 @@ func runOptimisticReadRace(t *testing.T, dead int) *Memory {
 	if dead >= 0 {
 		cfg.FaultThreshold = 0
 	}
-	m, err := New(cfg)
+	a, err := NewArray(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := a.ranks[0]
 	// A write whose parity slot sits on the dead chip degrades its parity
 	// group until RepairChip (DESIGN §10 item 4), so with a dead chip the
 	// writer skips those lines; readers read every line.
@@ -554,7 +557,7 @@ func runOptimisticReadRace(t *testing.T, dead int) *Memory {
 	}
 
 	for i := uint64(0); i < dataLines; i++ {
-		if err := m.Write(i, mkLine(i, 0)); err != nil {
+		if err := a.Write(i, mkLine(i, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -564,7 +567,7 @@ func runOptimisticReadRace(t *testing.T, dead int) *Memory {
 		}
 		buf := make([]byte, LineSize)
 		for i := uint64(0); m.KnownBadChip() < 0 && i < dataLines; i++ {
-			if _, err := m.Read(i, buf); err != nil {
+			if _, err := a.Read(i, buf); err != nil {
 				t.Fatalf("condemning read %d: %v", i, err)
 			}
 		}
@@ -593,7 +596,7 @@ func runOptimisticReadRace(t *testing.T, dead int) *Memory {
 			if !writable(i) {
 				continue
 			}
-			if err := m.Write(i, mkLine(i, ver)); err != nil {
+			if err := a.Write(i, mkLine(i, ver)); err != nil {
 				t.Errorf("writer: line %d: %v", i, err)
 				return
 			}
@@ -611,7 +614,7 @@ func runOptimisticReadRace(t *testing.T, dead int) *Memory {
 				return
 			default:
 			}
-			if err := m.Flush(); err != nil {
+			if err := m.flush(); err != nil {
 				t.Errorf("flusher: %v", err)
 				return
 			}
@@ -629,7 +632,7 @@ func runOptimisticReadRace(t *testing.T, dead int) *Memory {
 				return
 			default:
 			}
-			_, n, err := m.ScrubFrom(context.Background(), next)
+			_, n, err := m.scrubFrom(context.Background(), next)
 			if err != nil {
 				t.Errorf("scrubber: %v", err)
 				return
@@ -702,7 +705,7 @@ func runOptimisticReadRace(t *testing.T, dead int) *Memory {
 					for k := range batch {
 						batch[k] = (i + uint64(k)) % dataLines
 					}
-					if err := m.ReadBatchInto(batch, bbuf, infos); err != nil {
+					if err := a.ReadBatchInto(batch, bbuf, infos); err != nil {
 						t.Errorf("reader %d: batch at %d: %v", r, i, err)
 						return
 					}
@@ -711,7 +714,7 @@ func runOptimisticReadRace(t *testing.T, dead int) *Memory {
 					}
 					continue
 				}
-				if _, err := m.Read(i, buf); err != nil {
+				if _, err := a.Read(i, buf); err != nil {
 					t.Errorf("reader %d: line %d: %v", r, i, err)
 					return
 				}

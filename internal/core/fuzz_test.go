@@ -23,12 +23,12 @@ func FuzzReconstructData(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte, lineSel, chipA, chipB uint8, maskA, maskB uint64) {
 		const lines = 16
-		m := newMemory(t, lines)
+		a, m := newMemory(t, lines)
 
 		want := make([]byte, LineSize)
 		copy(want, payload)
 		line := uint64(lineSel) % lines
-		if err := m.Write(line, want); err != nil {
+		if err := a.Write(line, want); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
 
@@ -53,7 +53,7 @@ func FuzzReconstructData(f *testing.F) {
 		}
 
 		got := make([]byte, LineSize)
-		_, err := m.Read(line, got)
+		_, err := a.Read(line, got)
 		if err == nil {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("SDC: read returned wrong data after corrupting %v", faults)
@@ -63,14 +63,14 @@ func FuzzReconstructData(f *testing.F) {
 		} else {
 			// Fail-closed must be sticky until a heal: the re-read
 			// poisons fast, and still never returns data.
-			if _, err2 := m.Read(line, got); !IsFailClosed(err2) {
+			if _, err2 := a.Read(line, got); !IsFailClosed(err2) {
 				t.Fatalf("re-read after %v returned %v, want fail-closed", err, err2)
 			}
 			// A rewrite heals the line.
-			if err := m.Write(line, want); err != nil {
+			if err := a.Write(line, want); err != nil {
 				t.Fatalf("healing write: %v", err)
 			}
-			if _, err := m.Read(line, got); err != nil || !bytes.Equal(got, want) {
+			if _, err := a.Read(line, got); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("line not healed by write: %v", err)
 			}
 		}

@@ -22,7 +22,7 @@ import (
 // and duplicates.
 func TestReadBatchMatchesRead(t *testing.T) {
 	for _, split := range []bool{false, true} {
-		m, err := New(Config{DataLines: 96, SplitCounters: split})
+		a, err := NewArray(Config{DataLines: 96, SplitCounters: split})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,18 +32,18 @@ func TestReadBatchMatchesRead(t *testing.T) {
 			line := make([]byte, LineSize)
 			rng.Read(line)
 			for r := 0; r < int(i%4); r++ { // vary counters across lines
-				if err := m.Write(i, line); err != nil {
+				if err := a.Write(i, line); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := m.Write(i, line); err != nil {
+			if err := a.Write(i, line); err != nil {
 				t.Fatal(err)
 			}
 			want[i] = line
 		}
 		lines := []uint64{0, 3, 6, 33, 93, 3, 0} // duplicates included
 		dst := make([]byte, len(lines)*LineSize)
-		if _, err := m.ReadBatch(lines, dst); err != nil {
+		if _, err := a.ReadBatch(lines, dst); err != nil {
 			t.Fatalf("split=%v: ReadBatch: %v", split, err)
 		}
 		for k, i := range lines {
@@ -58,9 +58,9 @@ func TestReadBatchMatchesRead(t *testing.T) {
 // of it, and both copies must decrypt under the corrected counter: the
 // second copy is served from the repaired, now-cached path.
 func TestReadBatchFallsBackOnCorruptedCounter(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	line := fillLine(0x5A)
-	if err := m.Write(7, line); err != nil {
+	if err := a.Write(7, line); err != nil {
 		t.Fatal(err)
 	}
 	ca, slot := m.layout.CounterAddr(7)
@@ -73,7 +73,7 @@ func TestReadBatchFallsBackOnCorruptedCounter(t *testing.T) {
 	// corruption (the cache is inside the trust boundary).
 	m.FlushNodeCache()
 	dst := make([]byte, 2*LineSize)
-	infos, err := m.ReadBatch([]uint64{7, 7}, dst)
+	infos, err := a.ReadBatch([]uint64{7, 7}, dst)
 	if err != nil {
 		t.Fatalf("ReadBatch over corrupted counter: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestReadBatchFallsBackOnCorruptedCounter(t *testing.T) {
 // Batches must stay correct when writers race them: every batched read
 // must return a value some Write actually stored.
 func TestReadBatchConcurrentWithWrites(t *testing.T) {
-	m := newMemory(t, 32)
+	a, _ := newMemory(t, 32)
 	const workers, rounds = 4, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -104,11 +104,11 @@ func TestReadBatchConcurrentWithWrites(t *testing.T) {
 				for i := range src {
 					src[i] = byte(w<<4 | r&0xF)
 				}
-				if err := m.WriteBatch(lines, src); err != nil {
+				if err := a.WriteBatch(lines, src); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := m.ReadBatch(lines, dst); err != nil {
+				if _, err := a.ReadBatch(lines, dst); err != nil {
 					t.Error(err)
 					return
 				}
@@ -160,13 +160,13 @@ func TestBatchEqualsSingles(t *testing.T) {
 		{"poisoned/split/default", true, 0, poisonTape},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var pair [2]*Memory // batched, singles
+			var pair [2]*Array // batched, singles
 			for k := range pair {
-				m, err := New(Config{DataLines: diffLines, SplitCounters: tc.split, MetadataCache: tc.cache})
+				a, err := NewArray(Config{DataLines: diffLines, SplitCounters: tc.split, MetadataCache: tc.cache})
 				if err != nil {
 					t.Fatal(err)
 				}
-				pair[k] = m
+				pair[k] = a
 			}
 			batched, singles := pair[0], pair[1]
 			for step := 0; step+2 < len(tc.ops); step += 3 {
@@ -175,8 +175,8 @@ func TestBatchEqualsSingles(t *testing.T) {
 					batchVsSingles(t, batched, singles, step/3, op%10 == 7, uint64(arg)%diffLines, val)
 					continue
 				}
-				bout, berr := diffOp(t, batched, step/3, op, arg, val)
-				sout, serr := diffOp(t, singles, step/3, op, arg, val)
+				bout, berr := diffOp(t, batched, 0, step/3, op, arg, val)
+				sout, serr := diffOp(t, singles, 0, step/3, op, arg, val)
 				if fmt.Sprint(berr) != fmt.Sprint(serr) || !bytes.Equal(bout, sout) {
 					t.Fatalf("step %d (op %d): twins diverge: %v vs %v", step/3, op%10, berr, serr)
 				}
@@ -185,9 +185,9 @@ func TestBatchEqualsSingles(t *testing.T) {
 				t.Fatalf("stats diverge:\nbatched %+v\nsingles %+v", bs, ss)
 			}
 			images := [2][]byte{}
-			for k, m := range pair {
-				images[k] = make([]byte, m.Module().ImageSize())
-				if err := m.Module().Serialize(images[k]); err != nil {
+			for k, a := range pair {
+				images[k] = make([]byte, a.ranks[0].Module().ImageSize())
+				if err := a.ranks[0].Module().Serialize(images[k]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -201,23 +201,16 @@ func TestBatchEqualsSingles(t *testing.T) {
 // batchVsSingles issues one batch of batchLines(line) on batched and the
 // same lines one call at a time on singles, and requires every line's
 // outcome to match.
-func batchVsSingles(t *testing.T, batched, singles *Memory, step int, read bool, line uint64, val byte) {
+func batchVsSingles(t *testing.T, batched, singles *Array, step int, read bool, line uint64, val byte) {
 	t.Helper()
 	linesVsSingles(t, batched, singles, step, read, batchLines(line), val)
-}
-
-// batcher is the batch surface Memory and Array share.
-type batcher interface {
-	Store
-	ReadBatch(lines []uint64, dst []byte) ([]ReadInfo, error)
-	WriteBatch(lines []uint64, src []byte) error
 }
 
 // linesVsSingles issues ls as one batch on batched and one call per line
 // on singles. Every line's outcome must match, and the BatchError must
 // list its failures in ascending caller index, each naming the line the
 // caller passed at that index.
-func linesVsSingles(t *testing.T, batched, singles batcher, step int, read bool, ls []uint64, val byte) {
+func linesVsSingles(t *testing.T, batched, singles *Array, step int, read bool, ls []uint64, val byte) {
 	t.Helper()
 	buf := [2][]byte{make([]byte, len(ls)*LineSize), make([]byte, len(ls)*LineSize)}
 	if !read {
@@ -353,20 +346,20 @@ func TestArrayBatchEqualsSingles(t *testing.T) {
 // BenchmarkReadHotPath measures the steady-state single-line read with a
 // warm node cache — the path the acceptance criteria pin at 0 allocs/op.
 func BenchmarkReadHotPath(b *testing.B) {
-	m := newMemory(b, 1024)
+	a, _ := newMemory(b, 1024)
 	buf := make([]byte, LineSize)
 	line := fillLine(0x11)
-	if err := m.Write(42, line); err != nil {
+	if err := a.Write(42, line); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := m.Read(42, buf); err != nil { // warm the node cache
+	if _, err := a.Read(42, buf); err != nil { // warm the node cache
 		b.Fatal(err)
 	}
 	b.SetBytes(LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Read(42, buf); err != nil {
+		if _, err := a.Read(42, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -375,7 +368,7 @@ func BenchmarkReadHotPath(b *testing.B) {
 // BenchmarkReadBatchHotPath measures the batched read over a window of
 // warm lines: one shared-lock Read per line.
 func BenchmarkReadBatchHotPath(b *testing.B) {
-	m := newMemory(b, 1024)
+	a, _ := newMemory(b, 1024)
 	const n = 32
 	lines := make([]uint64, n)
 	src := make([]byte, n*LineSize)
@@ -383,30 +376,30 @@ func BenchmarkReadBatchHotPath(b *testing.B) {
 		lines[k] = uint64(k * 2)
 		src[k*LineSize] = byte(k)
 	}
-	if err := m.WriteBatch(lines, src); err != nil {
+	if err := a.WriteBatch(lines, src); err != nil {
 		b.Fatal(err)
 	}
 	dst := make([]byte, n*LineSize)
 	infos := make([]ReadInfo, n)
-	if err := m.ReadBatchInto(lines, dst, infos); err != nil { // warm caches
+	if err := a.ReadBatchInto(lines, dst, infos); err != nil { // warm caches
 		b.Fatal(err)
 	}
 	b.SetBytes(n * LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.ReadBatchInto(lines, dst, infos); err != nil {
+		if err := a.ReadBatchInto(lines, dst, infos); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// hotWrites returns a memory with the given metadata cache and
+// hotWrites returns a one-rank array with the given metadata cache and
 // telemetry registry (nil: none) plus a warmed hot working set whose
 // every path entry sits in the metadata cache.
-func hotWrites(b *testing.B, metadataCache int, reg *telemetry.Registry) (*Memory, []uint64) {
+func hotWrites(b *testing.B, metadataCache int, reg *telemetry.Registry) (*Array, []uint64) {
 	b.Helper()
-	m, err := New(Config{DataLines: 1024, MetadataCache: metadataCache, Telemetry: reg})
+	a, err := NewArray(Config{DataLines: 1024, MetadataCache: metadataCache, Telemetry: reg})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -415,11 +408,11 @@ func hotWrites(b *testing.B, metadataCache int, reg *telemetry.Registry) (*Memor
 	line := fillLine(0x22)
 	for k := range lines {
 		lines[k] = uint64(k)
-		if err := m.Write(lines[k], line); err != nil {
+		if err := a.Write(lines[k], line); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return m, lines
+	return a, lines
 }
 
 // BenchmarkWriteHotPath measures the steady-state hot-line write with
@@ -428,13 +421,13 @@ func hotWrites(b *testing.B, metadataCache int, reg *telemetry.Registry) (*Memor
 // entries and sealing is deferred, so the write pays data encrypt +
 // MAC + store + parity, not a full root walk of reseals.
 func BenchmarkWriteHotPath(b *testing.B) {
-	m, lines := hotWrites(b, 2048, nil)
+	a, lines := hotWrites(b, 2048, nil)
 	line := fillLine(0x22)
 	b.SetBytes(LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Write(lines[i&63], line); err != nil {
+		if err := a.Write(lines[i&63], line); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -445,13 +438,13 @@ func BenchmarkWriteHotPath(b *testing.B) {
 // before returning) — the baseline the write-back cache is measured
 // against.
 func BenchmarkWriteDefaultHotPath(b *testing.B) {
-	m, lines := hotWrites(b, 0, nil)
+	a, lines := hotWrites(b, 0, nil)
 	line := fillLine(0x22)
 	b.SetBytes(LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Write(lines[i&63], line); err != nil {
+		if err := a.Write(lines[i&63], line); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -460,7 +453,7 @@ func BenchmarkWriteDefaultHotPath(b *testing.B) {
 // BenchmarkWriteBatchHotPath measures the batched write — one Write per
 // line — over a warm write-back working set.
 func BenchmarkWriteBatchHotPath(b *testing.B) {
-	m, _ := hotWrites(b, 2048, nil)
+	a, _ := hotWrites(b, 2048, nil)
 	const n = 32
 	lines := make([]uint64, n)
 	src := make([]byte, n*LineSize)
@@ -468,39 +461,39 @@ func BenchmarkWriteBatchHotPath(b *testing.B) {
 		lines[k] = uint64(k * 2)
 		src[k*LineSize] = byte(k)
 	}
-	if err := m.WriteBatch(lines, src); err != nil {
+	if err := a.WriteBatch(lines, src); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(n * LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.WriteBatch(lines, src); err != nil {
+		if err := a.WriteBatch(lines, src); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// coldMemory returns a populated write-back memory whose 512-entry
+// coldMemory returns a populated one-rank write-back array whose 512-entry
 // metadata cache holds a fraction of a percent of its 65 536 lines'
 // paths, plus a uniform line stream: nearly every access misses, walks,
 // fills and evicts. The same shape as bench/'s engine_cold, at a quarter
 // of the size.
-func coldMemory(b *testing.B) (*Memory, func() uint64) {
+func coldMemory(b *testing.B) (*Array, func() uint64) {
 	b.Helper()
 	const lines = 65536
-	m, err := New(Config{DataLines: lines, MetadataCache: 512})
+	a, err := NewArray(Config{DataLines: lines, MetadataCache: 512})
 	if err != nil {
 		b.Fatal(err)
 	}
 	line := fillLine(0x44)
 	for i := uint64(0); i < lines; i++ {
-		if err := m.Write(i, line); err != nil {
+		if err := a.Write(i, line); err != nil {
 			b.Fatal(err)
 		}
 	}
 	rng := rand.New(rand.NewSource(14))
-	return m, func() uint64 { return uint64(rng.Intn(lines)) }
+	return a, func() uint64 { return uint64(rng.Intn(lines)) }
 }
 
 // BenchmarkReadColdPath measures the single-line read that misses the
@@ -508,13 +501,13 @@ func coldMemory(b *testing.B) (*Memory, func() uint64) {
 // and the evictions they force (dirty victims left by the populate
 // phase drain in the first few thousand iterations).
 func BenchmarkReadColdPath(b *testing.B) {
-	m, next := coldMemory(b)
+	a, next := coldMemory(b)
 	buf := make([]byte, LineSize)
 	b.SetBytes(LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Read(next(), buf); err != nil {
+		if _, err := a.Read(next(), buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -524,13 +517,13 @@ func BenchmarkReadColdPath(b *testing.B) {
 // misses: the path walk and verify, and one dirty-victim seal and store
 // per entry it pushes out.
 func BenchmarkWriteColdPath(b *testing.B) {
-	m, next := coldMemory(b)
+	a, next := coldMemory(b)
 	line := fillLine(0x45)
 	b.SetBytes(LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Write(next(), line); err != nil {
+		if err := a.Write(next(), line); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -542,13 +535,13 @@ func BenchmarkWriteColdPath(b *testing.B) {
 // sampling overhead; read the custom columns for the split.
 func BenchmarkWriteStageBreakdown(b *testing.B) {
 	reg := telemetry.New(telemetry.SampleEvery(1))
-	m, err := New(Config{DataLines: 1024, MetadataCache: 2048, Telemetry: reg})
+	a, err := NewArray(Config{DataLines: 1024, MetadataCache: 2048, Telemetry: reg})
 	if err != nil {
 		b.Fatal(err)
 	}
 	line := fillLine(0x22)
 	for k := uint64(0); k < 64; k++ {
-		if err := m.Write(k, line); err != nil {
+		if err := a.Write(k, line); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -556,7 +549,7 @@ func BenchmarkWriteStageBreakdown(b *testing.B) {
 	b.SetBytes(LineSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Write(uint64(i)&63, line); err != nil {
+		if err := a.Write(uint64(i)&63, line); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"synergy/internal/ctrenc"
 	"synergy/internal/dimm"
@@ -52,8 +53,7 @@ type Config struct {
 	// DataLines is the number of 64-byte program-data cachelines.
 	DataLines uint64
 	// Ranks is the number of independent 9-chip ranks an Array splits
-	// the capacity across (Table III: 4). 0 means 1. New (single-rank)
-	// ignores it; NewArray honors it.
+	// the capacity across (Table III: 4). 0 means 1.
 	Ranks int
 	// EncKey and MACKey are the 16-byte secret keys; zero-filled
 	// defaults are derived if nil (useful for tests and examples).
@@ -84,28 +84,31 @@ type Config struct {
 	// latency histograms and engine events, and reads each rank's
 	// counts when a snapshot is taken (see internal/telemetry). Nil
 	// disables instrumentation down to a few compares per operation.
-	// Events and counts carry the rank index: each Array rank's own, 0
-	// for a memory built by New. The registry references every memory
-	// built on it for the registry's lifetime.
+	// Events and counts carry the index of the rank they happened on.
+	// The registry references every array built on it for the
+	// registry's lifetime.
 	Telemetry *telemetry.Registry
 }
 
-// Memory is a functional Synergy secure memory on one 9-chip ECC-DIMM.
+// Memory is one rank of an Array: a functional Synergy secure memory on
+// one 9-chip ECC-DIMM. Reads and writes go through the Array that owns
+// it; Array.Rank hands out the rank itself only as a fault-injection and
+// inspection handle (Inject*, ClearFault, FlushNodeCache, ErrorLog,
+// KnownBadChip, IsPoisoned, Stats, Module, Layout).
 //
-// Memory is safe for concurrent use: a rank-level RWMutex serializes
+// A rank is safe for concurrent use: a rank-level RWMutex serializes
 // the command stream the way a per-rank memory controller queue would.
 // The steady-state read — cache-hit counter, passing MAC, and either a
 // healthy rank or a condemned chip whose §IV-A rebuild matches the
-// stored cells — runs entirely under the shared lock (see fastread.go),
-// so concurrent readers on one rank scale with cores. Everything that
-// mutates engine state — writes, cache fills, ECC correction,
-// scoreboard updates, a pre-emptive fix that must be written back,
-// poison bookkeeping — escalates to the exclusive lock; pure observers
-// (Stats, KnownBadChip) share the read lock. Rank-level
-// parallelism additionally comes from Array, which routes disjoint
-// ranks to disjoint locks. Module and Layout expose raw hardware for
-// fault injection and are caller-synchronized: do not inject faults
-// while another goroutine is mid-access.
+// stored cells — runs entirely under the shared lock (see fastread.go).
+// Everything that mutates engine state — writes, cache fills, ECC
+// correction, scoreboard updates, a pre-emptive fix that must be
+// written back, poison bookkeeping — escalates to the exclusive lock;
+// pure observers (Stats, KnownBadChip) share the read lock. Rank-level
+// parallelism comes from Array, which routes disjoint ranks to disjoint
+// locks. Module and Layout expose raw hardware and are
+// caller-synchronized: do not inject faults through them while another
+// goroutine is mid-access (the Inject* methods take the rank lock).
 type Memory struct {
 	mu     sync.RWMutex
 	layout Layout
@@ -227,20 +230,9 @@ type ReadInfo struct {
 	Preemptive bool
 }
 
-// New builds a Synergy memory and initializes every region to a
-// consistent encrypted, MACed, parity-protected state (as a trusted
-// boot-time initialization would). It is the one rank of a one-rank
-// Array; cfg.Ranks is ignored.
-func New(cfg Config) (*Memory, error) {
-	cfg.Ranks = 1
-	a, err := NewArray(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return a.ranks[0], nil
-}
-
-// newRank builds one rank over the given crypto engines (see NewArray);
+// newRank builds one rank over the given crypto engines (see NewArray)
+// and initializes every region to a consistent encrypted, MACed,
+// parity-protected state, as a trusted boot-time initialization would;
 // rank labels its telemetry.
 func newRank(cfg Config, enc *ctrenc.Engine, mac *gmac.Mac, rank int) (*Memory, error) {
 	ctrsPerLine := uint64(integrity.CountersPerLine)
@@ -383,7 +375,7 @@ func parity9(l *dimm.Line) [8]byte {
 func (m *Memory) Module() *dimm.Module { return m.mod }
 
 // Layout exposes the region map (for targeted fault injection). The
-// layout is immutable after New.
+// layout is immutable after NewArray.
 func (m *Memory) Layout() Layout { return m.layout }
 
 // Stats returns a copy of the engine counters. Shared-lock activity is
@@ -717,24 +709,19 @@ func parentCounterOf(path []pathEntry, k int, root uint64) uint64 {
 	return path[k+1].node.Counters[path[k].slot]
 }
 
-// Read decrypts data line i into dst (64 bytes), performing the full
-// integrity-tree traversal with Synergy's integrated error detection and
-// correction (paper §III-B, Fig. 7). On an uncorrectable mismatch it
-// returns ErrAttack and leaves dst unspecified.
+// readTraced decrypts rank-local data line i into dst (64 bytes),
+// performing the full integrity-tree traversal with Synergy's integrated
+// error detection and correction (paper §III-B, Fig. 7). On an
+// uncorrectable mismatch it returns ErrAttack and leaves dst
+// unspecified.
 //
 // The steady-state read, clean or pre-emptive, is served under the
 // shared lock alone (fastread.go); only cache misses, corrections,
 // pre-emptive fixes that need writing back and generation conflicts
-// take the exclusive lock.
-func (m *Memory) Read(i uint64, dst []byte) (ReadInfo, error) {
-	return m.ReadTraced(i, dst, nil)
-}
-
-// ReadTraced is Read carrying a trace span: the secure-read pipeline's
-// stage boundaries and any escalation-ladder rungs are recorded into
-// sp as events (tracing.go). Every span use is nil-safe, so a nil span
-// is exactly Read.
-func (m *Memory) ReadTraced(i uint64, dst []byte, sp *telemetry.Span) (ReadInfo, error) {
+// take the exclusive lock. The pipeline's stage boundaries and any
+// escalation-ladder rungs are recorded into sp as events; every span use
+// is nil-safe.
+func (m *Memory) readTraced(i uint64, dst []byte, sp *telemetry.Span) (ReadInfo, error) {
 	if info, err, ok := m.fastRead(i, dst, sp); ok {
 		return info, err
 	}
@@ -750,27 +737,7 @@ func (m *Memory) ReadTraced(i uint64, dst []byte, sp *telemetry.Span) (ReadInfo,
 	return info, err
 }
 
-// ReadBatch decrypts lines[k] into dst[k*LineSize:(k+1)*LineSize] for
-// every k, each line one Read (see readLines). A malformed batch is
-// rejected whole; otherwise per-line failures collect into a
-// *BatchError and dst/infos are valid for every index not listed in it.
-func (m *Memory) ReadBatch(lines []uint64, dst []byte) ([]ReadInfo, error) {
-	infos := make([]ReadInfo, len(lines))
-	err := m.ReadBatchInto(lines, dst, infos)
-	return infos, err
-}
-
-// ReadBatchInto is ReadBatch writing into a caller-owned infos slice
-// (len(infos) must equal len(lines)) — the steady-state form that
-// allocates nothing.
-func (m *Memory) ReadBatchInto(lines []uint64, dst []byte, infos []ReadInfo) error {
-	if err := checkBatch(lines, dst, len(infos), m.layout.DataLines); err != nil {
-		return err
-	}
-	return readLines(m, lines, dst, infos)
-}
-
-// readLocked is Read with m.mu held. The read path mutates engine
+// readLocked is readTraced's exclusive path, with m.mu held. The read path mutates engine
 // state — node-cache fills, scoreboard/stats updates, and correction
 // commits write repaired lines back to the module — so it requires the
 // exclusive lock, not the read lock.
@@ -965,17 +932,12 @@ func (m *Memory) noteCorrection(chip int, r Region, addr uint64, usedPP bool, in
 	})
 }
 
-// Write encrypts and stores 64 bytes at data line i, incrementing the
-// encryption counter and every tree counter on the path, resealing the
-// path MACs, and updating the Synergy parity (§III-A).
-func (m *Memory) Write(i uint64, plain []byte) error {
-	return m.WriteTraced(i, plain, nil)
-}
-
-// WriteTraced is Write carrying a trace span: the write path's stage
-// boundaries (counter fetch, meta update, OTP) become span events. A
-// nil span is exactly Write.
-func (m *Memory) WriteTraced(i uint64, plain []byte, sp *telemetry.Span) error {
+// writeTraced encrypts and stores 64 bytes at rank-local data line i,
+// incrementing the encryption counter and every tree counter on the
+// path, resealing the path MACs, and updating the Synergy parity
+// (§III-A). The write path's stage boundaries (counter fetch, meta
+// update, OTP) become events on sp, which may be nil.
+func (m *Memory) writeTraced(i uint64, plain []byte, sp *telemetry.Span) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.telWTick++
@@ -985,16 +947,7 @@ func (m *Memory) WriteTraced(i uint64, plain []byte, sp *telemetry.Span) error {
 	return err
 }
 
-// WriteBatch stores src[k*LineSize:(k+1)*LineSize] at lines[k] for
-// every k, each line one Write, in caller order (see writeLines).
-func (m *Memory) WriteBatch(lines []uint64, src []byte) error {
-	if err := checkBatch(lines, src, len(lines), m.layout.DataLines); err != nil {
-		return err
-	}
-	return writeLines(m, lines, src)
-}
-
-// writeLocked is Write with m.mu held — the one write pipeline. The
+// writeLocked is writeTraced with m.mu held — the one write pipeline. The
 // path is pinned in the metadata cache and every level's counter
 // advances in the cached copy: the leaf, each ancestor's slot and the
 // on-chip root, so any stale stored copy fails its MAC against the
@@ -1165,18 +1118,6 @@ func (m *Memory) IsPoisoned(i uint64) bool {
 	defer m.mu.RUnlock()
 	_, ok := m.poisoned[i]
 	return ok
-}
-
-// Poisoned returns the currently poisoned data lines in ascending order.
-func (m *Memory) Poisoned() []uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]uint64, 0, len(m.poisoned))
-	for i := range m.poisoned {
-		out = append(out, i)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // tryPreemptive applies the condemned chip's parity fix to the data line
@@ -1357,52 +1298,104 @@ func (r *ScrubReport) merge(o ScrubReport) {
 // vanish in the MAC-walk cost.
 const scrubCancelStride = 64
 
-// Scrub walks the entire data region, reading (and thereby correcting)
-// every line. Uncorrectable lines no longer abort the pass: they are
-// poisoned, reported in ScrubReport.Poisoned, and the scan continues —
-// a degraded module still gets its healthy lines patrolled. The rank
-// lock is taken per line, not for the whole pass, so concurrent
-// clients interleave with a background scrub instead of stalling
-// behind it. Cancelling ctx stops the pass promptly; the partial
-// report and ctx.Err() are returned.
-func (m *Memory) Scrub(ctx context.Context) (ScrubReport, error) {
-	rep, _, err := m.ScrubFrom(ctx, 0)
-	return rep, err
-}
-
-// scrubFrom is ScrubFrom without the telemetry wrapper.
+// scrubFrom reads (and thereby corrects) every rank-local data line
+// from start to the end of the rank, returning the report and the next
+// line to scan — DataLines when the pass completed, or the resume point
+// when ctx was cancelled. It is the primitive Array.Scrub and
+// background scrubbers use; the latter resume an interrupted pass
+// instead of restarting it. Uncorrectable lines do not abort the pass:
+// they are poisoned, reported in ScrubReport.Poisoned, and the scan
+// continues — a degraded module still gets its healthy lines
+// patrolled. The rank lock is taken per line, not for the whole pass,
+// so concurrent clients interleave with a background scrub instead of
+// stalling behind it. Cancelling ctx stops the pass promptly with the
+// partial report and ctx.Err().
 func (m *Memory) scrubFrom(ctx context.Context, start uint64) (ScrubReport, uint64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	m.tel.CountOp(telemetry.OpScrub, m.telRank)
+	t0 := time.Now()
 	var rep ScrubReport
+	var err error
+	next := m.layout.DataLines
 	buf := make([]byte, LineSize)
+scan:
 	for i := start; i < m.layout.DataLines; i++ {
 		if (i-start)%scrubCancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return rep, i, err
+			if err = ctx.Err(); err != nil {
+				next = i
+				break
 			}
 		}
-		info, err := m.Read(i, buf)
+		info, rerr := m.readTraced(i, buf, nil)
 		switch {
-		case err == nil:
+		case rerr == nil:
 			if info.Corrected {
 				rep.Corrected++
 			}
-		case errors.Is(err, ErrPoisoned), errors.Is(err, ErrAttack):
-			// The Read already poisoned the line (or it was poisoned
+		case errors.Is(rerr, ErrPoisoned), errors.Is(rerr, ErrAttack):
+			// The read already poisoned the line (or it was poisoned
 			// before); log and continue — no early abort.
 			rep.Poisoned = append(rep.Poisoned, i)
 		default:
-			return rep, i, err
+			next, err = i, rerr
+			break scan
 		}
 		rep.Scanned++
 	}
-	return rep, m.layout.DataLines, nil
+	m.tel.ObserveOp(telemetry.OpScrub, m.telRank, time.Since(t0))
+	// A cancelled context is the caller pausing the patrol, not the
+	// engine failing; only I/O-level failures count as errors.
+	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		m.tel.CountOpError(telemetry.OpScrub, m.telRank)
+	}
+	passed := next == m.layout.DataLines
+	m.mu.Lock()
+	m.tally.scrubSegments++
+	m.tally.scrubScanned += rep.Scanned
+	m.tally.scrubCorrected += uint64(rep.Corrected)
+	if passed {
+		m.tally.scrubPasses++
+	}
+	m.mu.Unlock()
+	if passed {
+		m.tel.EmitScrubPass(telemetry.ScrubEvent{
+			Rank:      m.telRank,
+			Scanned:   rep.Scanned,
+			Corrected: rep.Corrected,
+			Poisoned:  len(rep.Poisoned),
+		})
+	}
+	return rep, next, err
 }
 
-// repairChip is RepairChip without the telemetry wrapper.
-func (m *Memory) repairChip(chip int) error {
+// repairChip models replacing chip (or re-mapping around it). Every
+// active permanent fault on the chip is cleared; then a verification
+// sweep reads every data line with the chip condemned, so the §IV-A
+// preemptive path rebuilds the chip's slice of every touched line —
+// data, counter and tree — from parity, MAC-verifies the result, and
+// commits it. Rebuilding under MAC verification (instead of blindly
+// XORing parity into the stored slice) matters when a second fault is
+// present: a blind rebuild would spread the other chip's error onto
+// the repaired chip and destroy an otherwise-correctable line.
+// Finally the parity region is recomputed from the verified data, the
+// scoreboard and condemned-chip state are reset so subsequent reads
+// run at full speed, and poisoned lines the repair fixed are healed —
+// any line that is still uncorrectable (a second fault elsewhere)
+// stays poisoned.
+func (m *Memory) repairChip(chip int) (err error) {
+	m.tel.CountOp(telemetry.OpRepairChip, m.telRank)
+	// Deferred first so it runs after the unlock below: the latency
+	// covers the whole repair, and sinks see the event lock-free.
+	defer func(start time.Time) {
+		m.tel.ObserveOp(telemetry.OpRepairChip, m.telRank, time.Since(start))
+		if err != nil {
+			m.tel.CountOpError(telemetry.OpRepairChip, m.telRank)
+		} else {
+			m.tel.EmitRepair(telemetry.RepairEvent{Rank: m.telRank, Chip: chip})
+		}
+	}(time.Now())
 	if chip < 0 || chip >= dimm.Chips {
 		return fmt.Errorf("core: chip %d out of range [0,%d)", chip, dimm.Chips)
 	}
@@ -1541,7 +1534,7 @@ func (m *Memory) InjectPermanent(chip int, lo, hi uint64, mask [dimm.SliceSize]b
 }
 
 // ClearFault disables a previously injected permanent fault under the
-// rank lock. Unlike RepairChip it does not rebuild stored state or
+// rank lock. Unlike Array.RepairChip it does not rebuild stored state or
 // reset the scoreboard — it models the fault merely going quiet.
 func (m *Memory) ClearFault(id dimm.FaultID) error {
 	m.mu.Lock()

@@ -11,13 +11,14 @@ import (
 	"synergy/internal/integrity"
 )
 
-func newMemory(t testing.TB, dataLines uint64) *Memory {
+// newMemory builds a one-rank Array and returns it with its rank.
+func newMemory(t testing.TB, dataLines uint64) (*Array, *Memory) {
 	t.Helper()
-	m, err := New(Config{DataLines: dataLines})
+	a, err := NewArray(Config{DataLines: dataLines})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewArray: %v", err)
 	}
-	return m
+	return a, a.ranks[0]
 }
 
 func fillLine(seed byte) []byte {
@@ -28,10 +29,10 @@ func fillLine(seed byte) []byte {
 	return b
 }
 
-func mustRead(t *testing.T, m *Memory, i uint64) ([]byte, ReadInfo) {
+func mustRead(t *testing.T, a *Array, i uint64) ([]byte, ReadInfo) {
 	t.Helper()
 	buf := make([]byte, LineSize)
-	info, err := m.Read(i, buf)
+	info, err := a.Read(i, buf)
 	if err != nil {
 		t.Fatalf("Read(%d): %v", i, err)
 	}
@@ -39,20 +40,20 @@ func mustRead(t *testing.T, m *Memory, i uint64) ([]byte, ReadInfo) {
 }
 
 func TestNewValidatesConfig(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("New accepted zero DataLines")
+	if _, err := NewArray(Config{}); err == nil {
+		t.Fatal("NewArray accepted zero DataLines")
 	}
-	if _, err := New(Config{DataLines: 8, EncKey: []byte{1}}); err == nil {
-		t.Fatal("New accepted short enc key")
+	if _, err := NewArray(Config{DataLines: 8, EncKey: []byte{1}}); err == nil {
+		t.Fatal("NewArray accepted short enc key")
 	}
-	if _, err := New(Config{DataLines: 8, MACKey: []byte{1}}); err == nil {
-		t.Fatal("New accepted short MAC key")
+	if _, err := NewArray(Config{DataLines: 8, MACKey: []byte{1}}); err == nil {
+		t.Fatal("NewArray accepted short MAC key")
 	}
 }
 
 func TestReadOfFreshMemoryIsZero(t *testing.T) {
-	m := newMemory(t, 64)
-	got, info := mustRead(t, m, 17)
+	a, _ := newMemory(t, 64)
+	got, info := mustRead(t, a, 17)
 	if !bytes.Equal(got, make([]byte, LineSize)) {
 		t.Fatal("fresh line not zero")
 	}
@@ -62,13 +63,13 @@ func TestReadOfFreshMemoryIsZero(t *testing.T) {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	m := newMemory(t, 64)
+	a, _ := newMemory(t, 64)
 	for _, i := range []uint64{0, 1, 7, 8, 31, 63} {
 		want := fillLine(byte(i))
-		if err := m.Write(i, want); err != nil {
+		if err := a.Write(i, want); err != nil {
 			t.Fatalf("Write(%d): %v", i, err)
 		}
-		got, info := mustRead(t, m, i)
+		got, info := mustRead(t, a, i)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("line %d round trip mismatch", i)
 		}
@@ -79,34 +80,34 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestOverwriteChangesCiphertext(t *testing.T) {
-	m := newMemory(t, 16)
+	a, m := newMemory(t, 16)
 	plain := fillLine(1)
-	m.Write(3, plain)
+	a.Write(3, plain)
 	l1, _ := m.Module().ReadLine(m.Layout().DataAddr(3))
-	m.Write(3, plain) // same plaintext again
+	a.Write(3, plain) // same plaintext again
 	l2, _ := m.Module().ReadLine(m.Layout().DataAddr(3))
 	if bytes.Equal(l1.Data[:], l2.Data[:]) {
 		t.Fatal("re-encryption with bumped counter produced identical ciphertext")
 	}
-	got, _ := mustRead(t, m, 3)
+	got, _ := mustRead(t, a, 3)
 	if !bytes.Equal(got, plain) {
 		t.Fatal("round trip after overwrite failed")
 	}
 }
 
 func TestReadWriteBoundsAndSizes(t *testing.T) {
-	m := newMemory(t, 8)
+	a, _ := newMemory(t, 8)
 	buf := make([]byte, LineSize)
-	if _, err := m.Read(8, buf); err == nil {
+	if _, err := a.Read(8, buf); err == nil {
 		t.Fatal("Read past end succeeded")
 	}
-	if err := m.Write(8, buf); err == nil {
+	if err := a.Write(8, buf); err == nil {
 		t.Fatal("Write past end succeeded")
 	}
-	if _, err := m.Read(0, make([]byte, 32)); err == nil {
+	if _, err := a.Read(0, make([]byte, 32)); err == nil {
 		t.Fatal("short Read buffer accepted")
 	}
-	if err := m.Write(0, make([]byte, 32)); err == nil {
+	if err := a.Write(0, make([]byte, 32)); err == nil {
 		t.Fatal("short Write buffer accepted")
 	}
 }
@@ -115,14 +116,14 @@ func TestReadWriteBoundsAndSizes(t *testing.T) {
 
 func TestCorrectsTransientFaultOnEveryDataChip(t *testing.T) {
 	for chip := 0; chip < dimm.DataChips; chip++ {
-		m := newMemory(t, 64)
+		a, m := newMemory(t, 64)
 		want := fillLine(0x30)
-		m.Write(5, want)
+		a.Write(5, want)
 		addr := m.Layout().DataAddr(5)
 		if err := m.Module().InjectTransient(addr, chip, [8]byte{0xDE, 0xAD}); err != nil {
 			t.Fatal(err)
 		}
-		got, info := mustRead(t, m, 5)
+		got, info := mustRead(t, a, 5)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("chip %d: data not recovered", chip)
 		}
@@ -136,7 +137,7 @@ func TestCorrectsTransientFaultOnEveryDataChip(t *testing.T) {
 			t.Fatalf("chip %d: %d MAC recomputations > 16", chip, info.MACRecomputations)
 		}
 		// The corrected line was written back: the next read is clean.
-		_, info2 := mustRead(t, m, 5)
+		_, info2 := mustRead(t, a, 5)
 		if info2.Corrected {
 			t.Fatalf("chip %d: transient fault not healed by write-back", chip)
 		}
@@ -144,14 +145,14 @@ func TestCorrectsTransientFaultOnEveryDataChip(t *testing.T) {
 }
 
 func TestCorrectsMACChipFault(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	want := fillLine(0x41)
-	m.Write(9, want)
+	a.Write(9, want)
 	addr := m.Layout().DataAddr(9)
 	if err := m.Module().InjectTransient(addr, dimm.ECCChip, [8]byte{0xFF, 0, 0xFF}); err != nil {
 		t.Fatal(err)
 	}
-	got, info := mustRead(t, m, 9)
+	got, info := mustRead(t, a, 9)
 	if !bytes.Equal(got, want) {
 		t.Fatal("data not recovered after MAC-chip fault")
 	}
@@ -167,16 +168,16 @@ func TestCorrectsMACChipFault(t *testing.T) {
 // --- Fig. 7 scenarios B, C: errors in counter / tree cachelines ---
 
 func TestCorrectsCounterLineChipFault(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	want := fillLine(0x52)
-	m.Write(12, want)
+	a.Write(12, want)
 	ctrAddr, slot := m.Layout().CounterAddr(12)
 	// Corrupt the chip holding data line 12's own counter.
 	if err := m.Module().InjectTransient(ctrAddr, slot, [8]byte{0x0F, 0xF0}); err != nil {
 		t.Fatal(err)
 	}
 	m.FlushNodeCache() // force the walk back to the corrupted memory
-	got, info := mustRead(t, m, 12)
+	got, info := mustRead(t, a, 12)
 	if !bytes.Equal(got, want) {
 		t.Fatal("data not recovered after counter corruption")
 	}
@@ -197,30 +198,30 @@ func TestCorrectsCounterLineChipFault(t *testing.T) {
 func TestCorrectsCounterLineFaultOnForeignSlot(t *testing.T) {
 	// Corrupting a *different* counter in the same line must still be
 	// detected (the line MAC covers all 8) and corrected.
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	want := fillLine(0x63)
-	m.Write(16, want) // counter line slot 0
+	a.Write(16, want) // counter line slot 0
 	ctrAddr, _ := m.Layout().CounterAddr(16)
 	if err := m.Module().InjectTransient(ctrAddr, 5, [8]byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	m.FlushNodeCache()
-	got, info := mustRead(t, m, 16)
+	got, info := mustRead(t, a, 16)
 	if !bytes.Equal(got, want) || !info.Corrected {
 		t.Fatalf("foreign-slot counter fault not corrected: %+v", info)
 	}
 }
 
 func TestCorrectsTreeLineChipFault(t *testing.T) {
-	m := newMemory(t, 512) // counter lines: 64 -> tree levels 8, 1
+	a, m := newMemory(t, 512) // counter lines: 64 -> tree levels 8, 1
 	want := fillLine(0x74)
-	m.Write(100, want)
+	a.Write(100, want)
 	treeAddr := m.Layout().TreeAddr(0, 1) // parent of counter lines 8..15; line 100 -> ctr line 12
 	if err := m.Module().InjectTransient(treeAddr, 4, [8]byte{0xAA}); err != nil {
 		t.Fatal(err)
 	}
 	m.FlushNodeCache()
-	got, info := mustRead(t, m, 100)
+	got, info := mustRead(t, a, 100)
 	if !bytes.Equal(got, want) {
 		t.Fatal("data not recovered after tree-node corruption")
 	}
@@ -239,14 +240,14 @@ func TestSimultaneousCounterAndDataFault(t *testing.T) {
 	// Errors at two different levels of the same path (one chip each)
 	// are both correctable: the downward pass fixes the counter first,
 	// then the data (Fig. 7c).
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	want := fillLine(0x85)
-	m.Write(20, want)
+	a.Write(20, want)
 	ctrAddr, slot := m.Layout().CounterAddr(20)
 	m.Module().InjectTransient(ctrAddr, slot, [8]byte{0x11})
 	m.Module().InjectTransient(m.Layout().DataAddr(20), 3, [8]byte{0x22})
 	m.FlushNodeCache()
-	got, info := mustRead(t, m, 20)
+	got, info := mustRead(t, a, 20)
 	if !bytes.Equal(got, want) {
 		t.Fatal("data not recovered after counter+data faults")
 	}
@@ -258,12 +259,12 @@ func TestSimultaneousCounterAndDataFault(t *testing.T) {
 // --- Parity-region faults ---
 
 func TestParityFaultAloneIsHarmless(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	want := fillLine(0x96)
-	m.Write(24, want)
+	a.Write(24, want)
 	pAddr, slot := m.Layout().ParityAddr(24)
 	m.Module().InjectTransient(pAddr, slot, [8]byte{0xFF})
-	got, info := mustRead(t, m, 24)
+	got, info := mustRead(t, a, 24)
 	if !bytes.Equal(got, want) || info.Corrected {
 		t.Fatalf("parity-only fault affected a clean read: %+v", info)
 	}
@@ -273,17 +274,17 @@ func TestOverlappingDataAndParityFaultUsesParityP(t *testing.T) {
 	// Fig. 7 corner case: the data line and its parity are both on the
 	// failed chip (in separate cachelines). ParityP reconstructs the
 	// parity, which then reconstructs the data.
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	want := fillLine(0xA7)
 	const line = 26
-	m.Write(line, want)
+	a.Write(line, want)
 	lay := m.Layout()
 	pAddr, slot := lay.ParityAddr(line)
 	// Corrupt the data line on chip `slot` AND the parity slot itself
 	// (which lives on chip `slot` of the parity line).
 	m.Module().InjectTransient(lay.DataAddr(line), slot, [8]byte{0x5A})
 	m.Module().InjectTransient(pAddr, slot, [8]byte{0xC3})
-	got, info := mustRead(t, m, line)
+	got, info := mustRead(t, a, line)
 	if !bytes.Equal(got, want) {
 		t.Fatal("data not recovered in overlapping data+parity fault")
 	}
@@ -298,13 +299,13 @@ func TestOverlappingDataAndParityFaultUsesParityP(t *testing.T) {
 // --- Uncorrectable scenarios fail closed ---
 
 func TestTwoChipDataFaultDeclaresAttack(t *testing.T) {
-	m := newMemory(t, 64)
-	m.Write(30, fillLine(0xB8))
+	a, m := newMemory(t, 64)
+	a.Write(30, fillLine(0xB8))
 	addr := m.Layout().DataAddr(30)
 	m.Module().InjectTransient(addr, 1, [8]byte{0x01})
 	m.Module().InjectTransient(addr, 6, [8]byte{0x02})
 	buf := make([]byte, LineSize)
-	if _, err := m.Read(30, buf); !errors.Is(err, ErrAttack) {
+	if _, err := a.Read(30, buf); !errors.Is(err, ErrAttack) {
 		t.Fatalf("two-chip fault: err = %v, want ErrAttack", err)
 	}
 	if m.Stats().AttacksDeclared == 0 {
@@ -313,36 +314,36 @@ func TestTwoChipDataFaultDeclaresAttack(t *testing.T) {
 }
 
 func TestMultiChipCounterFaultDeclaresAttack(t *testing.T) {
-	m := newMemory(t, 64)
-	m.Write(31, fillLine(0xC9))
+	a, m := newMemory(t, 64)
+	a.Write(31, fillLine(0xC9))
 	ctrAddr, _ := m.Layout().CounterAddr(31)
 	m.Module().InjectTransient(ctrAddr, 0, [8]byte{0x01})
 	m.Module().InjectTransient(ctrAddr, 7, [8]byte{0x02})
 	m.FlushNodeCache()
 	buf := make([]byte, LineSize)
-	if _, err := m.Read(31, buf); !errors.Is(err, ErrAttack) {
+	if _, err := a.Read(31, buf); !errors.Is(err, ErrAttack) {
 		t.Fatalf("err = %v, want ErrAttack", err)
 	}
 }
 
 func TestReplayAttackDetected(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	const line = 33
 	lay := m.Layout()
-	m.Write(line, fillLine(0x01))
+	a.Write(line, fillLine(0x01))
 	// Adversary snapshots the {data, MAC} tuple...
 	old, err := m.Module().ReadLine(lay.DataAddr(line))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ...the memory moves on...
-	m.Write(line, fillLine(0x02))
+	a.Write(line, fillLine(0x02))
 	// ...and the adversary replays the stale tuple.
 	if err := m.Module().WriteLine(lay.DataAddr(line), old.Data[:], old.ECC[:]); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, LineSize)
-	if _, err := m.Read(line, buf); !errors.Is(err, ErrAttack) {
+	if _, err := a.Read(line, buf); !errors.Is(err, ErrAttack) {
 		t.Fatalf("replayed tuple: err = %v, want ErrAttack", err)
 	}
 }
@@ -350,18 +351,18 @@ func TestReplayAttackDetected(t *testing.T) {
 func TestFullTupleReplayDetectedViaTree(t *testing.T) {
 	// Replaying {data, MAC, counter-line} together must still fail: the
 	// counter line's MAC is bound to the (advanced) tree counter above.
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	const line = 34
 	lay := m.Layout()
-	m.Write(line, fillLine(0x0A))
+	a.Write(line, fillLine(0x0A))
 	oldData, _ := m.Module().ReadLine(lay.DataAddr(line))
 	ctrAddr, _ := lay.CounterAddr(line)
 	oldCtr, _ := m.Module().ReadLine(ctrAddr)
-	m.Write(line, fillLine(0x0B))
+	a.Write(line, fillLine(0x0B))
 	m.Module().WriteLine(lay.DataAddr(line), oldData.Data[:], oldData.ECC[:])
 	m.Module().WriteLine(ctrAddr, oldCtr.Data[:], oldCtr.ECC[:])
 	buf := make([]byte, LineSize)
-	if _, err := m.Read(line, buf); !errors.Is(err, ErrAttack) {
+	if _, err := a.Read(line, buf); !errors.Is(err, ErrAttack) {
 		t.Fatalf("full-tuple replay: err = %v, want ErrAttack", err)
 	}
 }
@@ -369,24 +370,24 @@ func TestFullTupleReplayDetectedViaTree(t *testing.T) {
 // Single-chip bit-flip attacks (Rowhammer-style, §IV-B) are corrected,
 // not just detected.
 func TestRowhammerWithinOneChipIsCorrected(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	want := fillLine(0xDB)
-	m.Write(40, want)
+	a.Write(40, want)
 	// Many bit flips, all within chip 2's slice.
 	m.Module().InjectTransient(m.Layout().DataAddr(40), 2, [8]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
-	got, info := mustRead(t, m, 40)
+	got, info := mustRead(t, a, 40)
 	if !bytes.Equal(got, want) || !info.Corrected {
 		t.Fatal("single-chip multi-bit flip not corrected")
 	}
 }
 
 func TestCrossChipBitFlipAttackDetected(t *testing.T) {
-	m := newMemory(t, 64)
-	m.Write(41, fillLine(0xEC))
+	a, m := newMemory(t, 64)
+	a.Write(41, fillLine(0xEC))
 	m.Module().InjectTransient(m.Layout().DataAddr(41), 0, [8]byte{0x80})
 	m.Module().InjectTransient(m.Layout().DataAddr(41), 7, [8]byte{0x01})
 	buf := make([]byte, LineSize)
-	if _, err := m.Read(41, buf); !errors.Is(err, ErrAttack) {
+	if _, err := a.Read(41, buf); !errors.Is(err, ErrAttack) {
 		t.Fatalf("cross-chip flips: err = %v, want ErrAttack", err)
 	}
 }
@@ -394,10 +395,11 @@ func TestCrossChipBitFlipAttackDetected(t *testing.T) {
 // --- Permanent chip failure and the §IV-A scoreboard ---
 
 func TestPermanentChipFailureScoreboard(t *testing.T) {
-	m, err := New(Config{DataLines: 64, FaultThreshold: 3})
+	a, err := NewArray(Config{DataLines: 64, FaultThreshold: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := a.ranks[0]
 	want := make(map[uint64][]byte)
 	// Populate before the chip dies; avoid lines whose parity slot is
 	// on the failing chip while it is unidentified (documented residual
@@ -412,7 +414,7 @@ func TestPermanentChipFailureScoreboard(t *testing.T) {
 	}
 	for _, i := range lines {
 		want[i] = fillLine(byte(i))
-		if err := m.Write(i, want[i]); err != nil {
+		if err := a.Write(i, want[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -423,7 +425,7 @@ func TestPermanentChipFailureScoreboard(t *testing.T) {
 	preemptiveSeen := false
 	for pass := 0; pass < 3; pass++ {
 		for _, i := range lines {
-			got, info := mustRead(t, m, i)
+			got, info := mustRead(t, a, i)
 			if !bytes.Equal(got, want[i]) {
 				t.Fatalf("pass %d line %d: wrong data under permanent fault", pass, i)
 			}
@@ -438,10 +440,10 @@ func TestPermanentChipFailureScoreboard(t *testing.T) {
 	}
 	// Writes keep working with the chip condemned.
 	fresh := fillLine(0x99)
-	if err := m.Write(lines[0], fresh); err != nil {
+	if err := a.Write(lines[0], fresh); err != nil {
 		t.Fatalf("Write under condemned chip: %v", err)
 	}
-	got, _ := mustRead(t, m, lines[0])
+	got, _ := mustRead(t, a, lines[0])
 	if !bytes.Equal(got, fresh) {
 		t.Fatal("write/read under condemned chip lost data")
 	}
@@ -450,17 +452,18 @@ func TestPermanentChipFailureScoreboard(t *testing.T) {
 func TestPermanentECCChipFailure(t *testing.T) {
 	// Failure of the ECC chip itself kills every MAC (data lines) and
 	// every intra-line parity (node lines) — data must survive.
-	m, err := New(Config{DataLines: 64, FaultThreshold: 2})
+	a, err := NewArray(Config{DataLines: 64, FaultThreshold: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := a.ranks[0]
 	want := fillLine(0x11)
-	m.Write(7, want)
+	a.Write(7, want)
 	if _, err := m.Module().InjectPermanent(dimm.ECCChip, 0, m.Module().Lines()-1, [8]byte{0x77}); err != nil {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 4; pass++ {
-		got, _ := mustRead(t, m, 7)
+		got, _ := mustRead(t, a, 7)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("pass %d: wrong data under ECC-chip failure", pass)
 		}
@@ -473,14 +476,14 @@ func TestPermanentECCChipFailure(t *testing.T) {
 // --- Scrub ---
 
 func TestScrubHealsTransients(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	for i := uint64(0); i < 64; i++ {
-		m.Write(i, fillLine(byte(i)))
+		a.Write(i, fillLine(byte(i)))
 	}
 	lay := m.Layout()
 	m.Module().InjectTransient(lay.DataAddr(3), 1, [8]byte{1})
 	m.Module().InjectTransient(lay.DataAddr(48), 6, [8]byte{2})
-	rep, err := m.Scrub(context.Background())
+	rep, err := a.Scrub(context.Background())
 	if err != nil {
 		t.Fatalf("Scrub: %v", err)
 	}
@@ -490,7 +493,7 @@ func TestScrubHealsTransients(t *testing.T) {
 	if rep.Scanned != 64 || len(rep.Poisoned) != 0 {
 		t.Fatalf("Scrub report %+v, want 64 scanned, none poisoned", rep)
 	}
-	if rep2, _ := m.Scrub(context.Background()); rep2.Corrected != 0 {
+	if rep2, _ := a.Scrub(context.Background()); rep2.Corrected != 0 {
 		t.Fatalf("second Scrub corrected %d lines, want 0", rep2.Corrected)
 	}
 }
@@ -498,10 +501,10 @@ func TestScrubHealsTransients(t *testing.T) {
 // --- Stats and misc ---
 
 func TestStatsAccumulate(t *testing.T) {
-	m := newMemory(t, 16)
-	m.Write(1, fillLine(1))
+	a, m := newMemory(t, 16)
+	a.Write(1, fillLine(1))
 	buf := make([]byte, LineSize)
-	m.Read(1, buf)
+	a.Read(1, buf)
 	s := m.Stats()
 	if s.Reads != 1 || s.Writes != 1 {
 		t.Fatalf("reads/writes = %d/%d", s.Reads, s.Writes)
@@ -510,7 +513,7 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Fatal("no MAC computations counted")
 	}
 	m.Module().InjectTransient(m.Layout().DataAddr(1), 0, [8]byte{4})
-	m.Read(1, buf)
+	a.Read(1, buf)
 	s = m.Stats()
 	if s.CorrectionEvents != 1 || s.MismatchesSeen == 0 {
 		t.Fatalf("corrections/mismatches = %d/%d", s.CorrectionEvents, s.MismatchesSeen)
@@ -518,7 +521,7 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 func TestCounterAdvancesMonotonically(t *testing.T) {
-	m := newMemory(t, 8)
+	a, m := newMemory(t, 8)
 	lay := m.Layout()
 	ctrAddr, slot := lay.CounterAddr(2)
 	readCtr := func() uint64 {
@@ -534,7 +537,7 @@ func TestCounterAdvancesMonotonically(t *testing.T) {
 		t.Fatalf("initial counter %d, want 0", c)
 	}
 	for k := 1; k <= 5; k++ {
-		m.Write(2, fillLine(byte(k)))
+		a.Write(2, fillLine(byte(k)))
 		if c := readCtr(); c != uint64(k) {
 			t.Fatalf("after %d writes counter is %d", k, c)
 		}
@@ -544,7 +547,7 @@ func TestCounterAdvancesMonotonically(t *testing.T) {
 // Randomized soak: interleaved writes, reads, and single-chip transient
 // faults must never yield wrong data.
 func TestRandomizedSoak(t *testing.T) {
-	m := newMemory(t, 128)
+	a, m := newMemory(t, 128)
 	rng := rand.New(rand.NewSource(99))
 	shadow := make(map[uint64][]byte)
 	// Synergy guarantees correction only for errors confined to one chip
@@ -558,13 +561,13 @@ func TestRandomizedSoak(t *testing.T) {
 		case 0: // write (heals transients on the line)
 			p := make([]byte, LineSize)
 			rng.Read(p)
-			if err := m.Write(line, p); err != nil {
+			if err := a.Write(line, p); err != nil {
 				t.Fatalf("op %d: Write: %v", op, err)
 			}
 			shadow[line] = p
 			delete(faultChip, line)
 		case 1: // read (corrects and heals via write-back)
-			if _, err := m.Read(line, buf); err != nil {
+			if _, err := a.Read(line, buf); err != nil {
 				t.Fatalf("op %d: Read: %v", op, err)
 			}
 			want := shadow[line]
@@ -591,7 +594,7 @@ func TestRandomizedSoak(t *testing.T) {
 }
 
 func TestLayoutRegions(t *testing.T) {
-	m := newMemory(t, 64)
+	_, m := newMemory(t, 64)
 	lay := m.Layout()
 	if lay.RegionOf(lay.DataAddr(0)) != RegionData {
 		t.Error("data region misclassified")
@@ -610,7 +613,7 @@ func TestLayoutRegions(t *testing.T) {
 }
 
 func TestStorageOverheads(t *testing.T) {
-	m := newMemory(t, 4096)
+	_, m := newMemory(t, 4096)
 	ctr, par, tree := m.Layout().StorageOverheads()
 	if ctr != 0.125 || par != 0.125 {
 		t.Fatalf("counter/parity overheads = %v/%v, want 0.125", ctr, par)
@@ -636,18 +639,19 @@ func TestRegionString(t *testing.T) {
 }
 
 func BenchmarkReadWithChipFault(b *testing.B) {
-	m, err := New(Config{DataLines: 1024, FaultThreshold: 1 << 30}) // keep scoreboard out
+	a, err := NewArray(Config{DataLines: 1024, FaultThreshold: 1 << 30}) // keep scoreboard out
 	if err != nil {
 		b.Fatal(err)
 	}
+	m := a.ranks[0]
 	buf := make([]byte, LineSize)
 	for i := uint64(0); i < 1024; i++ {
-		m.Write(i, buf)
+		a.Write(i, buf)
 	}
 	m.Module().InjectPermanent(3, 0, 1023, [8]byte{0x55})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Read(uint64(i)%1024, buf); err != nil {
+		if _, err := a.Read(uint64(i)%1024, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -656,33 +660,33 @@ func BenchmarkReadWithChipFault(b *testing.B) {
 // Writes must also traverse and repair a corrupted path (the write
 // pipeline uses the same reconstruction engine as reads).
 func TestWriteUnderCounterFault(t *testing.T) {
-	m := newMemory(t, 64)
-	m.Write(12, fillLine(1))
+	a, m := newMemory(t, 64)
+	a.Write(12, fillLine(1))
 	ctrAddr, slot := m.Layout().CounterAddr(12)
 	m.Module().InjectTransient(ctrAddr, slot, [8]byte{0x77})
 	m.FlushNodeCache()
 	// The write must correct the counter line, then proceed.
 	want := fillLine(2)
-	if err := m.Write(12, want); err != nil {
+	if err := a.Write(12, want); err != nil {
 		t.Fatalf("Write under counter fault: %v", err)
 	}
 	if m.Stats().CorrectionEvents == 0 {
 		t.Fatal("write path did not correct the counter line")
 	}
-	got, _ := mustRead(t, m, 12)
+	got, _ := mustRead(t, a, 12)
 	if !bytes.Equal(got, want) {
 		t.Fatal("data lost across write-path correction")
 	}
 }
 
 func TestWriteUnderTreeFaultMultiChipFailsClosed(t *testing.T) {
-	m := newMemory(t, 512)
-	m.Write(100, fillLine(1))
+	a, m := newMemory(t, 512)
+	a.Write(100, fillLine(1))
 	treeAddr := m.Layout().TreeAddr(0, 1)
 	m.Module().InjectTransient(treeAddr, 0, [8]byte{1})
 	m.Module().InjectTransient(treeAddr, 5, [8]byte{2})
 	m.FlushNodeCache()
-	if err := m.Write(100, fillLine(2)); !errors.Is(err, ErrAttack) {
+	if err := a.Write(100, fillLine(2)); !errors.Is(err, ErrAttack) {
 		t.Fatalf("write over multi-chip tree fault: err = %v, want ErrAttack", err)
 	}
 }
@@ -692,9 +696,9 @@ func TestWriteUnderTreeFaultMultiChipFailsClosed(t *testing.T) {
 // pass sees the line already poisoned and reports it again without
 // burning reconstruction attempts on it.
 func TestScrubContinuesPastUncorrectable(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	for i := uint64(0); i < 64; i++ {
-		m.Write(i, fillLine(byte(i)))
+		a.Write(i, fillLine(byte(i)))
 	}
 	// Two independent uncorrectable lines plus one correctable one
 	// after the first bad line.
@@ -704,7 +708,7 @@ func TestScrubContinuesPastUncorrectable(t *testing.T) {
 		m.Module().InjectTransient(addr, 5, [8]byte{2})
 	}
 	m.Module().InjectTransient(m.Layout().DataAddr(50), 1, [8]byte{4})
-	rep, err := m.Scrub(context.Background())
+	rep, err := a.Scrub(context.Background())
 	if err != nil {
 		t.Fatalf("Scrub: %v", err)
 	}
@@ -718,12 +722,12 @@ func TestScrubContinuesPastUncorrectable(t *testing.T) {
 		t.Fatalf("Scrub corrected %d lines, want 1 (line 50 past the first bad line)", rep.Corrected)
 	}
 	if !m.IsPoisoned(10) || !m.IsPoisoned(40) {
-		t.Fatalf("poison set %v, want lines 10 and 40", m.Poisoned())
+		t.Fatalf("poison set %v, want lines 10 and 40", a.Poisoned())
 	}
 	// Second pass: bad lines fast-fail (no reconstruction storm) but
 	// are still reported.
 	before := m.Stats().ReconstructionAttempts
-	rep2, err := m.Scrub(context.Background())
+	rep2, err := a.Scrub(context.Background())
 	if err != nil {
 		t.Fatalf("second Scrub: %v", err)
 	}
@@ -736,15 +740,15 @@ func TestScrubContinuesPastUncorrectable(t *testing.T) {
 }
 
 // A cancelled context stops a scrub pass promptly and reports how far
-// it got; ScrubFrom resumes from the returned cursor.
+// it got; scrubFrom resumes from the returned cursor.
 func TestScrubContextCancel(t *testing.T) {
-	m := newMemory(t, 512)
+	a, m := newMemory(t, 512)
 	for i := uint64(0); i < 512; i++ {
-		m.Write(i, fillLine(byte(i)))
+		a.Write(i, fillLine(byte(i)))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := m.Scrub(ctx)
+	rep, err := a.Scrub(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Scrub under cancelled ctx: err = %v, want context.Canceled", err)
 	}
@@ -752,7 +756,7 @@ func TestScrubContextCancel(t *testing.T) {
 		t.Fatalf("cancelled-before-start Scrub scanned %d lines", rep.Scanned)
 	}
 	// Resume from the cursor and finish the pass.
-	rep2, next, err := m.ScrubFrom(context.Background(), 0)
+	rep2, next, err := m.scrubFrom(context.Background(), 0)
 	if err != nil {
 		t.Fatalf("resumed scrub: %v", err)
 	}
@@ -766,9 +770,9 @@ func TestScrubContextCancel(t *testing.T) {
 func TestRecomputationBoundsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(31415))
 	for trial := 0; trial < 150; trial++ {
-		m := newMemory(t, 512)
+		a, m := newMemory(t, 512)
 		line := uint64(rng.Intn(512))
-		m.Write(line, fillLine(byte(trial)))
+		a.Write(line, fillLine(byte(trial)))
 		lay := m.Layout()
 		var addr uint64
 		var bound int
@@ -791,7 +795,7 @@ func TestRecomputationBoundsProperty(t *testing.T) {
 		m.Module().InjectTransient(addr, rng.Intn(dimm.Chips), mask)
 		m.FlushNodeCache()
 		buf := make([]byte, LineSize)
-		info, err := m.Read(line, buf)
+		info, err := a.Read(line, buf)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -8,29 +8,29 @@ import (
 )
 
 func TestNodeCacheStopsWalk(t *testing.T) {
-	m := newMemory(t, 512) // two tree levels
-	m.Write(100, fillLine(1))
+	a, m := newMemory(t, 512) // two tree levels
+	a.Write(100, fillLine(1))
 	before := m.Stats().NodeCacheStops
-	mustRead(t, m, 100) // the write cached the path
+	mustRead(t, a, 100) // the write cached the path
 	if m.Stats().NodeCacheStops <= before {
 		t.Fatal("read did not stop at the on-chip node cache")
 	}
 }
 
 func TestNodeCacheMasksMemoryCorruptionUntilFlush(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	want := fillLine(2)
-	m.Write(12, want)
+	a.Write(12, want)
 	ctrAddr, slot := m.Layout().CounterAddr(12)
 	m.Module().InjectTransient(ctrAddr, slot, [8]byte{0xFF})
 	// Warm cache: the corrupted memory copy is never consulted.
-	got, info := mustRead(t, m, 12)
+	got, info := mustRead(t, a, 12)
 	if !bytes.Equal(got, want) || info.Corrected {
 		t.Fatalf("cached read: corrected=%v", info.Corrected)
 	}
 	// After a flush the walk sees (and repairs) the corruption.
 	m.FlushNodeCache()
-	got, info = mustRead(t, m, 12)
+	got, info = mustRead(t, a, 12)
 	if !bytes.Equal(got, want) || !info.Corrected {
 		t.Fatalf("flushed read: corrected=%v", info.Corrected)
 	}
@@ -39,13 +39,13 @@ func TestNodeCacheMasksMemoryCorruptionUntilFlush(t *testing.T) {
 func TestNodeCacheWritesRefreshCachedCounters(t *testing.T) {
 	// Reads served from the cache must observe the counters bumped by
 	// interleaved writes (stale cached counters would garble data).
-	m := newMemory(t, 64)
+	a, _ := newMemory(t, 64)
 	for k := 0; k < 20; k++ {
 		want := fillLine(byte(k))
-		if err := m.Write(7, want); err != nil {
+		if err := a.Write(7, want); err != nil {
 			t.Fatal(err)
 		}
-		got, _ := mustRead(t, m, 7)
+		got, _ := mustRead(t, a, 7)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("iteration %d: stale counter served from cache", k)
 		}

@@ -22,27 +22,27 @@ func corruptTwoChips(m *Memory, i uint64) {
 // of re-running the 16-attempt reconstruction; a successful Write
 // re-seals the line and clears the poison.
 func TestPoisonLifecycle(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	for i := uint64(0); i < 64; i++ {
-		m.Write(i, fillLine(byte(i)))
+		a.Write(i, fillLine(byte(i)))
 	}
 	corruptTwoChips(m, 7)
 	buf := make([]byte, LineSize)
 
-	if _, err := m.Read(7, buf); !errors.Is(err, ErrAttack) {
+	if _, err := a.Read(7, buf); !errors.Is(err, ErrAttack) {
 		t.Fatalf("first read: err = %v, want ErrAttack", err)
 	}
 	if !m.IsPoisoned(7) {
 		t.Fatal("line 7 not poisoned after uncorrectable read")
 	}
-	if got := m.Poisoned(); len(got) != 1 || got[0] != 7 {
+	if got := a.Poisoned(); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("Poisoned() = %v, want [7]", got)
 	}
 
 	// Fast-fail: no reconstruction attempts, no new attack declarations.
 	s0 := m.Stats()
 	for k := 0; k < 4; k++ {
-		if _, err := m.Read(7, buf); !errors.Is(err, ErrPoisoned) {
+		if _, err := a.Read(7, buf); !errors.Is(err, ErrPoisoned) {
 			t.Fatalf("poisoned read %d: err = %v, want ErrPoisoned", k, err)
 		}
 	}
@@ -64,13 +64,13 @@ func TestPoisonLifecycle(t *testing.T) {
 	// Healing: a write re-seals the line (fresh data, MAC, parity) and
 	// clears the poison.
 	want := fillLine(0xEE)
-	if err := m.Write(7, want); err != nil {
+	if err := a.Write(7, want); err != nil {
 		t.Fatalf("healing write: %v", err)
 	}
 	if m.IsPoisoned(7) {
 		t.Fatal("line still poisoned after successful write")
 	}
-	got, _ := mustRead(t, m, 7)
+	got, _ := mustRead(t, a, 7)
 	if !bytes.Equal(got, want) {
 		t.Fatal("wrong data after healing write")
 	}
@@ -78,27 +78,27 @@ func TestPoisonLifecycle(t *testing.T) {
 		t.Fatalf("LinesHealed = %d, want 1", s.LinesHealed)
 	}
 	// Other lines were never affected.
-	if got, _ := mustRead(t, m, 8); !bytes.Equal(got, fillLine(8)) {
+	if got, _ := mustRead(t, a, 8); !bytes.Equal(got, fillLine(8)) {
 		t.Fatal("neighbor line damaged")
 	}
 }
 
 // Poisoning one line must not slow or fail any other line.
 func TestPoisonIsPerLine(t *testing.T) {
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	for i := uint64(0); i < 64; i++ {
-		m.Write(i, fillLine(byte(i)))
+		a.Write(i, fillLine(byte(i)))
 	}
 	corruptTwoChips(m, 30)
 	buf := make([]byte, LineSize)
-	if _, err := m.Read(30, buf); !errors.Is(err, ErrAttack) {
+	if _, err := a.Read(30, buf); !errors.Is(err, ErrAttack) {
 		t.Fatalf("read 30: %v", err)
 	}
 	for i := uint64(0); i < 64; i++ {
 		if i == 30 {
 			continue
 		}
-		if got, _ := mustRead(t, m, i); !bytes.Equal(got, fillLine(byte(i))) {
+		if got, _ := mustRead(t, a, i); !bytes.Equal(got, fillLine(byte(i))) {
 			t.Fatalf("line %d wrong after poisoning line 30", i)
 		}
 	}
@@ -109,9 +109,9 @@ func TestPoisonIsPerLine(t *testing.T) {
 // lines the dead chip had made uncorrectable heal.
 func TestRepairChipRestoresFullSpeed(t *testing.T) {
 	const badChip = 3
-	m := newMemory(t, 64)
+	a, m := newMemory(t, 64)
 	for i := uint64(0); i < 64; i++ {
-		m.Write(i, fillLine(byte(i)))
+		a.Write(i, fillLine(byte(i)))
 	}
 	// Second stored fault on line 9: with the chip-3 read-path fault
 	// active the line has two bad chips and is uncorrectable.
@@ -123,7 +123,7 @@ func TestRepairChipRestoresFullSpeed(t *testing.T) {
 
 	buf := make([]byte, LineSize)
 	for i := uint64(0); i < 64; i++ {
-		_, err := m.Read(i, buf)
+		_, err := a.Read(i, buf)
 		if i == 9 {
 			if !errors.Is(err, ErrAttack) {
 				t.Fatalf("line 9 under two faults: err = %v, want ErrAttack", err)
@@ -142,7 +142,7 @@ func TestRepairChipRestoresFullSpeed(t *testing.T) {
 	}
 
 	// Chip replacement.
-	if err := m.RepairChip(badChip); err != nil {
+	if err := a.RepairChip(0, badChip); err != nil {
 		t.Fatalf("RepairChip: %v", err)
 	}
 	if m.KnownBadChip() != -1 {
@@ -160,7 +160,7 @@ func TestRepairChipRestoresFullSpeed(t *testing.T) {
 	// any correction machinery.
 	s0 := m.Stats()
 	for i := uint64(0); i < 64; i++ {
-		if got, _ := mustRead(t, m, i); !bytes.Equal(got, fillLine(byte(i))) {
+		if got, _ := mustRead(t, a, i); !bytes.Equal(got, fillLine(byte(i))) {
 			t.Fatalf("line %d wrong after repair", i)
 		}
 	}
@@ -176,9 +176,9 @@ func TestRepairChipRestoresFullSpeed(t *testing.T) {
 // rebuilt from parity, including counter, parity and tree lines.
 func TestRepairChipRebuildsStoredSlices(t *testing.T) {
 	for _, chip := range []int{0, 4, dimm.ECCChip} {
-		m := newMemory(t, 128)
+		a, m := newMemory(t, 128)
 		for i := uint64(0); i < 128; i++ {
-			m.Write(i, fillLine(byte(i)^byte(chip)))
+			a.Write(i, fillLine(byte(i)^byte(chip)))
 		}
 		// Trash the chip's stored slice on every module line — data,
 		// counters, parity and tree alike (a dead chip returns garbage).
@@ -186,11 +186,11 @@ func TestRepairChipRebuildsStoredSlices(t *testing.T) {
 			m.Module().InjectTransient(addr, chip, [8]byte{0xDE, 0xAD, 0xBE, 0xEF, 0xDE, 0xAD, 0xBE, 0xEF})
 		}
 		m.FlushNodeCache()
-		if err := m.RepairChip(chip); err != nil {
+		if err := a.RepairChip(0, chip); err != nil {
 			t.Fatalf("chip %d: RepairChip: %v", chip, err)
 		}
 		for i := uint64(0); i < 128; i++ {
-			got, info := mustRead(t, m, i)
+			got, info := mustRead(t, a, i)
 			if !bytes.Equal(got, fillLine(byte(i)^byte(chip))) {
 				t.Fatalf("chip %d: line %d wrong after rebuild", chip, i)
 			}
@@ -198,18 +198,18 @@ func TestRepairChipRebuildsStoredSlices(t *testing.T) {
 				t.Fatalf("chip %d: line %d still needed correction after rebuild", chip, i)
 			}
 		}
-		if got := m.Poisoned(); len(got) != 0 {
+		if got := a.Poisoned(); len(got) != 0 {
 			t.Fatalf("chip %d: poisoned lines after full rebuild: %v", chip, got)
 		}
 	}
 }
 
 func TestRepairChipValidation(t *testing.T) {
-	m := newMemory(t, 8)
-	if err := m.RepairChip(-1); err == nil {
+	a, _ := newMemory(t, 8)
+	if err := a.RepairChip(0, -1); err == nil {
 		t.Fatal("accepted chip -1")
 	}
-	if err := m.RepairChip(dimm.Chips); err == nil {
+	if err := a.RepairChip(0, dimm.Chips); err == nil {
 		t.Fatalf("accepted chip %d", dimm.Chips)
 	}
 }

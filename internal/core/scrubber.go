@@ -117,7 +117,7 @@ func (s *Scrubber) pass(ctx context.Context) {
 		if start >= m.layout.DataLines {
 			continue // already finished this rank in an earlier tick
 		}
-		rep, next, err := m.ScrubFrom(ctx, start)
+		rep, next, err := m.scrubFrom(ctx, start)
 		for k, inner := range rep.Poisoned {
 			rep.Poisoned[k] = s.a.globalLine(r, inner)
 		}

@@ -10,18 +10,18 @@ import (
 	"synergy/internal/integrity"
 )
 
-func newSplitMemory(t testing.TB, dataLines uint64) *Memory {
+func newSplitMemory(t testing.TB, dataLines uint64) (*Array, *Memory) {
 	t.Helper()
-	m, err := New(Config{DataLines: dataLines, SplitCounters: true})
+	a, err := NewArray(Config{DataLines: dataLines, SplitCounters: true})
 	if err != nil {
-		t.Fatalf("New(split): %v", err)
+		t.Fatalf("NewArray(split): %v", err)
 	}
-	return m
+	return a, a.ranks[0]
 }
 
 func TestSplitLayoutShrinksCounterRegion(t *testing.T) {
-	mono := newMemory(t, 960)
-	split := newSplitMemory(t, 960)
+	_, mono := newMemory(t, 960)
+	_, split := newSplitMemory(t, 960)
 	if mono.Layout().CounterLines != 120 {
 		t.Fatalf("monolithic counter lines = %d", mono.Layout().CounterLines)
 	}
@@ -35,13 +35,13 @@ func TestSplitLayoutShrinksCounterRegion(t *testing.T) {
 }
 
 func TestSplitWriteReadRoundTrip(t *testing.T) {
-	m := newSplitMemory(t, 96)
+	a, _ := newSplitMemory(t, 96)
 	for _, i := range []uint64{0, 1, 47, 48, 95} {
 		want := fillLine(byte(i))
-		if err := m.Write(i, want); err != nil {
+		if err := a.Write(i, want); err != nil {
 			t.Fatalf("Write(%d): %v", i, err)
 		}
-		got, info := mustRead(t, m, i)
+		got, info := mustRead(t, a, i)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("line %d round trip mismatch", i)
 		}
@@ -52,8 +52,8 @@ func TestSplitWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestSplitFreshReadIsZero(t *testing.T) {
-	m := newSplitMemory(t, 96)
-	got, _ := mustRead(t, m, 50)
+	a, _ := newSplitMemory(t, 96)
+	got, _ := mustRead(t, a, 50)
 	if !bytes.Equal(got, make([]byte, LineSize)) {
 		t.Fatal("fresh split-counter line not zero")
 	}
@@ -62,19 +62,19 @@ func TestSplitFreshReadIsZero(t *testing.T) {
 // 256 writes to one line overflow its 8-bit minor and force a group
 // re-encryption; every line in the group must stay intact.
 func TestSplitMinorOverflowReencryptsGroup(t *testing.T) {
-	m := newSplitMemory(t, 96)
+	a, m := newSplitMemory(t, 96)
 	// Populate the first group (lines 0..47).
 	want := make(map[uint64][]byte)
 	for i := uint64(0); i < 48; i++ {
 		want[i] = fillLine(byte(i))
-		if err := m.Write(i, want[i]); err != nil {
+		if err := a.Write(i, want[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Hammer line 5 past the minor limit.
 	for k := 0; k <= integrity.MinorMax; k++ {
 		want[5] = fillLine(byte(k))
-		if err := m.Write(5, want[5]); err != nil {
+		if err := a.Write(5, want[5]); err != nil {
 			t.Fatalf("write %d: %v", k, err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestSplitMinorOverflowReencryptsGroup(t *testing.T) {
 	// All group members readable and correct after re-encryption.
 	buf := make([]byte, LineSize)
 	for i := uint64(0); i < 48; i++ {
-		if _, err := m.Read(i, buf); err != nil {
+		if _, err := a.Read(i, buf); err != nil {
 			t.Fatalf("post-overflow read(%d): %v", i, err)
 		}
 		if !bytes.Equal(buf, want[i]) {
@@ -96,21 +96,21 @@ func TestSplitMinorOverflowReencryptsGroup(t *testing.T) {
 		}
 	}
 	// Further writes keep working.
-	if err := m.Write(5, fillLine(0xAB)); err != nil {
+	if err := a.Write(5, fillLine(0xAB)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := mustRead(t, m, 5)
+	got, _ := mustRead(t, a, 5)
 	if !bytes.Equal(got, fillLine(0xAB)) {
 		t.Fatal("write after overflow lost data")
 	}
 }
 
 func TestSplitCorrectsDataChipFault(t *testing.T) {
-	m := newSplitMemory(t, 96)
+	a, m := newSplitMemory(t, 96)
 	want := fillLine(0x5C)
-	m.Write(10, want)
+	a.Write(10, want)
 	m.Module().InjectTransient(m.Layout().DataAddr(10), 3, [8]byte{0xBE, 0xEF})
-	got, info := mustRead(t, m, 10)
+	got, info := mustRead(t, a, 10)
 	if !bytes.Equal(got, want) || !info.Corrected {
 		t.Fatal("split mode failed to correct a data chip fault")
 	}
@@ -122,13 +122,13 @@ func TestSplitCorrectsDataChipFault(t *testing.T) {
 func TestSplitCorrectsCounterLineChipFault(t *testing.T) {
 	// A chip fault on a split-counter line corrupts a major byte, six
 	// minors and a MAC byte at once — all restored via ParityC.
-	m := newSplitMemory(t, 96)
+	a, m := newSplitMemory(t, 96)
 	want := fillLine(0x6D)
-	m.Write(20, want)
+	a.Write(20, want)
 	ctrAddr, _ := m.Layout().CounterAddr(20)
 	m.Module().InjectTransient(ctrAddr, 2, [8]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	m.FlushNodeCache()
-	got, info := mustRead(t, m, 20)
+	got, info := mustRead(t, a, 20)
 	if !bytes.Equal(got, want) {
 		t.Fatal("data wrong after split-counter-line fault")
 	}
@@ -145,23 +145,24 @@ func TestSplitCorrectsCounterLineChipFault(t *testing.T) {
 }
 
 func TestSplitReplayStillDetected(t *testing.T) {
-	m := newSplitMemory(t, 96)
+	a, m := newSplitMemory(t, 96)
 	lay := m.Layout()
-	m.Write(7, fillLine(1))
+	a.Write(7, fillLine(1))
 	old, _ := m.Module().ReadLine(lay.DataAddr(7))
-	m.Write(7, fillLine(2))
+	a.Write(7, fillLine(2))
 	m.Module().WriteLine(lay.DataAddr(7), old.Data[:], old.ECC[:])
 	buf := make([]byte, LineSize)
-	if _, err := m.Read(7, buf); !errors.Is(err, ErrAttack) {
+	if _, err := a.Read(7, buf); !errors.Is(err, ErrAttack) {
 		t.Fatalf("replay under split counters: err = %v, want ErrAttack", err)
 	}
 }
 
 func TestSplitPermanentChipFailure(t *testing.T) {
-	m, err := New(Config{DataLines: 96, SplitCounters: true, FaultThreshold: 3})
+	a, err := NewArray(Config{DataLines: 96, SplitCounters: true, FaultThreshold: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := a.ranks[0]
 	const badChip = 6
 	want := make(map[uint64][]byte)
 	var lines []uint64
@@ -171,7 +172,7 @@ func TestSplitPermanentChipFailure(t *testing.T) {
 		}
 		lines = append(lines, i)
 		want[i] = fillLine(byte(i))
-		if err := m.Write(i, want[i]); err != nil {
+		if err := a.Write(i, want[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +180,7 @@ func TestSplitPermanentChipFailure(t *testing.T) {
 	buf := make([]byte, LineSize)
 	for pass := 0; pass < 3; pass++ {
 		for _, i := range lines {
-			if _, err := m.Read(i, buf); err != nil {
+			if _, err := a.Read(i, buf); err != nil {
 				t.Fatalf("pass %d line %d: %v", pass, i, err)
 			}
 			if !bytes.Equal(buf, want[i]) {
@@ -196,21 +197,21 @@ func TestSplitPermanentChipFailure(t *testing.T) {
 // re-encryption pass must correct it through the reconstruction engine
 // rather than laundering the corruption.
 func TestSplitOverflowCorrectsFaultyGroupMember(t *testing.T) {
-	m := newSplitMemory(t, 48)
+	a, m := newSplitMemory(t, 48)
 	want := make(map[uint64][]byte)
 	for i := uint64(0); i < 48; i++ {
 		want[i] = fillLine(byte(i))
-		m.Write(i, want[i])
+		a.Write(i, want[i])
 	}
 	// Fault line 30, then overflow line 2's minor.
 	m.Module().InjectTransient(m.Layout().DataAddr(30), 4, [8]byte{0x44})
 	for k := 0; k <= integrity.MinorMax; k++ {
 		want[2] = fillLine(byte(k))
-		if err := m.Write(2, want[2]); err != nil {
+		if err := a.Write(2, want[2]); err != nil {
 			t.Fatalf("write %d: %v", k, err)
 		}
 	}
-	got, _ := mustRead(t, m, 30)
+	got, _ := mustRead(t, a, 30)
 	if !bytes.Equal(got, want[30]) {
 		t.Fatal("faulty group member corrupted by re-encryption")
 	}
@@ -220,7 +221,7 @@ func TestSplitOverflowCorrectsFaultyGroupMember(t *testing.T) {
 }
 
 func TestSplitRandomizedSoak(t *testing.T) {
-	m := newSplitMemory(t, 96)
+	a, m := newSplitMemory(t, 96)
 	rng := rand.New(rand.NewSource(77))
 	shadow := map[uint64][]byte{}
 	faultChip := map[uint64]int{}
@@ -231,13 +232,13 @@ func TestSplitRandomizedSoak(t *testing.T) {
 		case 0:
 			p := make([]byte, LineSize)
 			rng.Read(p)
-			if err := m.Write(line, p); err != nil {
+			if err := a.Write(line, p); err != nil {
 				t.Fatalf("op %d write: %v", op, err)
 			}
 			shadow[line] = p
 			delete(faultChip, line)
 		case 1:
-			if _, err := m.Read(line, buf); err != nil {
+			if _, err := a.Read(line, buf); err != nil {
 				t.Fatalf("op %d read: %v", op, err)
 			}
 			want := shadow[line]

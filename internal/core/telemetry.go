@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"time"
 
 	"synergy/internal/telemetry"
@@ -16,7 +14,7 @@ import (
 //
 // Sampling: a single-line read or write runs in a few hundred
 // nanoseconds, so per-stage clock reads on every call would dominate
-// it. ReadTraced and WriteTraced time one in Registry.SampleEvery of
+// it. readTraced and writeTraced time one in Registry.SampleEvery of
 // their exclusive-lock operations (stage marks in readLocked and
 // writeLocked fire only while m.st is active), and fastRead samples its
 // own; the sampled timer's Finish is the op's latency observation.
@@ -30,7 +28,7 @@ type tally struct {
 	reconstructions        uint64 // reconstruction-loop runs
 	reconstructionFailures uint64 // runs where no candidate verified
 	failClosed             uint64 // exclusive-path reads that returned ErrAttack or ErrPoisoned
-	scrubSegments          uint64 // ScrubFrom calls, completing or not
+	scrubSegments          uint64 // scrubFrom calls, completing or not
 	scrubPasses            uint64 // segments that reached the end of the data region
 	scrubScanned           uint64 // data lines scanned by those segments
 	scrubCorrected         uint64 // scanned lines that needed correction
@@ -101,18 +99,13 @@ func (m *Memory) fillRank(rs *telemetry.RankSnapshot, ops *[telemetry.NumOps]uin
 	ops[telemetry.OpWrite] += writes
 }
 
-// Flush seals every dirty metadata cache entry back to the module (in
+// flush seals every dirty metadata cache entry back to the module (in
 // deterministic address order) without evicting anything. After a nil
 // return, stored device state is externally consistent — bit-identical
 // to a default-config instance (every write flushes its own path) that
 // served the same operations — which is the contract snapshot/restore
 // and raw Module consumers rely on.
-func (m *Memory) Flush() error {
-	if m.tel == nil {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.flushMetadata()
-	}
+func (m *Memory) flush() error {
 	m.tel.CountOp(telemetry.OpFlush, m.telRank)
 	start := time.Now()
 	m.mu.Lock()
@@ -124,75 +117,6 @@ func (m *Memory) Flush() error {
 	}
 	return err
 }
-
-// ScrubFrom scans data lines [start, DataLines) with Scrub semantics
-// and additionally returns the next line to scan — DataLines when the
-// pass completed, or the resume point when ctx was cancelled. It is
-// the primitive background scrubbers use to resume an interrupted
-// pass instead of restarting it.
-func (m *Memory) ScrubFrom(ctx context.Context, start uint64) (ScrubReport, uint64, error) {
-	m.tel.CountOp(telemetry.OpScrub, m.telRank)
-	t0 := time.Now()
-	rep, next, err := m.scrubFrom(ctx, start)
-	m.tel.ObserveOp(telemetry.OpScrub, m.telRank, time.Since(t0))
-	// A cancelled context is the caller pausing the patrol, not the
-	// engine failing; only I/O-level failures count as errors.
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		m.tel.CountOpError(telemetry.OpScrub, m.telRank)
-	}
-	passed := next == m.layout.DataLines
-	m.mu.Lock()
-	m.tally.scrubSegments++
-	m.tally.scrubScanned += rep.Scanned
-	m.tally.scrubCorrected += uint64(rep.Corrected)
-	if passed {
-		m.tally.scrubPasses++
-	}
-	m.mu.Unlock()
-	if passed {
-		m.tel.EmitScrubPass(telemetry.ScrubEvent{
-			Rank:      m.telRank,
-			Scanned:   rep.Scanned,
-			Corrected: rep.Corrected,
-			Poisoned:  len(rep.Poisoned),
-		})
-	}
-	return rep, next, err
-}
-
-// RepairChip models replacing chip (or re-mapping around it). Every
-// active permanent fault on the chip is cleared; then a verification
-// sweep reads every data line with the chip condemned, so the §IV-A
-// preemptive path rebuilds the chip's slice of every touched line —
-// data, counter and tree — from parity, MAC-verifies the result, and
-// commits it. Rebuilding under MAC verification (instead of blindly
-// XORing parity into the stored slice) matters when a second fault is
-// present: a blind rebuild would spread the other chip's error onto
-// the repaired chip and destroy an otherwise-correctable line.
-// Finally the parity region is recomputed from the verified data, the
-// scoreboard and condemned-chip state are reset so subsequent reads
-// run at full speed, and poisoned lines the repair fixed are healed —
-// any line that is still uncorrectable (a second fault elsewhere)
-// stays poisoned.
-func (m *Memory) RepairChip(chip int) error {
-	if m.tel == nil {
-		return m.repairChip(chip)
-	}
-	m.tel.CountOp(telemetry.OpRepairChip, m.telRank)
-	start := time.Now()
-	err := m.repairChip(chip)
-	m.tel.ObserveOp(telemetry.OpRepairChip, m.telRank, time.Since(start))
-	if err != nil {
-		m.tel.CountOpError(telemetry.OpRepairChip, m.telRank)
-	} else {
-		m.tel.EmitRepair(telemetry.RepairEvent{Rank: m.telRank, Chip: chip})
-	}
-	return err
-}
-
-// Telemetry returns the registry this memory records into (Disabled
-// when none was configured).
-func (m *Memory) Telemetry() *telemetry.Registry { return m.tel }
 
 // Telemetry returns the registry the array's ranks record into
 // (Disabled when none was configured).

@@ -9,13 +9,13 @@ import (
 	"synergy/internal/telemetry"
 )
 
-func newInstrumentedMemory(tb testing.TB, lines uint64, reg *telemetry.Registry) *Memory {
+func newInstrumentedMemory(tb testing.TB, lines uint64, reg *telemetry.Registry) (*Array, *Memory) {
 	tb.Helper()
-	m, err := New(Config{DataLines: lines, Telemetry: reg})
+	a, err := NewArray(Config{DataLines: lines, Telemetry: reg})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return m
+	return a, a.ranks[0]
 }
 
 // The steady-state read must stay allocation-free with telemetry
@@ -24,16 +24,16 @@ func newInstrumentedMemory(tb testing.TB, lines uint64, reg *telemetry.Registry)
 // zero.
 func TestReadHotPathAllocs(t *testing.T) {
 	reg := telemetry.New(telemetry.SampleEvery(1))
-	m := newInstrumentedMemory(t, 1024, reg)
+	a, _ := newInstrumentedMemory(t, 1024, reg)
 	buf := make([]byte, LineSize)
-	if err := m.Write(42, fillLine(0x11)); err != nil {
+	if err := a.Write(42, fillLine(0x11)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Read(42, buf); err != nil { // warm the node cache
+	if _, err := a.Read(42, buf); err != nil { // warm the node cache
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := m.Read(42, buf); err != nil {
+		if _, err := a.Read(42, buf); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -45,7 +45,7 @@ func TestReadHotPathAllocs(t *testing.T) {
 	// spans are nil, the recorder is only consulted by the server.
 	reg.SetFlight(telemetry.NewFlightRecorder(telemetry.FlightConfig{}))
 	allocs = testing.AllocsPerRun(200, func() {
-		if _, err := m.Read(42, buf); err != nil {
+		if _, err := a.Read(42, buf); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -114,9 +114,9 @@ func TestReadTracedStageEvents(t *testing.T) {
 // and the paper-facing counters must never disagree.
 func TestTelemetryTracksEngineEvents(t *testing.T) {
 	reg := telemetry.New()
-	m := newInstrumentedMemory(t, 256, reg)
+	a, m := newInstrumentedMemory(t, 256, reg)
 	buf := make([]byte, LineSize)
-	if err := m.Write(7, fillLine(0x33)); err != nil {
+	if err := a.Write(7, fillLine(0x33)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -127,7 +127,7 @@ func TestTelemetryTracksEngineEvents(t *testing.T) {
 	if err := m.InjectTransient(m.layout.DataAddr(7), 2, mask); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Read(7, buf); err != nil {
+	if _, err := a.Read(7, buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,20 +138,20 @@ func TestTelemetryTracksEngineEvents(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Read(9, buf); !errors.Is(err, ErrAttack) {
+	if _, err := a.Read(9, buf); !errors.Is(err, ErrAttack) {
 		t.Fatalf("two-chip read: got %v, want ErrAttack", err)
 	}
-	if _, err := m.Read(9, buf); !errors.Is(err, ErrPoisoned) {
+	if _, err := a.Read(9, buf); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("poisoned read: got %v, want ErrPoisoned", err)
 	}
-	if err := m.Write(9, fillLine(0x44)); err != nil {
+	if err := a.Write(9, fillLine(0x44)); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := m.Scrub(context.Background()); err != nil {
+	if _, err := a.Scrub(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RepairChip(2); err != nil {
+	if err := a.RepairChip(0, 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -218,11 +218,12 @@ func TestTelemetryTracksEngineEvents(t *testing.T) {
 // reads.
 func TestTelemetryCountsPreemptive(t *testing.T) {
 	reg := telemetry.New()
-	m, err := New(Config{DataLines: 64, FaultThreshold: 1, Telemetry: reg})
+	a, err := NewArray(Config{DataLines: 64, FaultThreshold: 1, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Write(3, fillLine(0x55)); err != nil {
+	m := a.ranks[0]
+	if err := a.Write(3, fillLine(0x55)); err != nil {
 		t.Fatal(err)
 	}
 	var mask [dimm.SliceSize]byte
@@ -232,7 +233,7 @@ func TestTelemetryCountsPreemptive(t *testing.T) {
 	}
 	buf := make([]byte, LineSize)
 	for i := 0; i < 10; i++ {
-		if _, err := m.Read(3, buf); err != nil {
+		if _, err := a.Read(3, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +242,7 @@ func TestTelemetryCountsPreemptive(t *testing.T) {
 	}
 	// A batch whose lines share line 3's cached counter leaf is served in
 	// its shared phase as well.
-	if _, err := m.ReadBatch([]uint64{3, 5}, make([]byte, 2*LineSize)); err != nil {
+	if _, err := a.ReadBatch([]uint64{3, 5}, make([]byte, 2*LineSize)); err != nil {
 		t.Fatal(err)
 	}
 	s, stats := reg.Snapshot(), m.Stats()
@@ -349,9 +350,9 @@ func engineFamilies(ms []*Memory) (telemetry.RankSnapshot, uint64) {
 // TestTelemetryMatchesStats runs op tapes over instrumented engines and,
 // after every op, requires each per-rank family on the registry to equal
 // its engine source: Stats, the error log's per-chip counts, the
-// escalation counters and the metadata cache's dirty count. byRank[r]
-// lists the memories registered under rank index r; their counts must
-// sum.
+// escalation counters and the metadata cache's dirty count. The ranks
+// of every array that share one rank index register under it; their
+// counts must sum.
 func TestTelemetryMatchesStats(t *testing.T) {
 	tapes := []struct {
 		name string
@@ -364,37 +365,43 @@ func TestTelemetryMatchesStats(t *testing.T) {
 	for _, tape := range tapes {
 		t.Run(tape.name+"/memory", func(t *testing.T) {
 			reg := telemetry.New()
-			m, err := New(Config{DataLines: diffLines, MetadataCache: diffCache, Telemetry: reg})
+			a, err := NewArray(Config{DataLines: diffLines, MetadataCache: diffCache, Telemetry: reg})
 			if err != nil {
 				t.Fatal(err)
 			}
-			runMatched(t, reg, [][]*Memory{{m}}, tape.ops)
+			runMatched(t, reg, []*Array{a}, tape.ops)
 		})
 		t.Run(tape.name+"/two-arrays", func(t *testing.T) {
 			reg := telemetry.New()
-			byRank := make([][]*Memory, 4)
-			for k := 0; k < 2; k++ {
+			arrays := make([]*Array, 2)
+			for k := range arrays {
 				a, err := NewArray(Config{DataLines: 4 * diffLines, Ranks: 4, MetadataCache: diffCache, Telemetry: reg})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for r := range byRank {
-					byRank[r] = append(byRank[r], a.Rank(r))
-				}
+				arrays[k] = a
 			}
-			runMatched(t, reg, byRank, tape.ops)
+			runMatched(t, reg, arrays, tape.ops)
 		})
 	}
 }
 
-// runMatched applies each op of the tape to every memory in byRank in
-// turn and checks the registry against the engines after each one.
-func runMatched(t *testing.T, reg *telemetry.Registry, byRank [][]*Memory, ops []byte) {
+// runMatched applies each op of the tape to every rank of every array
+// in turn — each rank runs the whole tape over its own lines — and
+// checks the registry against the engines after each one. The arrays
+// share one geometry, so byRank[r] lists every array's rank r.
+func runMatched(t *testing.T, reg *telemetry.Registry, arrays []*Array, ops []byte) {
 	t.Helper()
+	byRank := make([][]*Memory, arrays[0].Ranks())
+	for r := range byRank {
+		for _, a := range arrays {
+			byRank[r] = append(byRank[r], a.Rank(r))
+		}
+	}
 	for step := 0; step+2 < len(ops); step += 3 {
-		for _, ms := range byRank {
-			for _, m := range ms {
-				diffOp(t, m, step/3, ops[step], ops[step+1], ops[step+2])
+		for rank := range byRank {
+			for _, a := range arrays {
+				diffOp(t, a, rank, step/3, ops[step], ops[step+1], ops[step+2])
 				s := reg.Snapshot()
 				if len(s.Ranks) != len(byRank) {
 					t.Fatalf("step %d: %d rank snapshots, want %d", step/3, len(s.Ranks), len(byRank))
@@ -424,19 +431,19 @@ func runMatched(t *testing.T, reg *telemetry.Registry, byRank [][]*Memory, ops [
 // scripts/bench.sh compares to bound telemetry overhead at ≤5%.
 func BenchmarkReadHotPathInstrumented(b *testing.B) {
 	reg := telemetry.New()
-	m := newInstrumentedMemory(b, 1024, reg)
+	a, _ := newInstrumentedMemory(b, 1024, reg)
 	buf := make([]byte, LineSize)
-	if err := m.Write(42, fillLine(0x11)); err != nil {
+	if err := a.Write(42, fillLine(0x11)); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := m.Read(42, buf); err != nil { // warm the node cache
+	if _, err := a.Read(42, buf); err != nil { // warm the node cache
 		b.Fatal(err)
 	}
 	b.SetBytes(LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Read(42, buf); err != nil {
+		if _, err := a.Read(42, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -446,13 +453,13 @@ func BenchmarkReadHotPathInstrumented(b *testing.B) {
 // enabled registry at the default sampling period, bounding the
 // always-timed write wrapper the same way.
 func BenchmarkWriteHotPathInstrumented(b *testing.B) {
-	m, lines := hotWrites(b, 2048, telemetry.New())
+	a, lines := hotWrites(b, 2048, telemetry.New())
 	line := fillLine(0x22)
 	b.SetBytes(LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Write(lines[i&63], line); err != nil {
+		if err := a.Write(lines[i&63], line); err != nil {
 			b.Fatal(err)
 		}
 	}

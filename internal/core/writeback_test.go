@@ -41,15 +41,15 @@ const (
 	diffMinCache = 1
 )
 
-func newDiffPair(tb testing.TB, split bool, cache int) (wb, ref *Memory) {
+func newDiffPair(tb testing.TB, split bool, cache int) (wb, ref *Array) {
 	tb.Helper()
-	wb, err := New(Config{DataLines: diffLines, SplitCounters: split, MetadataCache: cache})
+	wb, err := NewArray(Config{DataLines: diffLines, SplitCounters: split, MetadataCache: cache})
 	if err != nil {
-		tb.Fatalf("New write-back: %v", err)
+		tb.Fatalf("NewArray write-back: %v", err)
 	}
-	ref, err = New(Config{DataLines: diffLines, SplitCounters: split})
+	ref, err = NewArray(Config{DataLines: diffLines, SplitCounters: split})
 	if err != nil {
-		tb.Fatalf("New default: %v", err)
+		tb.Fatalf("NewArray default: %v", err)
 	}
 	return wb, ref
 }
@@ -102,39 +102,52 @@ func batchLines(line uint64) []uint64 {
 	return []uint64{line, (line + 7) % diffLines, (line + 31) % diffLines, (line + 63) % diffLines}
 }
 
-// diffOp runs one interpreted op against m and returns what the caller
-// observes: the bytes a read returned (nil for other ops) and the error.
-func diffOp(tb testing.TB, m *Memory, step int, op, arg, val byte) ([]byte, error) {
+// rankLines maps rank-local lines of rank r to a's global lines, in
+// place; on a one-rank array it is the identity.
+func rankLines(a *Array, r int, ls []uint64) []uint64 {
+	for k, l := range ls {
+		ls[k] = a.globalLine(r, l)
+	}
+	return ls
+}
+
+// diffOp runs one interpreted op against rank r of a and returns what
+// the caller observes: the bytes a read returned (nil for other ops)
+// and the error. The tape's lines are rank-local, so every op — reads,
+// writes, batches, scrub, flush and fault events alike — touches rank r
+// only; one-rank callers pass r = 0 and see the tape's own lines.
+func diffOp(tb testing.TB, a *Array, r, step int, op, arg, val byte) ([]byte, error) {
 	tb.Helper()
+	m := a.ranks[r]
 	line := uint64(arg) % diffLines
 	switch op % 10 {
 	case 0, 1, 2, 3: // single-line write (heals a poisoned line)
-		return nil, m.Write(line, fillLine(val))
+		return nil, a.Write(a.globalLine(r, line), fillLine(val))
 	case 4, 5: // single-line read
 		buf := make([]byte, LineSize)
-		_, err := m.Read(line, buf)
+		_, err := a.Read(a.globalLine(r, line), buf)
 		return buf, err
 	case 6: // batched write
-		ls := batchLines(line)
+		ls := rankLines(a, r, batchLines(line))
 		src := make([]byte, len(ls)*LineSize)
 		for k := range ls {
 			copy(src[k*LineSize:(k+1)*LineSize], fillLine(val+byte(k)))
 		}
-		return nil, m.WriteBatch(ls, src)
+		return nil, a.WriteBatch(ls, src)
 	case 7: // batched read
-		ls := batchLines(line)
+		ls := rankLines(a, r, batchLines(line))
 		dst := make([]byte, len(ls)*LineSize)
-		_, err := m.ReadBatch(ls, dst)
+		_, err := a.ReadBatch(ls, dst)
 		return dst, err
 	case 8: // full scrub pass
-		_, err := m.Scrub(context.Background())
+		_, _, err := m.scrubFrom(context.Background(), 0)
 		return nil, err
 	}
 	// Durability and fault-model events.
 	addr := m.Layout().DataAddr(line)
 	switch arg % 5 {
 	case 0: // flush must be invisible to every later observable
-		if err := m.Flush(); err != nil {
+		if err := m.flush(); err != nil {
 			tb.Fatalf("step %d: Flush: %v", step, err)
 		}
 	case 1: // correctable single-chip transient on a data line
@@ -145,7 +158,7 @@ func diffOp(tb testing.TB, m *Memory, step int, op, arg, val byte) ([]byte, erro
 		m.Module().InjectTransient(addr, 1, [dimm.SliceSize]byte{val | 1})
 		m.Module().InjectTransient(addr, 6, [dimm.SliceSize]byte{^val | 1})
 	case 3: // chip repair (flushes dirty metadata, clears the chip's permanent faults)
-		return nil, m.RepairChip(int(val) % dimm.Chips)
+		return nil, a.RepairChip(r, int(val)%dimm.Chips)
 	case 4: // whole-chip permanent failure; one dead chip at a time
 		if m.Module().ActiveFaults() == 0 {
 			dropCache(tb, m)
@@ -160,10 +173,10 @@ func diffOp(tb testing.TB, m *Memory, step int, op, arg, val byte) ([]byte, erro
 
 // diffApply runs one interpreted op against both engines and requires
 // the same outcome, and the same bytes for every line a read returned.
-func diffApply(tb testing.TB, wb, ref *Memory, step int, op, arg, val byte) {
+func diffApply(tb testing.TB, wb, ref *Array, step int, op, arg, val byte) {
 	tb.Helper()
-	wout, werr := diffOp(tb, wb, step, op, arg, val)
-	rout, rerr := diffOp(tb, ref, step, op, arg, val)
+	wout, werr := diffOp(tb, wb, 0, step, op, arg, val)
+	rout, rerr := diffOp(tb, ref, 0, step, op, arg, val)
 	diffErrs(tb, step, werr, rerr)
 	failed := map[int]bool{}
 	var be *BatchError
@@ -183,21 +196,21 @@ func diffApply(tb testing.TB, wb, ref *Memory, step int, op, arg, val byte) {
 
 // diffFinish flushes the write-back engine and requires the poisoned
 // sets and the complete stored device state to be bit-identical.
-func diffFinish(tb testing.TB, wb, ref *Memory) {
+func diffFinish(tb testing.TB, wb, ref *Array) {
 	tb.Helper()
-	if err := wb.Flush(); err != nil {
+	if err := wb.Sync(); err != nil {
 		tb.Fatalf("final Flush: %v", err)
 	}
 	wp, rp := wb.Poisoned(), ref.Poisoned()
 	if !slices.Equal(wp, rp) {
 		tb.Fatalf("poisoned sets diverge: %v vs %v", wp, rp)
 	}
-	if wb.Module().Lines() != ref.Module().Lines() {
+	if wb.ranks[0].Module().Lines() != ref.ranks[0].Module().Lines() {
 		tb.Fatalf("module sizes diverge")
 	}
-	for addr := uint64(0); addr < wb.Module().Lines(); addr++ {
-		l1, _ := wb.Module().PeekLine(addr)
-		l2, _ := ref.Module().PeekLine(addr)
+	for addr := uint64(0); addr < wb.ranks[0].Module().Lines(); addr++ {
+		l1, _ := wb.ranks[0].Module().PeekLine(addr)
+		l2, _ := ref.ranks[0].Module().PeekLine(addr)
 		if l1 != l2 {
 			tb.Fatalf("device state diverges at line %#x after flush", addr)
 		}
@@ -205,7 +218,7 @@ func diffFinish(tb testing.TB, wb, ref *Memory) {
 }
 
 // runDiff interprets ops as (op, arg, val) triples against a fresh pair.
-func runDiff(tb testing.TB, split bool, cache int, ops []byte) (wb, ref *Memory) {
+func runDiff(tb testing.TB, split bool, cache int, ops []byte) (wb, ref *Array) {
 	tb.Helper()
 	wb, ref = newDiffPair(tb, split, cache)
 	for step := 0; step+2 < len(ops) && step/3 < 96; step += 3 {
@@ -252,7 +265,8 @@ func TestWriteBackDifferentialSplit(t *testing.T) {
 // ops — sealed and wrote back dirty entries.
 func runDiffMinCache(t *testing.T, split bool, seed uint32) {
 	t.Helper()
-	wb, _ := runDiff(t, split, diffMinCache, diffScript(seed, 96))
+	a, _ := runDiff(t, split, diffMinCache, diffScript(seed, 96))
+	wb := a.ranks[0]
 	if want := 2 * (wb.geo.Levels() + 1); wb.ncache.cap != want {
 		t.Fatalf("cache capacity %d, want the clamp %d", wb.ncache.cap, want)
 	}
@@ -311,14 +325,15 @@ func FuzzWriteBackDifferential(f *testing.F) {
 // every op.
 func deviceDigest(tb testing.TB, split bool, ops []byte) string {
 	tb.Helper()
-	m, err := New(Config{DataLines: diffLines, SplitCounters: split})
+	a, err := NewArray(Config{DataLines: diffLines, SplitCounters: split})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	m := a.ranks[0]
 	h := sha256.New()
 	image := make([]byte, m.Module().ImageSize())
 	for step := 0; step+2 < len(ops); step += 3 {
-		diffOp(tb, m, step/3, ops[step], ops[step+1], ops[step+2])
+		diffOp(tb, a, 0, step/3, ops[step], ops[step+1], ops[step+2])
 		if err := m.Module().Serialize(image); err != nil {
 			tb.Fatal(err)
 		}
@@ -361,16 +376,17 @@ func TestPinnedDeviceDigests(t *testing.T) {
 func TestCondemnedChipWritesLogNothing(t *testing.T) {
 	const dead = 3
 	for _, cache := range []int{64, 0} {
-		m, err := New(Config{DataLines: diffLines, FaultThreshold: 2, MetadataCache: cache})
+		a, err := NewArray(Config{DataLines: diffLines, FaultThreshold: 2, MetadataCache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := a.ranks[0]
 		if _, err := m.InjectPermanent(dead, 0, m.Module().Lines()-1, [dimm.SliceSize]byte{0x5A}); err != nil {
 			t.Fatal(err)
 		}
 		buf := make([]byte, LineSize)
 		for i := uint64(0); m.KnownBadChip() < 0 && i < diffLines; i++ {
-			if _, err := m.Read(i, buf); err != nil {
+			if _, err := a.Read(i, buf); err != nil {
 				t.Fatalf("cache %d: read %d: %v", cache, i, err)
 			}
 		}
@@ -388,7 +404,7 @@ func TestCondemnedChipWritesLogNothing(t *testing.T) {
 			}
 		}
 		for _, i := range lines {
-			if err := m.Write(i, fillLine(byte(i))); err != nil {
+			if err := a.Write(i, fillLine(byte(i))); err != nil {
 				t.Fatalf("cache %d: write %d: %v", cache, i, err)
 			}
 		}
@@ -402,7 +418,7 @@ func TestCondemnedChipWritesLogNothing(t *testing.T) {
 				len(m.ErrorLog().Events())-logged)
 		}
 		for _, i := range lines {
-			if got, _ := mustRead(t, m, i); !bytes.Equal(got, fillLine(byte(i))) {
+			if got, _ := mustRead(t, a, i); !bytes.Equal(got, fillLine(byte(i))) {
 				t.Fatalf("cache %d: line %d reads back wrong", cache, i)
 			}
 		}
@@ -416,7 +432,7 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; exact counts only hold without -race")
 	}
-	m, err := New(Config{DataLines: 4096, MetadataCache: 4096})
+	m, err := NewArray(Config{DataLines: 4096, MetadataCache: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +496,7 @@ func TestChurnZeroAllocSteadyState(t *testing.T) {
 		t.Skip("race instrumentation allocates; exact counts only hold without -race")
 	}
 	const lines = 8192
-	m, err := New(Config{DataLines: lines, MetadataCache: 32})
+	a, err := NewArray(Config{DataLines: lines, MetadataCache: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,21 +504,21 @@ func TestChurnZeroAllocSteadyState(t *testing.T) {
 	next := uint64(0)
 	step := func() uint64 { next = (next + 2731) % lines; return next } // coprime stride: no locality
 	churn := func() {
-		if err := m.Write(step(), buf); err != nil {
+		if err := a.Write(step(), buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Read(step(), buf); err != nil {
+		if _, err := a.Read(step(), buf); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 4*lines; i++ { // warm: fill the cache, the free list and the scratch
 		churn()
 	}
-	before := m.Stats()
+	before := a.Stats()
 	if avg := testing.AllocsPerRun(2000, churn); avg != 0 {
 		t.Errorf("churning Write+Read allocates %.2f objects/op, want 0", avg)
 	}
-	after := m.Stats()
+	after := a.Stats()
 	if after.MetaCacheMisses == before.MetaCacheMisses || after.MetaWritebacks == before.MetaWritebacks {
 		t.Fatalf("the measured phase never missed or wrote back: %+v", after)
 	}

@@ -253,7 +253,7 @@ func (m *Module) ClearFault(id FaultID) error {
 // ClearChipFaults disables every active permanent fault on the given
 // chip (the fault-model half of replacing a failed chip; the stored
 // slices the dead chip returned garbage for still need rebuilding — see
-// core.Memory.RepairChip). It returns the number of faults cleared.
+// core.Array.RepairChip). It returns the number of faults cleared.
 func (m *Module) ClearChipFaults(chip int) (int, error) {
 	if chip < 0 || chip >= Chips {
 		return 0, fmt.Errorf("dimm: chip %d out of range [0,%d)", chip, Chips)

@@ -3,7 +3,7 @@ package telemetry
 // Sink receives engine events synchronously as they happen. The engine
 // calls sinks from inside its locked sections (a correction fires
 // mid-read, under the rank lock), so implementations must be fast,
-// must not block, and must never call back into the Memory/Array that
+// must not block, and must never call back into the Array or rank that
 // emitted the event — that deadlocks. Nor may a hook call
 // Registry.Snapshot or WritePrometheus: a snapshot takes every
 // registered rank's read lock, including the one the hook runs under.

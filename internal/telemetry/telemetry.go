@@ -31,7 +31,7 @@
 // takes each registered rank's read lock for one copy of its counts.
 // Sinks are invoked synchronously from inside the engine (often under
 // a rank lock): implementations must return quickly and must never
-// call back into the Memory/Array that emitted the event, nor into
+// call back into the Array or rank that emitted the event, nor into
 // Snapshot or WritePrometheus.
 package telemetry
 
@@ -52,7 +52,7 @@ const (
 	// OpWrite is one data-line write served (each line of a batch
 	// included).
 	OpWrite
-	// OpScrub is one scrub segment: a ScrubFrom call scanning from its
+	// OpScrub is one scrub segment: a rank scrubFrom call scanning from its
 	// cursor to completion or cancellation.
 	OpScrub
 	// OpRepairChip is one RepairChip sweep.

@@ -1,12 +1,11 @@
 #!/usr/bin/env sh
 # Run the crypto hot-path benchmarks, the write-path benchmarks, the
 # reliability-engine throughput comparison, the degraded-mode read
-# benchmarks, the telemetry overhead pair, the concurrency scaling
-# sweep and the network-service load run, capturing machine-readable
-# results in BENCH_crypto.json, BENCH_writepath.json,
-# BENCH_reliability.json, BENCH_chaos.json, BENCH_persist.json,
-# BENCH_telemetry.json, BENCH_concurrency.json and BENCH_server.json
-# at the repo root.
+# benchmarks, the telemetry overhead pair and the network-service load
+# run, capturing machine-readable results in BENCH_crypto.json,
+# BENCH_writepath.json, BENCH_reliability.json, BENCH_chaos.json,
+# BENCH_persist.json, BENCH_telemetry.json and BENCH_server.json at the
+# repo root.
 #
 # Usage: scripts/bench.sh [count]
 #   count           -count value per crypto benchmark (default 5)
@@ -100,19 +99,6 @@ done
 go run ./scripts/benchjson <"$TEL_RAW" >"$TEL_OUT"
 echo "wrote $TEL_OUT"
 
-# Concurrency scaling: the shared-lock optimistic read path across a
-# GOMAXPROCS sweep. single-rank-readheavy is the cores-vs-throughput
-# curve for ONE rank (flat before the RLock fast path, scaling after);
-# multi-rank is the rank-parallelism the sharded router realizes on
-# top of it. The -cpu suffix on each series name is the core count.
-CONC_OUT="BENCH_concurrency.json"
-CONC_RAW="$(mktemp)"
-trap 'rm -f "$RAW" "$WP_RAW" "$CHAOS_RAW" "$PERSIST_RAW" "$TEL_RAW" "$CONC_RAW"' EXIT
-go test -run='^$' -bench='BenchmarkConcurrentThroughput' -benchmem \
-    -cpu=1,2,4,8 -count="$COUNT" . | tee "$CONC_RAW"
-go run ./scripts/benchjson <"$CONC_RAW" >"$CONC_OUT"
-echo "wrote $CONC_OUT"
-
 # Network service: boot synergy-server, drive the closed-loop mix
 # (reads, writes, batches) against one tenant, and store the per-op
 # p50/p99 service latencies and throughput. This is the end-to-end
@@ -123,7 +109,7 @@ SRV_DURATION="${SRV_DURATION:-10s}"
 go build -o /tmp/synergy-server-bench ./cmd/synergy-server
 /tmp/synergy-server-bench -addr "$SRV_ADDR" -tenant "bench:bench-token:4096:4" &
 SRV_PID=$!
-trap 'rm -f "$RAW" "$WP_RAW" "$CHAOS_RAW" "$PERSIST_RAW" "$TEL_RAW" "$CONC_RAW"; kill "$SRV_PID" 2>/dev/null || true' EXIT
+trap 'rm -f "$RAW" "$WP_RAW" "$CHAOS_RAW" "$PERSIST_RAW" "$TEL_RAW"; kill "$SRV_PID" 2>/dev/null || true' EXIT
 i=0
 while ! curl -fsS "http://$SRV_ADDR/healthz" >/dev/null 2>&1; do
     i=$((i + 1))
