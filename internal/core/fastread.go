@@ -148,7 +148,7 @@ func (m *Memory) fastRead(i uint64, dst []byte, sp *telemetry.Span) (info ReadIn
 			return ReadInfo{}, fmt.Errorf("core: data line %d: %w", i, ErrPoisoned), true
 		}
 		ca, slot := m.layout.CounterAddr(i)
-		cn, hit := m.ncache.peek(ca)
+		cn, hit := m.ncache.get(ca)
 		if !hit {
 			m.mu.RUnlock()
 			m.escalate(telemetry.EscCacheMiss, sp)

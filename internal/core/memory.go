@@ -279,7 +279,7 @@ func newRank(cfg Config, enc *ctrenc.Engine, mac *gmac.Mac, rank int) (*Memory, 
 	// The cache must at least hold the full path of the line being
 	// written plus an ancestor climb during a flush, or every write
 	// would thrash its own path.
-	m.ncache = newNodeCache(max(capacity, 2*(geo.Levels()+1)))
+	m.ncache = newNodeCache(max(capacity, 2*(geo.Levels()+1)), layout.counterBase, layout.TotalLines)
 	if err := m.initialize(); err != nil {
 		return nil, err
 	}
@@ -431,7 +431,7 @@ func (m *Memory) FlushNodeCache() error {
 	if err := m.flushMetadata(); err != nil {
 		return err
 	}
-	m.ncache = newNodeCache(m.ncache.cap)
+	m.ncache.reset()
 	return nil
 }
 
@@ -652,7 +652,10 @@ func (m *Memory) loadPath(i uint64, stopAtCache bool) (entries []pathEntry, err 
 	defer func() { m.pathBuf = entries }()
 	level, index := -1, addr-m.layout.counterBase
 	for {
-		var e pathEntry
+		// Build each level in its slot: a pathEntry is ~250 bytes, too
+		// large to fill in a local and copy in on every probe.
+		entries = append(entries, pathEntry{})
+		e := &entries[len(entries)-1]
 		e.level, e.index = level, index
 		if level == -1 {
 			e.addr = m.layout.counterBase + index
@@ -666,7 +669,7 @@ func (m *Memory) loadPath(i uint64, stopAtCache bool) (entries []pathEntry, err 
 			m.stats.MetaCacheHits++
 			if stopAtCache {
 				m.stats.NodeCacheStops++
-				return append(entries, e), nil
+				return entries, nil
 			}
 		} else {
 			m.stats.MetaCacheMisses++
@@ -675,9 +678,8 @@ func (m *Memory) loadPath(i uint64, stopAtCache bool) (entries []pathEntry, err 
 				return nil, rerr
 			}
 			e.raw = raw
-			m.entryUnpack(&e)
+			m.entryUnpack(e)
 		}
-		entries = append(entries, e)
 		if !ok {
 			return entries, nil
 		}
@@ -1416,7 +1418,7 @@ func (m *Memory) repairChip(chip int) (err error) {
 	// predate the repair, and a cache-trusted path would skip the very
 	// verification that rebuilds stored garbage.
 	m.knownBad = chip
-	m.ncache = newNodeCache(m.ncache.cap)
+	m.ncache.reset()
 
 	var buf [LineSize]byte
 	for i := uint64(0); i < m.layout.DataLines; i++ {

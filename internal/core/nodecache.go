@@ -26,6 +26,18 @@ import (
 // fails its MAC check against the (already advanced) parent counter,
 // which is what preserves replay protection across the deferral window.
 //
+// # Lookup
+//
+// The cache is fully associative — any metadata line can occupy any of
+// its cap entries — but a lookup is not a search: every address the
+// engine can ask for (counter lines, parity lines, tree levels) lies in
+// one contiguous span of the rank's module, [counterBase, TotalLines),
+// so a slot table with one pointer per line in that span, indexed by
+// line offset, finds an entry with one bounds check and one load, where
+// a hardware cache would decode the same address bits. The table costs
+// 8 bytes per metadata line (under 3% of the module it indexes) and
+// replaces a hash probe per tree level on every access.
+//
 // # Replacement policy
 //
 // Recency is plain CLOCK (second chance), not LRU: each entry carries
@@ -34,8 +46,8 @@ import (
 // hit under Memory's RLock touches nothing but its entry's own atomic
 // bit, so concurrent readers never contend on list pointers the way a
 // move-to-front LRU would force them to. Structural mutation (insert,
-// remove, the hand sweep) still happens only under the owning Memory's
-// exclusive lock.
+// remove, reset, the hand sweep) happens only under the owning
+// Memory's exclusive lock.
 //
 // The hand takes the first unreferenced entry it meets, dirty or clean
 // (the owner flushes a dirty victim before removing it), so every hand
@@ -46,17 +58,22 @@ import (
 // walks the whole ring and wipes every reference bit on the way, which
 // turns CLOCK into an O(capacity) FIFO (DESIGN.md §9).
 //
-// The cache has no lock of its own: insert/remove/victim/get require
-// the owning Memory's exclusive lock; peek (and the access-bit set
-// inside it) is safe under the shared lock.
+// The cache has no lock of its own: insert/remove/reset/victim require
+// the owning Memory's exclusive lock. get is safe under the shared
+// lock as well: the slot table and the ring are written only under the
+// exclusive lock, so shared-lock readers see them frozen, and the one
+// thing get writes is the entry's own atomic access bit.
 
 // nodeCache is a fully-associative CLOCK cache of trusted path entries
-// with dirty tracking. Entries form a circular ring; hand points at
-// the next eviction candidate.
+// with dirty tracking. slots maps a line's offset from base to its
+// entry (nil when uncached); the entries also form a circular ring, and
+// hand points at the next eviction candidate.
 type nodeCache struct {
 	cap   int
-	nodes map[uint64]*cachedNode
-	hand  *cachedNode // next sweep position; nil iff the cache is empty
+	base  uint64        // line address of slots[0]
+	slots []*cachedNode // one per line in [base, base+len(slots))
+	used  int           // occupied slots
+	hand  *cachedNode   // next sweep position; nil iff the cache is empty
 
 	dirty int         // number of dirty entries
 	free  *cachedNode // evicted entries recycled by insert (linked via next)
@@ -99,30 +116,24 @@ func (n *cachedNode) touch() {
 // write-back cache (Config.MetadataCache > 0) is sized by the caller.
 const DefaultMetadataCache = 32
 
-func newNodeCache(capacity int) *nodeCache {
-	return &nodeCache{cap: capacity, nodes: make(map[uint64]*cachedNode, capacity)}
+// newNodeCache returns an empty cache of the given capacity for line
+// addresses in [lo, hi).
+func newNodeCache(capacity int, lo, hi uint64) *nodeCache {
+	return &nodeCache{cap: capacity, base: lo, slots: make([]*cachedNode, hi-lo)}
 }
 
 // get returns the trusted entry for addr, if cached, setting its
-// access bit. Requires the owning Memory's exclusive lock.
+// access bit. An address outside the table's span is a miss. Safe
+// under the owning Memory's shared lock (see the file comment), so the
+// optimistic read paths consult the cache concurrently.
 func (c *nodeCache) get(addr uint64) (*cachedNode, bool) {
-	n, ok := c.nodes[addr]
-	if ok {
-		n.touch()
+	if off := addr - c.base; off < uint64(len(c.slots)) {
+		if n := c.slots[off]; n != nil {
+			n.touch()
+			return n, true
+		}
 	}
-	return n, ok
-}
-
-// peek returns the trusted entry for addr, setting only its (atomic)
-// access bit. Safe under the owning Memory's shared lock — it mutates
-// no map or ring state — so the optimistic read paths can consult the
-// cache concurrently.
-func (c *nodeCache) peek(addr uint64) (*cachedNode, bool) {
-	n, ok := c.nodes[addr]
-	if ok {
-		n.touch()
-	}
-	return n, ok
+	return nil, false
 }
 
 // insert adds or refreshes a trusted entry. The engine inserts only
@@ -136,7 +147,8 @@ func (c *nodeCache) peek(addr uint64) (*cachedNode, bool) {
 // sweep passes them last, and the second chance keeps a just-inserted
 // path from being its own trim's first victim.
 func (c *nodeCache) insert(addr uint64, level int, index uint64, node integrity.Node, split integrity.SplitNode) *cachedNode {
-	if old, ok := c.nodes[addr]; ok {
+	slot := &c.slots[addr-c.base]
+	if old := *slot; old != nil {
 		old.node, old.split = node, split
 		old.touch()
 		return old
@@ -155,7 +167,8 @@ func (c *nodeCache) insert(addr uint64, level int, index uint64, node integrity.
 		n = &cachedNode{addr: addr, level: level, index: index, node: node, split: split}
 	}
 	n.accessed.Store(1)
-	c.nodes[addr] = n
+	*slot = n
+	c.used++
 	c.link(n)
 	return n
 }
@@ -220,7 +233,8 @@ func (c *nodeCache) remove(n *cachedNode) {
 	if n.dirty {
 		panic("core: removing dirty metadata cache entry")
 	}
-	delete(c.nodes, n.addr)
+	c.slots[n.addr-c.base] = nil
+	c.used--
 	if n.next == n {
 		c.hand = nil
 	} else {
@@ -251,10 +265,15 @@ func (c *nodeCache) appendDirty(buf []*cachedNode) []*cachedNode {
 	}
 }
 
+// reset empties the cache, dirty entries included: the caller has
+// either flushed them or is discarding the state they belong to.
+func (c *nodeCache) reset() {
+	clear(c.slots)
+	c.hand, c.free, c.used, c.dirty = nil, nil, 0, 0
+}
+
 // size reports occupancy.
-func (c *nodeCache) size() int { return len(c.nodes) }
+func (c *nodeCache) size() int { return c.used }
 
 // over reports how many entries exceed capacity.
-func (c *nodeCache) over() int {
-	return len(c.nodes) - c.cap
-}
+func (c *nodeCache) over() int { return c.used - c.cap }

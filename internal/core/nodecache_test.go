@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"synergy/internal/integrity"
@@ -53,7 +55,7 @@ func TestNodeCacheWritesRefreshCachedCounters(t *testing.T) {
 }
 
 func TestNodeCacheClockEviction(t *testing.T) {
-	c := newNodeCache(2)
+	c := newNodeCache(2, 0, 4)
 	c.insert(1, -1, 1, integrity.Node{}, integrity.SplitNode{})
 	c.insert(2, -1, 2, integrity.Node{}, integrity.SplitNode{})
 	// A full sweep clears the insert-time access bits; touch 1 after so
@@ -98,7 +100,7 @@ func TestNodeCacheClockEviction(t *testing.T) {
 // clean one further round the ring.
 func TestNodeCacheSecondChanceIgnoresDirtiness(t *testing.T) {
 	for _, dirtyHot := range []bool{false, true} {
-		c := newNodeCache(3)
+		c := newNodeCache(3, 0, 4)
 		var n [3]*cachedNode
 		for k := range n {
 			n[k] = c.insert(uint64(k+1), -1, uint64(k+1), integrity.Node{}, integrity.SplitNode{})
@@ -132,7 +134,7 @@ func TestNodeCacheSecondChanceIgnoresDirtiness(t *testing.T) {
 // writes back and marks it clean before remove (which panics otherwise,
 // see TestNodeCacheRemoveDirtyPanics).
 func TestNodeCacheDirtyVictimReturnedDirty(t *testing.T) {
-	c := newNodeCache(2)
+	c := newNodeCache(2, 0, 3)
 	a := c.insert(1, -1, 1, integrity.Node{}, integrity.SplitNode{})
 	b := c.insert(2, -1, 2, integrity.Node{}, integrity.SplitNode{})
 	c.markDirty(a)
@@ -165,7 +167,7 @@ func TestNodeCacheDirtyVictimReturnedDirty(t *testing.T) {
 // not time, so it cannot flake.
 func TestNodeCacheEvictionCostBound(t *testing.T) {
 	const capacity, evictions = 512, 10000
-	c := newNodeCache(capacity)
+	c := newNodeCache(capacity, 1, capacity+evictions+1)
 	addr := uint64(0)
 	fill := func() {
 		addr++
@@ -191,23 +193,41 @@ func TestNodeCacheEvictionCostBound(t *testing.T) {
 	}
 }
 
+// TestNodeCachePeekSetsAccessBitOnly pins what makes get legal under
+// the shared lock: a lookup, hit or miss, writes nothing but the
+// entry's access bit.
 func TestNodeCachePeekSetsAccessBitOnly(t *testing.T) {
-	c := newNodeCache(2)
+	c := newNodeCache(2, 0, 100)
 	n := c.insert(1, -1, 1, integrity.Node{}, integrity.SplitNode{})
+	c.insert(2, 0, 0, integrity.Node{}, integrity.SplitNode{})
 	n.accessed.Store(0)
-	if _, ok := c.peek(1); !ok {
-		t.Fatal("peek missed a cached entry")
+	type shape struct {
+		hand, free, prev, next *cachedNode
+		used, dirty            int
+		steps                  uint64
+		nodeDirty              bool
+	}
+	snap := func() shape { return shape{c.hand, c.free, n.prev, n.next, c.used, c.dirty, c.steps, n.dirty} }
+	before := snap()
+	if _, ok := c.get(1); !ok {
+		t.Fatal("get missed a cached entry")
 	}
 	if n.accessed.Load() == 0 {
-		t.Fatal("peek did not set the CLOCK access bit")
+		t.Fatal("get did not set the CLOCK access bit")
 	}
-	if _, ok := c.peek(99); ok {
-		t.Fatal("peek invented an entry")
+	if _, ok := c.get(99); ok {
+		t.Fatal("get invented an entry")
+	}
+	if _, ok := c.get(100); ok {
+		t.Fatal("get past the end of the table hit")
+	}
+	if after := snap(); after != before {
+		t.Fatalf("get changed cache state: %+v -> %+v", before, after)
 	}
 }
 
 func TestNodeCacheInsertRefreshKeepsDirty(t *testing.T) {
-	c := newNodeCache(4)
+	c := newNodeCache(4, 0, 8)
 	n := c.insert(7, 0, 7, integrity.Node{}, integrity.SplitNode{})
 	c.markDirty(n)
 	// A path re-load re-inserts the same address; the pending writeback
@@ -219,7 +239,7 @@ func TestNodeCacheInsertRefreshKeepsDirty(t *testing.T) {
 }
 
 func TestNodeCacheRemoveDirtyPanics(t *testing.T) {
-	c := newNodeCache(2)
+	c := newNodeCache(2, 0, 2)
 	n := c.insert(1, -1, 1, integrity.Node{}, integrity.SplitNode{})
 	c.markDirty(n)
 	defer func() {
@@ -228,4 +248,140 @@ func TestNodeCacheRemoveDirtyPanics(t *testing.T) {
 		}
 	}()
 	c.remove(n)
+}
+
+// modelTape returns n seeded (op, arg) pairs for FuzzNodeCacheModel.
+func modelTape(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	tape := make([]byte, 2*n)
+	rng.Read(tape)
+	return tape
+}
+
+// FuzzNodeCacheModel drives the slot table with a tape of insert,
+// refresh, get, markDirty, markClean, victim, remove and reset against
+// a map kept only here, and after every step checks that the two agree
+// on every address in and around the span, on size and the dirty count,
+// and that the CLOCK ring links exactly the cached entries. `go test`
+// runs the seeds; `go test -fuzz=FuzzNodeCacheModel` explores.
+func FuzzNodeCacheModel(f *testing.F) {
+	f.Add(modelTape(1, 64))
+	f.Add(modelTape(2, 256))
+	f.Add(modelTape(3, 1024))
+	// Fill, dirty everything, sweep: victims of an all-dirty cache.
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 3, 0, 3, 1, 3, 2, 3, 3, 5, 0, 5, 0, 6, 0, 6, 0, 7, 0, 0, 5})
+	f.Fuzz(func(t *testing.T, tape []byte) {
+		const capacity, base, span = 8, 100, 32
+		c := newNodeCache(capacity, base, base+span)
+		model := map[uint64]*cachedNode{}
+		dirty := map[uint64]bool{}
+		// pick maps arg to a cached address (in address order), if any.
+		pick := func(arg byte) (uint64, bool) {
+			if len(model) == 0 {
+				return 0, false
+			}
+			keys := make([]uint64, 0, len(model))
+			for a := range model {
+				keys = append(keys, a)
+			}
+			slices.Sort(keys)
+			return keys[int(arg)%len(keys)], true
+		}
+		for step := 0; step+1 < len(tape); step += 2 {
+			op, arg := tape[step]%8, tape[step+1]
+			addr := base + uint64(arg)%span
+			switch op {
+			case 0, 1: // insert a new address, or refresh a cached one
+				if op == 1 {
+					if a, ok := pick(arg); ok {
+						addr = a
+					}
+				}
+				n := c.insert(addr, int(arg%4)-1, uint64(arg), integrity.Node{MAC: uint64(arg)}, integrity.SplitNode{})
+				if old, ok := model[addr]; ok && n != old {
+					t.Fatalf("step %d: refresh of %d returned a new entry", step, addr)
+				}
+				if n.addr != addr || n.node.MAC != uint64(arg) || n.dirty != dirty[addr] || n.accessed.Load() == 0 {
+					t.Fatalf("step %d: insert(%d) = addr %d mac %d dirty %v accessed %d", step, addr, n.addr, n.node.MAC, n.dirty, n.accessed.Load())
+				}
+				model[addr] = n
+			case 2: // get, possibly outside the span
+				addr = base - 2 + uint64(arg)%(span+4)
+				n, ok := c.get(addr)
+				if want, in := model[addr]; ok != in || n != want {
+					t.Fatalf("step %d: get(%d) = %p/%v, model %p/%v", step, addr, n, ok, want, in)
+				}
+			case 3, 4:
+				a, ok := pick(arg)
+				if !ok {
+					continue
+				}
+				if op == 3 {
+					c.markDirty(model[a])
+					dirty[a] = true
+				} else {
+					c.markClean(model[a])
+					delete(dirty, a)
+				}
+			case 5:
+				before, size := c.steps, c.size()
+				v, ok := c.victim()
+				if ok != (len(model) > 0) || ok && model[v.addr] != v {
+					t.Fatalf("step %d: victim = %v/%v with %d cached", step, v, ok, len(model))
+				}
+				if ok && c.steps-before > uint64(size+1) {
+					t.Fatalf("step %d: victim took %d steps over %d entries", step, c.steps-before, size)
+				}
+			case 6: // remove, flushing first as the engine does
+				a, ok := pick(arg)
+				if !ok {
+					continue
+				}
+				c.markClean(model[a])
+				c.remove(model[a])
+				delete(model, a)
+				delete(dirty, a)
+				if _, hit := c.get(a); hit {
+					t.Fatalf("step %d: removed %d still hits", step, a)
+				}
+			case 7:
+				c.reset()
+				clear(model)
+				clear(dirty)
+			}
+			checkNodeCacheModel(t, step, c, model, len(dirty))
+		}
+	})
+}
+
+// checkNodeCacheModel compares every slot (without touching access
+// bits) and the ring against model, and the counters against it.
+func checkNodeCacheModel(t *testing.T, step int, c *nodeCache, model map[uint64]*cachedNode, dirty int) {
+	t.Helper()
+	if c.size() != len(model) || c.dirty != dirty || c.over() != len(model)-c.cap {
+		t.Fatalf("step %d: size %d dirty %d over %d, model %d/%d", step, c.size(), c.dirty, c.over(), len(model), dirty)
+	}
+	for off, n := range c.slots {
+		if want := model[c.base+uint64(off)]; n != want {
+			t.Fatalf("step %d: slot %d = %p, model %p", step, c.base+uint64(off), n, want)
+		}
+	}
+	if got := len(c.appendDirty(nil)); got != dirty {
+		t.Fatalf("step %d: appendDirty found %d entries, model %d", step, got, dirty)
+	}
+	ring := 0
+	if n := c.hand; n != nil {
+		for {
+			if model[n.addr] != n || n.next.prev != n {
+				t.Fatalf("step %d: ring holds %d (%p), model %p", step, n.addr, n, model[n.addr])
+			}
+			ring++
+			if n = n.next; n == c.hand || ring > len(model) {
+				break
+			}
+		}
+	}
+	if ring != len(model) {
+		t.Fatalf("step %d: ring links %d entries, model %d", step, ring, len(model))
+	}
 }

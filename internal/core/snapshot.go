@@ -276,7 +276,7 @@ func (m *Memory) install(st *rankImage) error {
 	for _, p := range st.poison {
 		m.poisoned[p] = struct{}{}
 	}
-	m.ncache = newNodeCache(m.ncache.cap)
+	m.ncache.reset()
 	m.bumpAllGens()
 	return nil
 }

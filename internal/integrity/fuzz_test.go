@@ -2,6 +2,7 @@ package integrity
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"synergy/internal/gmac"
@@ -32,6 +33,33 @@ func FuzzNodeCodec(f *testing.F) {
 		s.Pack(&out2)
 		if !bytes.Equal(raw, out2[:]) {
 			t.Fatalf("split codec not bijective")
+		}
+	})
+}
+
+// FuzzSliceParity: the word-wise SliceParity must equal the byte-wise
+// XOR of the eight chip slices on every line.
+func FuzzSliceParity(f *testing.F) {
+	f.Add(make([]byte, NodeSize))
+	f.Add(bytes.Repeat([]byte{0xFF}, NodeSize))
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 8; k++ {
+		line := make([]byte, NodeSize)
+		rng.Read(line)
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) != NodeSize {
+			return
+		}
+		var want [8]byte
+		for chip := 0; chip < 8; chip++ {
+			for b := 0; b < 8; b++ {
+				want[b] ^= raw[chip*8+b]
+			}
+		}
+		if got := SliceParity((*[NodeSize]byte)(raw)); got != want {
+			t.Fatalf("SliceParity = %x, byte-wise XOR = %x", got, want)
 		}
 	})
 }

@@ -128,14 +128,16 @@ func (n *Node) Parity() [8]byte {
 
 // SliceParity XORs the eight 8-byte chip slices of a 64-byte line. Like
 // Pack/Unpack it takes a fixed-size array pointer, so a wrong-length
-// line is unrepresentable.
+// line is unrepresentable. The slices are XORed as whole words: byte b
+// of every slice lands in the same byte of the word, so the result is
+// the byte-wise XOR.
 func SliceParity(line *[NodeSize]byte) [8]byte {
-	var p [8]byte
+	var x uint64
 	for chip := 0; chip < 8; chip++ {
-		for b := 0; b < 8; b++ {
-			p[b] ^= line[chip*8+b]
-		}
+		x ^= binary.LittleEndian.Uint64(line[chip*8:])
 	}
+	var p [8]byte
+	binary.LittleEndian.PutUint64(p[:], x)
 	return p
 }
 
