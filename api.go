@@ -416,37 +416,23 @@ func RunExperiment(exp Experiment, opts ...ExperimentOption) (ExperimentResult, 
 	for _, opt := range opts {
 		opt(&o)
 	}
-	eopt := experiments.Options{BaseInstr: o.baseInstr, Progress: o.progress, Context: o.ctx}
-	var r *experiments.Runner
-	if o.workers > 0 {
-		eopt.Parallelism = o.workers
-		r = experiments.NewRunner(eopt)
-	} else {
-		r = experiments.ParallelRunner(eopt)
+	r := experiments.ParallelRunner(experiments.Options{
+		BaseInstr: o.baseInstr, Parallelism: o.workers, Progress: o.progress, Context: o.ctx,
+	})
+	for _, f := range experiments.PerfFigures {
+		if f.ID != string(exp) {
+			continue
+		}
+		fig, err := f.Run(r)
+		if err != nil {
+			return ExperimentResult{}, err
+		}
+		return ExperimentResult{
+			ID:      fig.ID,
+			Title:   fig.Title,
+			Table:   fig.Table.String(),
+			Summary: fig.Summary,
+		}, nil
 	}
-	fns := map[Experiment]func() (experiments.Figure, error){
-		Figure6:  r.Figure6,
-		Figure8:  r.Figure8,
-		Figure9:  r.Figure9,
-		Figure10: r.Figure10,
-		Figure12: r.Figure12,
-		Figure13: r.Figure13,
-		Figure14: r.Figure14,
-		Figure16: r.Figure16,
-		Figure17: r.Figure17,
-	}
-	fn, ok := fns[exp]
-	if !ok {
-		return ExperimentResult{}, fmt.Errorf("%w: %q", ErrUnknownExperiment, string(exp))
-	}
-	fig, err := fn()
-	if err != nil {
-		return ExperimentResult{}, err
-	}
-	return ExperimentResult{
-		ID:      fig.ID,
-		Title:   fig.Title,
-		Table:   fig.Table.String(),
-		Summary: fig.Summary,
-	}, nil
+	return ExperimentResult{}, fmt.Errorf("%w: %q", ErrUnknownExperiment, string(exp))
 }

@@ -5,9 +5,9 @@
 // visible) generator with zipfian key skew, a read/write mix, optional
 // batch traffic, and periodic burst phases that multiply offered load.
 //
-// The JSON report (-json) is what scripts/bench.sh stores as
-// BENCH_server.json: per-op p50/p99/mean latency plus throughput and
-// refusal (backpressure/shedding) counts.
+// The JSON report (-json) carries per-op p50/p99/mean latency plus
+// throughput and refusal (backpressure/shedding) counts. The gated
+// measurement of the same path is bench/'s rpc_mixed workload.
 //
 // Usage:
 //
@@ -98,7 +98,7 @@ type opLatency struct {
 	Meanus float64 `json:"mean_us"`
 }
 
-// report is the BENCH_server.json schema.
+// report is the -json output.
 type report struct {
 	Addr        string  `json:"addr"`
 	Mode        string  `json:"mode"` // "closed" or "open"

@@ -1,8 +1,8 @@
 // Command synergy-report regenerates the paper's entire evaluation and
 // emits a self-contained markdown report: every figure's table, the
 // headline summaries, and the paper's reported numbers alongside for
-// comparison. The checked-in EXPERIMENTS.md numbers come from this
-// pipeline.
+// comparison, byte-identical across runs with the same flags.
+// EXPERIMENTS.md comes from synergy-sim and synergy-faultsim runs.
 //
 //	synergy-report > report.md
 //	synergy-report -instr 2000000 -trials 2000000 > report.md
@@ -11,74 +11,87 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"synergy/internal/experiments"
 )
 
 // paperTargets records what the paper reports for each figure's
-// headline metric, keyed by the experiment summary keys.
-var paperTargets = map[string]map[string]float64{
-	"fig6":  {"NonSecure/SGX_O": 2.12, "SGX/SGX_O": 0.70},
-	"fig8":  {"Synergy/SGX_O": 1.20, "SGX/SGX_O": 0.70},
-	"fig9":  {"Synergy/overall": 0.82},
-	"fig10": {"Synergy/edp": 0.69},
-	"fig12": {"Synergy@2ch": 1.20, "Synergy@8ch": 1.06},
-	"fig13": {"monolithic": 1.20, "split": 1.23},
-	"fig14": {"dedicated+LLC": 1.20, "dedicated only": 1.13},
-	"fig16": {"IVEC/perf": 0.74, "IVEC/edp": 1.90, "Synergy/perf": 1.20},
-	"fig17": {"LOT-ECC/perf": 0.825, "Synergy/perf": 1.20},
+// headline metrics (experiment summary keys), in the order the report
+// prints them.
+var paperTargets = map[string][]struct {
+	key  string
+	want float64
+}{
+	"fig6":  {{"NonSecure/SGX_O", 2.12}, {"SGX/SGX_O", 0.70}},
+	"fig8":  {{"Synergy/SGX_O", 1.20}, {"SGX/SGX_O", 0.70}},
+	"fig9":  {{"Synergy/overall", 0.82}},
+	"fig10": {{"Synergy/edp", 0.69}},
+	"fig12": {{"Synergy@2ch", 1.20}, {"Synergy@8ch", 1.06}},
+	"fig13": {{"monolithic", 1.20}, {"split", 1.23}},
+	"fig14": {{"dedicated+LLC", 1.20}, {"dedicated only", 1.13}},
+	"fig16": {{"IVEC/perf", 0.74}, {"IVEC/edp", 1.90}, {"Synergy/perf", 1.20}},
+	"fig17": {{"LOT-ECC/perf", 0.825}, {"Synergy/perf", 1.20}},
 }
 
 func main() {
-	instr := flag.Uint64("instr", 1_000_000, "base instructions per core")
-	trials := flag.Int("trials", 500_000, "reliability Monte Carlo trials")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if err != flag.ErrHelp {
+			fmt.Fprintf(os.Stderr, "synergy-report: %v\n", err)
+		}
+		os.Exit(1)
+	}
+}
 
-	r := experiments.ParallelRunner(experiments.Options{BaseInstr: *instr})
-	figs := []func() (experiments.Figure, error){
-		r.Figure6, r.Figure8, r.Figure9, r.Figure10,
-		r.Figure12, r.Figure13, r.Figure14, r.Figure16, r.Figure17,
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("synergy-report", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	instr := fs.Uint64("instr", 1_000_000, "base instructions per core")
+	trials := fs.Int("trials", 500_000, "reliability Monte Carlo trials")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
-	fmt.Println("# SYNERGY reproduction report")
-	fmt.Println()
-	fmt.Printf("Performance figures at %d base instructions/core over the\n", *instr)
-	fmt.Printf("29-workload roster; reliability at %d Monte Carlo lifetimes.\n\n", *trials)
+	r := experiments.ParallelRunner(experiments.Options{BaseInstr: *instr})
 
-	for _, fn := range figs {
-		fig, err := fn()
+	fmt.Fprintln(stdout, "# SYNERGY reproduction report")
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "Performance figures at %d base instructions/core over the\n", *instr)
+	fmt.Fprintf(stdout, "29-workload roster; reliability at %d Monte Carlo lifetimes.\n\n", *trials)
+
+	for _, f := range experiments.PerfFigures {
+		fig, err := f.Run(r)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "synergy-report: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		emit(fig)
+		emit(stdout, fig)
 	}
 
 	fig11, err := experiments.Figure11(*trials, 1)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "synergy-report: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	emit(fig11)
+	emit(stdout, fig11)
+	return nil
 }
 
-func emit(fig experiments.Figure) {
-	fmt.Printf("## %s — %s\n\n", fig.ID, fig.Title)
-	fmt.Println(fig.Table.Markdown())
+func emit(w io.Writer, fig experiments.Figure) {
+	fmt.Fprintf(w, "## %s — %s\n\n", fig.ID, fig.Title)
+	fmt.Fprintln(w, fig.Table.Markdown())
 	targets := paperTargets[fig.ID]
 	if len(targets) == 0 {
-		fmt.Println()
+		fmt.Fprintln(w)
 		return
 	}
-	fmt.Println("Headline vs paper:")
-	fmt.Println()
-	for key, want := range targets {
-		got, ok := fig.Summary[key]
+	fmt.Fprintln(w, "Headline vs paper:")
+	fmt.Fprintln(w)
+	for _, t := range targets {
+		got, ok := fig.Summary[t.key]
 		if !ok {
 			continue
 		}
-		fmt.Printf("- `%s`: measured **%.3f**, paper ≈ %.2f\n", key, got, want)
+		fmt.Fprintf(w, "- `%s`: measured **%.3f**, paper ≈ %.2f\n", t.key, got, t.want)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

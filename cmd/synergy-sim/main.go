@@ -15,115 +15,92 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"synergy/internal/experiments"
 	"synergy/internal/profiles"
 )
 
 func main() {
-	os.Exit(run())
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if err != flag.ErrHelp {
+			fmt.Fprintf(os.Stderr, "synergy-sim: %v\n", err)
+		}
+		os.Exit(1)
+	}
 }
 
 // run carries the whole program so profile-flushing defers execute
 // before the process exits (os.Exit skips defers in main).
-func run() int {
-	exp := flag.String("experiment", "all",
-		"figure to regenerate: fig6|fig8|fig9|fig10|fig12|fig13|fig14|fig16|fig17|all")
-	instr := flag.Uint64("instr", 1_000_000,
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("synergy-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("experiment", "all",
+		"performance figure to regenerate (e.g. fig8), or all")
+	instr := fs.Uint64("instr", 1_000_000,
 		"base instructions per core (workloads with large footprints scale this up)")
-	format := flag.String("format", "table", "output format: table|csv")
-	workers := flag.Int("workers", 0,
+	format := fs.String("format", "table", "output format: table|csv")
+	workers := fs.Int("workers", 0,
 		"worker goroutines pre-running (workload, spec) pairs (0 = one per CPU)")
-	progress := flag.Bool("progress", false, "report sweep progress on stderr")
+	progress := fs.Bool("progress", false, "report sweep progress on stderr")
 	var prof profiles.Flags
-	prof.Register(flag.CommandLine)
-	flag.Parse()
+	prof.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	var figs []experiments.PerfFigure
+	for _, f := range experiments.PerfFigures {
+		if *exp == "all" || *exp == f.ID {
+			figs = append(figs, f)
+		}
+	}
+	if len(figs) == 0 {
+		return fmt.Errorf("unknown experiment %q (reliability lives in synergy-faultsim)", *exp)
+	}
 
 	stopProf, err := prof.Start("synergy-sim")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return err
 	}
 	defer stopProf()
 
-	opt := experiments.Options{BaseInstr: *instr}
+	opt := experiments.Options{BaseInstr: *instr, Parallelism: *workers}
 	if *progress {
 		opt.Progress = func(completed, total int) {
-			fmt.Fprintf(os.Stderr, "\rsynergy-sim: sweep %d/%d", completed, total)
+			fmt.Fprintf(stderr, "\rsynergy-sim: sweep %d/%d", completed, total)
 			if completed == total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
-	var runner *experiments.Runner
-	if *workers > 0 {
-		opt.Parallelism = *workers
-		runner = experiments.NewRunner(opt)
-	} else {
-		runner = experiments.ParallelRunner(opt)
-	}
-	figures := map[string]func() (experiments.Figure, error){
-		"fig6":  runner.Figure6,
-		"fig8":  runner.Figure8,
-		"fig9":  runner.Figure9,
-		"fig10": runner.Figure10,
-		"fig12": runner.Figure12,
-		"fig13": runner.Figure13,
-		"fig14": runner.Figure14,
-		"fig16": runner.Figure16,
-		"fig17": runner.Figure17,
-	}
+	runner := experiments.ParallelRunner(opt)
 
-	var order []string
-	if *exp == "all" {
-		for k := range figures {
-			order = append(order, k)
-		}
-		sort.Slice(order, func(i, j int) bool {
-			// fig6 < fig8 < fig9 < fig10 < fig12 ... numeric sort.
-			return figNum(order[i]) < figNum(order[j])
-		})
-	} else {
-		if _, ok := figures[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "synergy-sim: unknown experiment %q (reliability lives in synergy-faultsim)\n", *exp)
-			return 2
-		}
-		order = []string{*exp}
-	}
-
-	for _, k := range order {
-		fig, err := figures[k]()
+	for _, f := range figs {
+		fig, err := f.Run(runner)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "synergy-sim: %s: %v\n", k, err)
-			return 1
+			return fmt.Errorf("%s: %w", f.ID, err)
 		}
 		if *format == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", fig.ID, fig.Title, fig.Table.CSV())
+			fmt.Fprintf(stdout, "# %s: %s\n%s\n", fig.ID, fig.Title, fig.Table.CSV())
 		} else {
-			fmt.Println(fig)
-			printSummary(fig)
-			fmt.Println()
+			fmt.Fprintln(stdout, fig)
+			printSummary(stdout, fig)
+			fmt.Fprintln(stdout)
 		}
 	}
-	return 0
+	return nil
 }
 
-func figNum(s string) int {
-	n := 0
-	fmt.Sscanf(strings.TrimPrefix(s, "fig"), "%d", &n)
-	return n
-}
-
-func printSummary(fig experiments.Figure) {
+func printSummary(w io.Writer, fig experiments.Figure) {
 	keys := make([]string, 0, len(fig.Summary))
 	for k := range fig.Summary {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("  summary %-24s %.3f\n", k, fig.Summary[k])
+		fmt.Fprintf(w, "  summary %-24s %.3f\n", k, fig.Summary[k])
 	}
 }

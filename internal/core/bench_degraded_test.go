@@ -7,8 +7,8 @@ import (
 
 // Degraded-mode read benchmarks: what a read costs while the engine is
 // correcting, condemned, or poisoned — the fault-tolerance counterpart
-// of BenchmarkReadHotPath. scripts/bench.sh captures these in
-// BENCH_chaos.json.
+// of BenchmarkReadHotPath. bench/'s engine_degraded workload is the
+// gated measurement of the condemned-chip read (read_ns).
 func BenchmarkDegradedRead(b *testing.B) {
 	buf := make([]byte, LineSize)
 	line := fillLine(0x33)

@@ -98,14 +98,39 @@ type Runner struct {
 	cache map[string]cpu.Result
 }
 
+// PerfFigure is one of the paper's performance figures: its ID, which
+// is also the ID of the Figure it regenerates, and the Runner method
+// that regenerates it.
+type PerfFigure struct {
+	ID  string
+	Run func(*Runner) (Figure, error)
+}
+
+// PerfFigures lists the paper's performance figures in paper order.
+// Fig. 11, the reliability figure, needs no Runner (Figure11).
+var PerfFigures = []PerfFigure{
+	{"fig6", (*Runner).Figure6},
+	{"fig8", (*Runner).Figure8},
+	{"fig9", (*Runner).Figure9},
+	{"fig10", (*Runner).Figure10},
+	{"fig12", (*Runner).Figure12},
+	{"fig13", (*Runner).Figure13},
+	{"fig14", (*Runner).Figure14},
+	{"fig16", (*Runner).Figure16},
+	{"fig17", (*Runner).Figure17},
+}
+
 // NewRunner builds a Runner.
 func NewRunner(opt Options) *Runner {
 	return &Runner{opt: opt.withDefaults(), cache: map[string]cpu.Result{}}
 }
 
-// ParallelRunner builds a Runner that pre-runs sweeps across all CPUs.
+// ParallelRunner builds a Runner that pre-runs sweeps on
+// opt.Parallelism workers, or on one per CPU when that is not positive.
 func ParallelRunner(opt Options) *Runner {
-	opt.Parallelism = runtime.NumCPU()
+	if opt.Parallelism <= 0 {
+		opt.Parallelism = runtime.NumCPU()
+	}
 	return NewRunner(opt)
 }
 
@@ -448,20 +473,16 @@ func Figure11(trials int, seed int64) (Figure, error) {
 	if seed != 0 {
 		cfg.Seed = seed
 	}
-	return Figure11Cfg(cfg)
-}
-
-// Figure11Cfg regenerates Fig. 11 under an explicit Monte Carlo config
-// (lifetime, scrub, ranks, workers, early stop). It runs on the
-// parallel reliability engine; per-trial deterministic seeding makes
-// the table identical for any worker count, and early stopping
-// (cfg.TargetCIWidth) is reflected in the trial counts of the results.
-func Figure11Cfg(cfg reliability.Config) (Figure, error) {
 	return Figure11CfgContext(context.Background(), cfg)
 }
 
-// Figure11CfgContext is Figure11Cfg with cancellation: the sweep stops
-// at the next Monte Carlo block boundary once ctx is done.
+// Figure11CfgContext regenerates Fig. 11 under an explicit Monte Carlo
+// config (lifetime, scrub, ranks, workers, early stop). It runs on the
+// parallel reliability engine; per-trial deterministic seeding makes
+// the table identical for any worker count, and early stopping
+// (cfg.TargetCIWidth) is reflected in the trial counts of the results.
+// The sweep stops at the next Monte Carlo block boundary once ctx is
+// done.
 func Figure11CfgContext(ctx context.Context, cfg reliability.Config) (Figure, error) {
 	results, err := reliability.SimulateAllContext(ctx, cfg)
 	if err != nil {

@@ -258,3 +258,23 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 		t.Fatalf("parallel differs:\n%s\nvs\n%s", fp.Table, fs.Table)
 	}
 }
+
+// TestPerfFiguresIDs: every entry of the figure table regenerates the
+// figure it names.
+func TestPerfFiguresIDs(t *testing.T) {
+	r := NewRunner(fastOptions())
+	seen := map[string]bool{}
+	for _, f := range PerfFigures {
+		if seen[f.ID] {
+			t.Errorf("%s listed twice", f.ID)
+		}
+		seen[f.ID] = true
+		fig, err := f.Run(r)
+		if err != nil {
+			t.Fatalf("%s: %v", f.ID, err)
+		}
+		if fig.ID != f.ID {
+			t.Errorf("entry %s regenerated %s", f.ID, fig.ID)
+		}
+	}
+}

@@ -211,8 +211,9 @@ func benchCfg(trials, workers int) Config {
 }
 
 // BenchmarkSimulateSerial measures single-worker trials/sec (one op =
-// one trial); BenchmarkSimulateParallel8 the 8-worker pool. bench.sh
-// captures both into BENCH_reliability.json.
+// one trial); BenchmarkSimulateParallel8 the 8-worker pool. bench/ does
+// not measure the reliability engine, so these two are its only
+// throughput record.
 func BenchmarkSimulateSerial(b *testing.B) {
 	Simulate(Synergy, benchCfg(b.N, 1))
 }
