@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 )
 
 // LineSize is the cacheline granularity of memory encryption in bytes.
@@ -51,6 +52,10 @@ var ErrCounterOverflow = errors.New("ctrenc: encryption counter overflow (region
 // ErrBadLength is returned (wrapped, with the offending size) when a
 // caller-supplied buffer is not exactly LineSize bytes per line.
 var ErrBadLength = errors.New("ctrenc: buffer must be exactly LineSize bytes per line")
+
+// ErrOverlap is returned (wrapped) by Encrypt and Decrypt when dst and
+// src overlap without being the same slice.
+var ErrOverlap = errors.New("ctrenc: dst must be src or disjoint from it")
 
 // Engine encrypts and decrypts cachelines in counter mode. It is safe
 // for concurrent use: all state is read-only after construction.
@@ -139,7 +144,8 @@ func (e *Engine) padInto(dst *[LineSize]byte, addr, counter uint64) {
 }
 
 // Encrypt XORs a 64-byte plaintext line with the pad for (addr, counter),
-// writing the ciphertext to dst. dst and src may alias.
+// writing the ciphertext to dst. dst must be src or disjoint from it;
+// any other overlap returns ErrOverlap.
 func (e *Engine) Encrypt(dst, src []byte, addr, counter uint64) error {
 	if counter > CounterMax {
 		return ErrCounterOverflow
@@ -148,8 +154,9 @@ func (e *Engine) Encrypt(dst, src []byte, addr, counter uint64) error {
 }
 
 // Decrypt XORs a 64-byte ciphertext line with the pad for (addr, counter),
-// writing the plaintext to dst. dst and src may alias. Counter-mode
-// decryption is identical to encryption.
+// writing the plaintext to dst. dst must be src or disjoint from it;
+// any other overlap returns ErrOverlap. Counter-mode decryption is
+// identical to encryption.
 func (e *Engine) Decrypt(dst, src []byte, addr, counter uint64) error {
 	if counter > CounterMax {
 		return ErrCounterOverflow
@@ -163,7 +170,11 @@ func (e *Engine) xorPad(dst, src []byte, addr, counter uint64) error {
 	if len(dst) != LineSize || len(src) != LineSize {
 		return fmt.Errorf("ctrenc: lines must be %d bytes, got %d/%d: %w", LineSize, len(dst), len(src), ErrBadLength)
 	}
-	if !aliased(dst, src) {
+	d, s := uintptr(unsafe.Pointer(&dst[0])), uintptr(unsafe.Pointer(&src[0]))
+	if d != s {
+		if d < s+LineSize && s < d+LineSize {
+			return fmt.Errorf("ctrenc: dst and src overlap at offset %d: %w", int64(d-s), ErrOverlap)
+		}
 		e.padInto((*[LineSize]byte)(dst), addr, counter)
 		subtle.XORBytes(dst, dst, src)
 		return nil
@@ -174,9 +185,6 @@ func (e *Engine) xorPad(dst, src []byte, addr, counter uint64) error {
 	scratchPool.Put(pad)
 	return nil
 }
-
-// aliased reports whether dst is src, the one overlap the API allows.
-func aliased(dst, src []byte) bool { return len(dst) > 0 && &dst[0] == &src[0] }
 
 // NextCounter returns counter+1, or ErrCounterOverflow when the 56-bit
 // space is exhausted.

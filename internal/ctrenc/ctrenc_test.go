@@ -140,6 +140,36 @@ func TestDecryptWithWrongCounterGarbles(t *testing.T) {
 	}
 }
 
+// A dst that overlaps src without being it returns ErrOverlap (it used
+// to panic in subtle.XORBytes) and leaves the buffer untouched; a
+// disjoint dst in the same array works.
+func TestInexactOverlapError(t *testing.T) {
+	e := testEngine(t)
+	buf := make([]byte, 2*LineSize)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
+	orig := bytes.Clone(buf)
+	for _, c := range []struct{ dst, src int }{{8, 0}, {0, 8}, {1, 0}, {0, 63}, {63, 0}} {
+		dst, src := buf[c.dst:c.dst+LineSize], buf[c.src:c.src+LineSize]
+		if err := e.Encrypt(dst, src, 0x40, 1); !errors.Is(err, ErrOverlap) {
+			t.Errorf("Encrypt(buf[%d:], buf[%d:]): err = %v, want ErrOverlap", c.dst, c.src, err)
+		}
+		if err := e.Decrypt(dst, src, 0x40, 1); !errors.Is(err, ErrOverlap) {
+			t.Errorf("Decrypt(buf[%d:], buf[%d:]): err = %v, want ErrOverlap", c.dst, c.src, err)
+		}
+		if !bytes.Equal(buf, orig) {
+			t.Fatalf("a rejected call (dst %d, src %d) wrote to the buffer", c.dst, c.src)
+		}
+	}
+	if err := e.Encrypt(buf[LineSize:], buf[:LineSize], 0x40, 1); err != nil {
+		t.Fatalf("Encrypt into the adjacent line: %v", err)
+	}
+	if err := e.Decrypt(buf[LineSize:], buf[LineSize:], 0x40, 1); err != nil || !bytes.Equal(buf[LineSize:], orig[:LineSize]) {
+		t.Fatalf("in-place Decrypt of the adjacent line: err %v, round trip %v", err, bytes.Equal(buf[LineSize:], orig[:LineSize]))
+	}
+}
+
 func TestShortLineError(t *testing.T) {
 	e := testEngine(t)
 	for _, n := range []int{0, 32, 63, 65, 128} {

@@ -14,13 +14,22 @@
 // property the paper's error-detection reuse (§III) and mis-correction
 // analysis (§IV-A) rely on.
 //
-// Everything is implemented with the standard library only; the GF(2^64)
-// carry-less multiplication is done in pure Go. Multiplication by the
-// fixed hash point H — the only multiply the MAC ever performs — uses a
-// per-key byte-wide table (the standard GHASH acceleration), so each
-// field multiply is 8 table lookups instead of a 64-iteration
-// shift-and-add; see mulTable. The lookups are indexed by secret-
-// dependent values and are therefore not constant-time.
+// SumLine and Sum56, the two forms every memory access and tree node
+// uses, do not run the polynomial as a Horner chain. A fixed-size tag is
+// Σₖ wₖ·h^(n+1−k) ⊕ L·h over its n words wₖ and length block L, so New
+// precomputes h²…h⁹ and both fixed L·h terms, and the words are
+// multiplied by their powers independently and reduced once (the
+// aggregated reduction GHASH implementations use). On amd64 with
+// PCLMULQDQ an assembly kernel does those multiplies with the hardware
+// carry-less multiply: no table lookups and no secret-dependent memory
+// access, so those two forms are constant-time there.
+//
+// Every other multiply — Sum, Hasher, and SumLine/Sum56 on any other
+// platform or CPU — runs in pure Go through a per-key byte-wide table
+// (the standard GHASH acceleration), so each field multiply is 8 table
+// lookups instead of a 64-iteration shift-and-add; see mulTable. The
+// lookups are indexed by secret-dependent values and are therefore not
+// constant-time.
 package gmac
 
 import (
@@ -52,6 +61,12 @@ type Mac struct {
 	h     uint64       // secret GF(2^64) evaluation point
 	tab   *mulTable    // byte-wide multiply-by-h table
 	block cipher.Block // AES for the one-time pad
+
+	// pow[i] = h^(9−i): SumLine's word k is multiplied by pow[k] and
+	// Sum56's by pow[k+1]. lenLine and len56 are the two forms' length
+	// terms L·h.
+	pow            [8]uint64
+	lenLine, len56 uint64
 }
 
 // New creates a Mac from a 16-byte secret key.
@@ -59,10 +74,11 @@ type Mac struct {
 // The key is expanded with AES: the hash point H is AES_K(0^16) truncated
 // to 64 bits (mirroring how GCM derives its GHASH key), and the same AES
 // instance whitens each tag with an address/counter-dependent pad. New
-// also precomputes the 16 KB multiplication table for H that the hot
-// path uses in place of bit-serial field multiplication; callers that
-// share keys should share the Mac too, so the table is built and held
-// in cache once.
+// also precomputes the 16 KB multiplication table for H that the
+// pure-Go multiplies use in place of bit-serial field multiplication,
+// and the 80 bytes of powers and length terms of the fixed-size forms;
+// callers that share keys should share the Mac too, so the table is
+// built and held in cache once.
 func New(key []byte) (*Mac, error) {
 	if len(key) != KeySize {
 		return nil, errors.New("gmac: key must be 16 bytes")
@@ -79,7 +95,15 @@ func New(key []byte) (*Mac, error) {
 		// unreachable (probability 2^-64) but trivially avoidable.
 		h = 1
 	}
-	return &Mac{h: h, tab: newMulTable(h), block: b}, nil
+	m := &Mac{h: h, tab: newMulTable(h), block: b}
+	p := h
+	for i := len(m.pow) - 1; i >= 0; i-- {
+		p = m.tab.mul(p)
+		m.pow[i] = p
+	}
+	m.lenLine = m.tab.mul(LineSize<<3 ^ lenMixin)
+	m.len56 = m.tab.mul(56<<3 ^ lenMixin)
+	return m, nil
 }
 
 // Sum returns the 64-bit tag for data stored at the given cacheline
@@ -104,40 +128,43 @@ func (m *Mac) SumBytes(addr uint64, counter uint64, data []byte) []byte {
 	return out[:]
 }
 
-// SumLine is the fixed-size fast path for whole 64-byte cachelines: the
-// tag equals Sum(addr, counter, line[:]) but the polynomial is evaluated
-// with the word loop fully unrolled and no slice bookkeeping. This is
-// the form the engine's per-access verify/seal paths use.
+// SumLine is the fixed-size form for whole 64-byte cachelines, the one
+// the engine's per-access verify and seal paths use. The tag equals
+// Sum(addr, counter, line[:]); with the carry-less multiply kernel it
+// is one aggregated evaluation of Σₖ wₖ·h^(9−k) ⊕ L·h.
 func (m *Mac) SumLine(addr uint64, counter uint64, line *[LineSize]byte) uint64 {
 	n := stageNonce(addr, counter)
-	t := m.tab
-	acc := t.mul(binary.BigEndian.Uint64(line[0:8]))
-	acc = t.mul(acc ^ binary.BigEndian.Uint64(line[8:16]))
-	acc = t.mul(acc ^ binary.BigEndian.Uint64(line[16:24]))
-	acc = t.mul(acc ^ binary.BigEndian.Uint64(line[24:32]))
-	acc = t.mul(acc ^ binary.BigEndian.Uint64(line[32:40]))
-	acc = t.mul(acc ^ binary.BigEndian.Uint64(line[40:48]))
-	acc = t.mul(acc ^ binary.BigEndian.Uint64(line[48:56]))
-	acc = t.mul(acc ^ binary.BigEndian.Uint64(line[56:64]))
-	acc = t.mul(acc ^ LineSize<<3 ^ lenMixin)
-	return acc ^ m.pad(n)
+	var poly uint64
+	if haveCLMUL {
+		poly = reduce(clmulLine(&m.pow, line)) ^ m.lenLine
+	} else {
+		poly = m.polyHash(line[:])
+	}
+	return poly ^ m.pad(n)
 }
 
-// Sum56 is the fixed-size fast path for 56-byte node payloads (the MACed
+// Sum56 is the fixed-size form for 56-byte node payloads (the MACed
 // content of counter/tree lines: eight 7-byte counters, or a split
-// node's major + minors). The tag equals Sum(addr, counter, buf[:]).
+// node's major + minors). The tag equals Sum(addr, counter, buf[:]);
+// with the kernel it is Σₖ wₖ·h^(8−k) ⊕ L·h.
 func (m *Mac) Sum56(addr uint64, counter uint64, buf *[56]byte) uint64 {
 	n := stageNonce(addr, counter)
-	t := m.tab
-	acc := t.mul(binary.BigEndian.Uint64(buf[0:8]))
-	acc = t.mul(acc ^ binary.BigEndian.Uint64(buf[8:16]))
-	acc = t.mul(acc ^ binary.BigEndian.Uint64(buf[16:24]))
-	acc = t.mul(acc ^ binary.BigEndian.Uint64(buf[24:32]))
-	acc = t.mul(acc ^ binary.BigEndian.Uint64(buf[32:40]))
-	acc = t.mul(acc ^ binary.BigEndian.Uint64(buf[40:48]))
-	acc = t.mul(acc ^ binary.BigEndian.Uint64(buf[48:56]))
-	acc = t.mul(acc ^ 56<<3 ^ lenMixin)
-	return acc ^ m.pad(n)
+	var poly uint64
+	if haveCLMUL {
+		poly = reduce(clmul56(&m.pow, buf)) ^ m.len56
+	} else {
+		poly = m.polyHash(buf[:])
+	}
+	return poly ^ m.pad(n)
+}
+
+// reduce folds a 128-bit carry-less product hi·x^64 ⊕ lo modulo
+// x^64 + x^4 + x^3 + x + 1. x^64 ≡ x^4 + x^3 + x + 1, so hi folds in as
+// hi ⊕ hi<<1 ⊕ hi<<3 ⊕ hi<<4; the bits those shifts push past x^63 (t,
+// at most four) fold in the same way once more.
+func reduce(lo, hi uint64) uint64 {
+	t := hi>>60 ^ hi>>61 ^ hi>>63
+	return lo ^ hi ^ hi<<1 ^ hi<<3 ^ hi<<4 ^ t ^ t<<1 ^ t<<3 ^ t<<4
 }
 
 // nonce is the AES block the tag pad is computed from. It is pooled
@@ -152,7 +179,9 @@ var noncePool = sync.Pool{New: func() any { return new(nonce) }}
 // stages it before evaluating the polynomial and encrypts it after
 // (pad): AES loads the block as one 16-byte word, which the CPU cannot
 // forward from the two 8-byte stores that wrote it, and the polynomial
-// gives those stores time to reach the cache first.
+// gives those stores time to reach the cache first. The kernel form is
+// too short to hide the whole wait, but staging after it measured
+// slower still.
 func stageNonce(addr, counter uint64) *nonce {
 	n := noncePool.Get().(*nonce)
 	binary.BigEndian.PutUint64(n[:8], addr)
@@ -198,6 +227,8 @@ const gfPoly = 0x1b
 // byte-wide windows: tab[i][b] = (b·x^(8i))·h, so a·h is the XOR of 8
 // lookups, one per byte of a. 8×256 uint64 = 16 KB per key: half of a
 // typical L1d, which is why an Array shares one Mac across its ranks.
+// It serves Sum, Hasher, key setup, and SumLine/Sum56 wherever the
+// carry-less multiply kernel is not available.
 type mulTable [8][256]uint64
 
 // newMulTable precomputes the table for h: the reference shift-and-add
@@ -232,8 +263,9 @@ func (t *mulTable) mul(a uint64) uint64 {
 
 // gfMul multiplies two elements of GF(2^64) (carry-less multiply reduced
 // modulo gfPoly). Pure Go, constant 64-iteration shift-and-add. This is
-// the reference implementation: the hot path multiplies through mulTable
-// instead, and the differential tests pin the table against this.
+// the reference implementation: the MAC multiplies through mulTable or
+// the carry-less multiply kernel instead, and the differential tests
+// pin both against this.
 func gfMul(a, b uint64) uint64 {
 	var p uint64
 	for i := 0; i < 64; i++ {

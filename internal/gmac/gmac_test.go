@@ -201,6 +201,88 @@ func TestGFMulTableVsReference(t *testing.T) {
 	}
 }
 
+// clmulRef is the bit-serial carry-less product of a and b as the
+// 128-bit value hi·x^64 ⊕ lo: the definition the kernel and reduce are
+// checked against.
+func clmulRef(a, b uint64) (lo, hi uint64) {
+	for i := 0; i < 64; i++ {
+		if a>>i&1 != 0 {
+			lo ^= b << i
+			if i > 0 {
+				hi ^= b >> (64 - i)
+			}
+		}
+	}
+	return lo, hi
+}
+
+// reduce of a carry-less product is the field product, including the
+// products whose high half reaches bit 60 (the second fold).
+func TestReduceMatchesGFMul(t *testing.T) {
+	f := func(a, b uint64) bool { return reduce(clmulRef(a, b)) == gfMul(a, b) }
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][2]uint64{{1 << 63, 1 << 63}, {^uint64(0), ^uint64(0)}, {1 << 63, 1 << 61}, {1 << 62, 1 << 62}} {
+		if !f(p[0], p[1]) {
+			t.Fatalf("reduce(%#x·%#x) = %#x, gfMul %#x", p[0], p[1], reduce(clmulRef(p[0], p[1])), gfMul(p[0], p[1]))
+		}
+	}
+}
+
+// New's precomputed powers and length terms are h^(9−i) and L·h.
+func TestPowersAndLengthTerms(t *testing.T) {
+	m := testKey(t)
+	want := m.h
+	for e := 2; e <= 9; e++ {
+		want = gfMul(want, m.h)
+		if got := m.pow[9-e]; got != want {
+			t.Errorf("pow[%d] = %#x, want h^%d = %#x", 9-e, got, e, want)
+		}
+	}
+	if want := gfMul(LineSize<<3^lenMixin, m.h); m.lenLine != want {
+		t.Errorf("lenLine = %#x, want %#x", m.lenLine, want)
+	}
+	if want := gfMul(56<<3^lenMixin, m.h); m.len56 != want {
+		t.Errorf("len56 = %#x, want %#x", m.len56, want)
+	}
+}
+
+// The kernel's unreduced output is exactly the XOR of the bit-serial
+// products of each word with its power.
+func TestKernelMatchesReference(t *testing.T) {
+	if !haveCLMUL {
+		t.Skip("no carry-less multiply kernel on this platform")
+	}
+	m := testKey(t)
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		var line [LineSize]byte
+		rng.Read(line[:])
+		if trial == 0 {
+			for i := range line {
+				line[i] = 0xff
+			}
+		}
+		var wantLo, wantHi, lo56, hi56 uint64
+		for k := 0; k < 8; k++ {
+			w := binary.BigEndian.Uint64(line[8*k:])
+			lo, hi := clmulRef(w, m.pow[k])
+			wantLo, wantHi = wantLo^lo, wantHi^hi
+			if k < 7 {
+				lo, hi = clmulRef(w, m.pow[k+1])
+				lo56, hi56 = lo56^lo, hi56^hi
+			}
+		}
+		if lo, hi := clmulLine(&m.pow, &line); lo != wantLo || hi != wantHi {
+			t.Fatalf("clmulLine = %#x:%#x, reference %#x:%#x", hi, lo, wantHi, wantLo)
+		}
+		if lo, hi := clmul56(&m.pow, (*[56]byte)(line[:56])); lo != lo56 || hi != hi56 {
+			t.Fatalf("clmul56 = %#x:%#x, reference %#x:%#x", hi, lo, hi56, lo56)
+		}
+	}
+}
+
 // Mac.Sum and Hasher.Sum64 must agree for every length, including the
 // whole-word tails where the two length folds used to diverge from the
 // specification.
