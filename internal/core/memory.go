@@ -307,16 +307,16 @@ func (m *Memory) initialize() error {
 		}
 	}
 	// Data lines: ciphertext of zeros under counter 0, with MAC.
-	var zero [LineSize]byte
-	cipher := make([]byte, LineSize)
+	var zero, cipher [LineSize]byte
+	var tag [gmac.TagSize]byte
 	for i := uint64(0); i < m.layout.DataLines; i++ {
 		addr := m.layout.DataAddr(i)
-		if err := m.enc.Encrypt(cipher, zero[:], addr, 0); err != nil {
+		if err := m.enc.Encrypt(cipher[:], zero[:], addr, 0); err != nil {
 			return err
 		}
-		tag := m.mac.SumBytes(addr, 0, cipher)
+		binary.BigEndian.PutUint64(tag[:], m.mac.SumLine(addr, 0, &cipher))
 		m.stats.MACComputations++
-		if err := m.mod.WriteLine(addr, cipher, tag); err != nil {
+		if err := m.mod.WriteLine(addr, cipher[:], tag[:]); err != nil {
 			return err
 		}
 	}

@@ -3,7 +3,7 @@ package ctrenc
 import "testing"
 
 // BenchmarkPadGen measures OTP generation: one line at a time versus a
-// whole batch sharing a single serialization scratch.
+// batch of 32 through PadBatch.
 func BenchmarkPadGen(b *testing.B) {
 	e := testEngine(b)
 	b.Run("single", func(b *testing.B) {

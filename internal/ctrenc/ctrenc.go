@@ -14,20 +14,22 @@
 // the same XOR. Because the pad depends only on (addr, ctr), it can be
 // precomputed while the data access is in flight — the property that
 // makes counter caching performance-critical in the paper's evaluation.
-// PadBatch is that batched form, kept as the leaf cost the benchmark
+// The four blocks are independent, and internal/aespad computes them
+// the way the paper's hardware does, in parallel: on amd64 with AES-NI
+// one kernel call builds the four inputs in registers, runs their
+// rounds interleaved and XORs the source line, so no buffer escapes;
+// elsewhere crypto/aes computes the same bytes.
+// PadBatch is the batched form, kept as the leaf cost the benchmark
 // measures; the engine itself generates each pad inline, one line at a
 // time, since a batched pad costs what a single one does.
 package ctrenc
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
-	"crypto/subtle"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"unsafe"
+
+	"synergy/internal/aespad"
 )
 
 // LineSize is the cacheline granularity of memory encryption in bytes.
@@ -60,7 +62,7 @@ var ErrOverlap = errors.New("ctrenc: dst must be src or disjoint from it")
 // Engine encrypts and decrypts cachelines in counter mode. It is safe
 // for concurrent use: all state is read-only after construction.
 type Engine struct {
-	block cipher.Block
+	key *aespad.Key
 }
 
 // New creates an Engine from a 16-byte secret key.
@@ -68,19 +70,11 @@ func New(key []byte) (*Engine, error) {
 	if len(key) != KeySize {
 		return nil, errors.New("ctrenc: key must be 16 bytes")
 	}
-	b, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{block: b}, nil
+	return &Engine{key: aespad.New((*[KeySize]byte)(key))}, nil
 }
 
-// scratchPool holds line-sized pads for the one case that cannot stage
-// its AES inputs in dst: an Encrypt/Decrypt whose dst is src, where
-// staging would overwrite the plaintext before it is XORed.
-// The pad is pooled rather than stack-allocated because buffers passed
-// through the cipher.Block interface escape.
-var scratchPool = sync.Pool{New: func() any { return new([LineSize]byte) }}
+// zeroLine is the source a bare pad is XORed with.
+var zeroLine [LineSize]byte
 
 // Pad writes the 64-byte one-time pad for (addr, counter) into dst.
 // dst must be LineSize bytes and counter at most CounterMax; violations
@@ -93,7 +87,7 @@ func (e *Engine) Pad(dst []byte, addr, counter uint64) error {
 	if counter > CounterMax {
 		return ErrCounterOverflow
 	}
-	e.padInto((*[LineSize]byte)(dst), addr, counter)
+	e.key.XORPad((*[LineSize]byte)(dst), &zeroLine, addr, counter)
 	return nil
 }
 
@@ -116,31 +110,9 @@ func (e *Engine) PadBatch(dst []byte, addrs, ctrs []uint64) error {
 		}
 	}
 	for k := range addrs {
-		e.padInto((*[LineSize]byte)(dst[k*LineSize:]), addrs[k], ctrs[k])
+		e.key.XORPad((*[LineSize]byte)(dst[k*LineSize:]), &zeroLine, addrs[k], ctrs[k])
 	}
 	return nil
-}
-
-// padInto fills dst with the pad for (addr, counter). All four AES
-// inputs addr ‖ (blk<<56 | counter) are written before the first block
-// is encrypted, each in its own 16-byte slot of dst, and each block is
-// then encrypted in place (counters are 56-bit, so the block index
-// rides in the top byte). Staging them first matters: AES loads its
-// input as one 16-byte word, which the CPU cannot forward from the two
-// 8-byte stores that wrote it, so a load issued right behind its stores
-// waits for them to reach the cache. With every store issued up front,
-// they have drained by the time each block needs them, and the four
-// blocks no longer wait on each other.
-func (e *Engine) padInto(dst *[LineSize]byte, addr, counter uint64) {
-	for blk := 0; blk < LineSize/aes.BlockSize; blk++ {
-		in := dst[blk*aes.BlockSize:]
-		binary.BigEndian.PutUint64(in[:8], addr)
-		binary.BigEndian.PutUint64(in[8:16], uint64(blk)<<CounterBits|counter)
-	}
-	for blk := 0; blk < LineSize/aes.BlockSize; blk++ {
-		b := dst[blk*aes.BlockSize : (blk+1)*aes.BlockSize]
-		e.block.Encrypt(b, b)
-	}
 }
 
 // Encrypt XORs a 64-byte plaintext line with the pad for (addr, counter),
@@ -164,25 +136,17 @@ func (e *Engine) Decrypt(dst, src []byte, addr, counter uint64) error {
 	return e.xorPad(dst, src, addr, counter)
 }
 
-// xorPad generates the pad in dst and XORs src into it; only a dst that
-// aliases src needs the pooled pad instead.
+// xorPad checks the line lengths and the overlap rule, then writes src
+// XOR the pad to dst in one kernel call, which reads all of src before
+// it writes dst.
 func (e *Engine) xorPad(dst, src []byte, addr, counter uint64) error {
 	if len(dst) != LineSize || len(src) != LineSize {
 		return fmt.Errorf("ctrenc: lines must be %d bytes, got %d/%d: %w", LineSize, len(dst), len(src), ErrBadLength)
 	}
-	d, s := uintptr(unsafe.Pointer(&dst[0])), uintptr(unsafe.Pointer(&src[0]))
-	if d != s {
-		if d < s+LineSize && s < d+LineSize {
-			return fmt.Errorf("ctrenc: dst and src overlap at offset %d: %w", int64(d-s), ErrOverlap)
-		}
-		e.padInto((*[LineSize]byte)(dst), addr, counter)
-		subtle.XORBytes(dst, dst, src)
-		return nil
+	if d, s := uintptr(unsafe.Pointer(&dst[0])), uintptr(unsafe.Pointer(&src[0])); d != s && d < s+LineSize && s < d+LineSize {
+		return fmt.Errorf("ctrenc: dst and src overlap at offset %d: %w", int64(d-s), ErrOverlap)
 	}
-	pad := scratchPool.Get().(*[LineSize]byte)
-	e.padInto(pad, addr, counter)
-	subtle.XORBytes(dst, src, pad[:])
-	scratchPool.Put(pad)
+	e.key.XORPad((*[LineSize]byte)(dst), (*[LineSize]byte)(src), addr, counter)
 	return nil
 }
 

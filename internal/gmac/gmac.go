@@ -30,14 +30,17 @@
 // lookups instead of a 64-iteration shift-and-add; see mulTable. The
 // lookups are indexed by secret-dependent values and are therefore not
 // constant-time.
+//
+// The pad AES_K(addr||ctr), and H, are one block of internal/aespad:
+// on amd64 with AES-NI its kernel builds the block in registers from
+// addr and ctr, so no nonce buffer exists; elsewhere crypto/aes.
 package gmac
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"encoding/binary"
 	"errors"
-	"sync"
+
+	"synergy/internal/aespad"
 )
 
 // TagBits is the width of the authentication tag in bits.
@@ -58,9 +61,9 @@ const LineSize = 64
 // pair. It is safe for concurrent use by multiple goroutines after
 // construction: all state is read-only.
 type Mac struct {
-	h     uint64       // secret GF(2^64) evaluation point
-	tab   *mulTable    // byte-wide multiply-by-h table
-	block cipher.Block // AES for the one-time pad
+	h   uint64      // secret GF(2^64) evaluation point
+	tab *mulTable   // byte-wide multiply-by-h table
+	key *aespad.Key // AES for H and the one-time pad
 
 	// pow[i] = h^(9−i): SumLine's word k is multiplied by pow[k] and
 	// Sum56's by pow[k+1]. lenLine and len56 are the two forms' length
@@ -73,7 +76,7 @@ type Mac struct {
 //
 // The key is expanded with AES: the hash point H is AES_K(0^16) truncated
 // to 64 bits (mirroring how GCM derives its GHASH key), and the same AES
-// instance whitens each tag with an address/counter-dependent pad. New
+// key whitens each tag with an address/counter-dependent pad. New
 // also precomputes the 16 KB multiplication table for H that the
 // pure-Go multiplies use in place of bit-serial field multiplication,
 // and the 80 bytes of powers and length terms of the fixed-size forms;
@@ -83,19 +86,14 @@ func New(key []byte) (*Mac, error) {
 	if len(key) != KeySize {
 		return nil, errors.New("gmac: key must be 16 bytes")
 	}
-	b, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
-	var zero, hblk [16]byte
-	b.Encrypt(hblk[:], zero[:])
-	h := binary.BigEndian.Uint64(hblk[:8])
+	k := aespad.New((*[KeySize]byte)(key))
+	h := k.Block(0, 0)
 	if h == 0 {
 		// Point zero would hash every message to zero. Practically
 		// unreachable (probability 2^-64) but trivially avoidable.
 		h = 1
 	}
-	m := &Mac{h: h, tab: newMulTable(h), block: b}
+	m := &Mac{h: h, tab: newMulTable(h), key: k}
 	p := h
 	for i := len(m.pow) - 1; i >= 0; i-- {
 		p = m.tab.mul(p)
@@ -112,8 +110,7 @@ func New(key []byte) (*Mac, error) {
 // length folded into the polynomial so that messages of different
 // lengths cannot collide trivially.
 func (m *Mac) Sum(addr uint64, counter uint64, data []byte) uint64 {
-	n := stageNonce(addr, counter)
-	return m.polyHash(data) ^ m.pad(n)
+	return m.polyHash(data) ^ m.key.Block(addr, counter)
 }
 
 // Verify reports whether tag authenticates data at (addr, counter).
@@ -121,26 +118,18 @@ func (m *Mac) Verify(addr uint64, counter uint64, data []byte, tag uint64) bool 
 	return m.Sum(addr, counter, data) == tag
 }
 
-// SumBytes is Sum with the tag serialized big-endian into an 8-byte slice.
-func (m *Mac) SumBytes(addr uint64, counter uint64, data []byte) []byte {
-	var out [TagSize]byte
-	binary.BigEndian.PutUint64(out[:], m.Sum(addr, counter, data))
-	return out[:]
-}
-
 // SumLine is the fixed-size form for whole 64-byte cachelines, the one
 // the engine's per-access verify and seal paths use. The tag equals
 // Sum(addr, counter, line[:]); with the carry-less multiply kernel it
 // is one aggregated evaluation of Σₖ wₖ·h^(9−k) ⊕ L·h.
 func (m *Mac) SumLine(addr uint64, counter uint64, line *[LineSize]byte) uint64 {
-	n := stageNonce(addr, counter)
 	var poly uint64
 	if haveCLMUL {
 		poly = reduce(clmulLine(&m.pow, line)) ^ m.lenLine
 	} else {
 		poly = m.polyHash(line[:])
 	}
-	return poly ^ m.pad(n)
+	return poly ^ m.key.Block(addr, counter)
 }
 
 // Sum56 is the fixed-size form for 56-byte node payloads (the MACed
@@ -148,14 +137,13 @@ func (m *Mac) SumLine(addr uint64, counter uint64, line *[LineSize]byte) uint64 
 // node's major + minors). The tag equals Sum(addr, counter, buf[:]);
 // with the kernel it is Σₖ wₖ·h^(8−k) ⊕ L·h.
 func (m *Mac) Sum56(addr uint64, counter uint64, buf *[56]byte) uint64 {
-	n := stageNonce(addr, counter)
 	var poly uint64
 	if haveCLMUL {
 		poly = reduce(clmul56(&m.pow, buf)) ^ m.len56
 	} else {
 		poly = m.polyHash(buf[:])
 	}
-	return poly ^ m.pad(n)
+	return poly ^ m.key.Block(addr, counter)
 }
 
 // reduce folds a 128-bit carry-less product hi·x^64 ⊕ lo modulo
@@ -165,37 +153,6 @@ func (m *Mac) Sum56(addr uint64, counter uint64, buf *[56]byte) uint64 {
 func reduce(lo, hi uint64) uint64 {
 	t := hi>>60 ^ hi>>61 ^ hi>>63
 	return lo ^ hi ^ hi<<1 ^ hi<<3 ^ hi<<4 ^ t ^ t<<1 ^ t<<3 ^ t<<4
-}
-
-// nonce is the AES block the tag pad is computed from. It is pooled
-// rather than stack-allocated because slices passed through the
-// cipher.Block interface escape, and the verify path runs once per
-// memory access.
-type nonce [16]byte
-
-var noncePool = sync.Pool{New: func() any { return new(nonce) }}
-
-// stageNonce writes the pad's AES input addr || counter. Every tag
-// stages it before evaluating the polynomial and encrypts it after
-// (pad): AES loads the block as one 16-byte word, which the CPU cannot
-// forward from the two 8-byte stores that wrote it, and the polynomial
-// gives those stores time to reach the cache first. The kernel form is
-// too short to hide the whole wait, but staging after it measured
-// slower still.
-func stageNonce(addr, counter uint64) *nonce {
-	n := noncePool.Get().(*nonce)
-	binary.BigEndian.PutUint64(n[:8], addr)
-	binary.BigEndian.PutUint64(n[8:], counter)
-	return n
-}
-
-// pad encrypts a staged nonce in place, returns AES_K(addr || counter)
-// truncated to 64 bits and releases the nonce.
-func (m *Mac) pad(n *nonce) uint64 {
-	m.block.Encrypt(n[:], n[:])
-	p := binary.BigEndian.Uint64(n[:8])
-	noncePool.Put(n)
-	return p
 }
 
 // polyHash evaluates the GF(2^64) polynomial whose coefficients are the

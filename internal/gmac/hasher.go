@@ -53,7 +53,6 @@ func (h *Hasher) Write(p []byte) (int, error) {
 // consume the state: more data may be written afterwards (the returned
 // tag then becomes stale).
 func (h *Hasher) Sum64() uint64 {
-	n := stageNonce(h.addr, h.counter)
 	acc := h.acc
 	if h.nbuf > 0 {
 		var last [8]byte
@@ -61,7 +60,7 @@ func (h *Hasher) Sum64() uint64 {
 		acc = h.m.tab.mul(acc ^ binary.BigEndian.Uint64(last[:]))
 	}
 	acc = h.m.tab.mul(acc ^ uint64(h.total)<<3 ^ uint64(lenMixin))
-	return acc ^ h.m.pad(n)
+	return acc ^ h.m.key.Block(h.addr, h.counter)
 }
 
 // Sum appends the big-endian tag to b (hash.Hash).

@@ -1,7 +1,7 @@
 package gmac
 
 import (
-	"bytes"
+	"encoding/binary"
 	"hash"
 	"math/rand"
 	"testing"
@@ -76,7 +76,7 @@ func TestHasherSumAppends(t *testing.T) {
 	if len(out) != 1+TagSize || out[0] != 0xEE {
 		t.Fatalf("Sum append wrong: %x", out)
 	}
-	if !bytes.Equal(out[1:], m.SumBytes(7, 8, []byte("abc"))) {
+	if binary.BigEndian.Uint64(out[1:]) != m.Sum(7, 8, []byte("abc")) {
 		t.Fatal("appended tag wrong")
 	}
 }
