@@ -1,10 +1,11 @@
 package gmac
 
-// haveCLMUL reports whether the CPU has PCLMULQDQ and SSSE3 (for
-// PSHUFB), the two extensions the fixed-size tag kernel uses.
-var haveCLMUL = cpuHasCLMUL()
+import "synergy/internal/aespad"
 
-func cpuHasCLMUL() bool
+// haveCLMUL reports whether the CPU has PCLMULQDQ and SSSE3 (for
+// PSHUFB), the two extensions the fixed-size tag kernel uses. The
+// CPUID read that picks the AES kernel answers it.
+var haveCLMUL = aespad.HaveCLMUL()
 
 // clmulLine returns the unreduced Σₖ wₖ·pow[k] over the eight
 // big-endian words of line, as the 128-bit value hi·x^64 ⊕ lo.

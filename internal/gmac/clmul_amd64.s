@@ -6,17 +6,6 @@ DATA bswapMask<>+0x00(SB)/8, $0x0001020304050607
 DATA bswapMask<>+0x08(SB)/8, $0x08090a0b0c0d0e0f
 GLOBL bswapMask<>(SB), RODATA|NOPTR, $16
 
-// func cpuHasCLMUL() bool
-TEXT ·cpuHasCLMUL(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	// ECX bit 1 is PCLMULQDQ, bit 9 is SSSE3.
-	ANDL $0x202, CX
-	CMPL CX, $0x202
-	SETEQ ret+0(FP)
-	RET
-
 // MULPAIR multiplies the two words at off(SI) by the two powers at
 // pow(DI), lane by lane, and XORs both 128-bit products into X0.
 #define MULPAIR(off, pow) \
