@@ -62,17 +62,23 @@ func BenchmarkDegradedRead(b *testing.B) {
 	// Whole-chip permanent fault with the chip already condemned: the
 	// §IV-A preemptive path, i.e. steady-state degraded service between
 	// fault onset and chip replacement — served under the shared lock,
-	// one MAC per read and no store-back.
+	// one MAC per read and no store-back. It cycles over the 8 lines of
+	// one parity line, so, as in bench/'s engine_degraded, one read in 8
+	// finds its parity slot on the condemned chip and rebuilds it
+	// through ParityP first.
 	b.Run("permanent-preemptive", func(b *testing.B) {
+		const first, dead = 40, 2
 		a, m := newMemory(b, 1024)
-		if err := a.Write(42, line); err != nil {
+		for j := uint64(first); j < first+8; j++ {
+			if err := a.Write(j, line); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := m.InjectPermanent(dead, 0, m.Module().Lines()-1, [8]byte{0x55}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.InjectPermanent(2, 0, m.Module().Lines()-1, [8]byte{0x55}); err != nil {
-			b.Fatal(err)
-		}
-		for m.KnownBadChip() != 2 { // warm until the scoreboard condemns
-			if _, err := a.Read(42, buf); err != nil {
+		for j := 0; m.KnownBadChip() != dead; j++ { // warm until the scoreboard condemns
+			if _, err := a.Read(first+uint64(j%8), buf); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -80,7 +86,7 @@ func BenchmarkDegradedRead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := a.Read(42, buf); err != nil {
+			if _, err := a.Read(first+uint64(i%8), buf); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -173,8 +173,8 @@ func (m *Memory) fastRead(i uint64, dst []byte, sp *telemetry.Span) (info ReadIn
 		st.Mark(telemetry.StageCounterFetch)
 
 		// Verify and decrypt outside the lock: both touch only the
-		// snapshot and the immutable crypto engines.
-		m.fastVerifies.Add(1)
+		// snapshot and the immutable crypto engines. The verify's MAC is
+		// not counted here: Stats derives it from the attempt's outcome.
 		if !m.verifyData(dataAddr, ctr, &dl) {
 			if g.Load() != gen {
 				// A mutator landed mid-attempt (scrub correction, racing
@@ -196,6 +196,12 @@ func (m *Memory) fastRead(i uint64, dst []byte, sp *telemetry.Span) (info ReadIn
 		} else {
 			st.Mark(telemetry.StageMACVerify)
 		}
+		// Decrypt cannot fail here, so addShared counts no outcome for
+		// it: dst's length was checked on entry, dl is this call's own
+		// line, and ctr comes from a verified cached leaf, whose
+		// counters never exceed CounterMax (56-bit monolithic counters;
+		// split counters are Major<<8|minor, and Bump caps Major at 48
+		// bits).
 		if derr := m.enc.Decrypt(dst, dl.Data[:], dataAddr, ctr); derr != nil {
 			return ReadInfo{}, derr, true
 		}

@@ -170,7 +170,6 @@ type Memory struct {
 	gens            [genStripes]atomic.Uint64
 	fastReads       atomic.Uint64 // clean reads served under the shared lock
 	preemptReads    atomic.Uint64 // §IV-A pre-emptive reads served under the shared lock
-	fastVerifies    atomic.Uint64 // MAC verifications spent by fast attempts
 	fastPoisonFails atomic.Uint64 // poison fast-fails under the shared lock
 	genRetries      atomic.Uint64 // attempts retried after a generation conflict
 	escalations     [telemetry.NumEscReasons]atomic.Uint64
@@ -347,8 +346,7 @@ func (m *Memory) rebuildParity() error {
 			if !ok {
 				return fmt.Errorf("core: data line %d: %w", p*8+slot, ErrOutOfRange)
 			}
-			par := parity9(&dl)
-			copy(line[slot*8:slot*8+8], par[:])
+			putWord(line[slot*8:], parity9(&dl))
 		}
 		parityP := integrity.SliceParity(&line)
 		if err := m.mod.WriteLine(m.layout.parityBase+p, line[:], parityP[:]); err != nil {
@@ -359,13 +357,9 @@ func (m *Memory) rebuildParity() error {
 }
 
 // parity9 computes the Synergy parity across all 9 chips of a data line:
-// C0 ⊕ C1 ⊕ … ⊕ C7 ⊕ MAC (paper §III, Fig. 5).
-func parity9(l *dimm.Line) [8]byte {
-	p := integrity.SliceParity(&l.Data)
-	for b := 0; b < 8; b++ {
-		p[b] ^= l.ECC[b]
-	}
-	return p
+// C0 ⊕ C1 ⊕ … ⊕ C7 ⊕ MAC (paper §III, Fig. 5), as a word.
+func parity9(l *dimm.Line) uint64 {
+	return sliceSum(&l.Data) ^ word(l.ECC[:])
 }
 
 // Module exposes the underlying DIMM for fault injection in tests,
@@ -400,12 +394,17 @@ func (m *Memory) addShared(s *Stats) {
 	s.Reads += fast + pre
 	s.NodeCacheStops += fast + pre
 	s.MetaCacheHits += fast + pre
-	s.MACComputations += m.fastVerifies.Load()
 	s.PoisonFastFails += m.fastPoisonFails.Load()
 	s.GenRetries = m.genRetries.Load()
 	for k := range m.escalations {
 		s.ReadEscalations += m.escalations[k].Load()
 	}
+	// A fast attempt spends one MAC on its verify and then ends in
+	// exactly one of: served (clean or pre-emptive), a generation retry,
+	// or a mismatch or degraded escalation. (Its Decrypt cannot fail;
+	// see fastRead.)
+	s.MACComputations += fast + pre + s.GenRetries +
+		m.escalations[telemetry.EscMismatch].Load() + m.escalations[telemetry.EscDegraded].Load()
 }
 
 // KnownBadChip returns the chip the scoreboard has condemned, or -1.
@@ -1153,7 +1152,7 @@ func (m *Memory) tryPreemptive(i uint64, dl *dimm.Line, path []pathEntry) (uint6
 		}
 	}
 	for k := range path {
-		if path[k].cached == nil && m.storedDiffers(path[k].addr, &path[k].raw) {
+		if path[k].cached == nil && !m.mod.Holds(path[k].addr, &path[k].raw) {
 			if err := m.writeEntry(&path[k]); err != nil {
 				return 0, false, err
 			}
@@ -1257,21 +1256,16 @@ func (m *Memory) reencryptGroup(target uint64, oldLeaf *integrity.SplitNode, new
 // the paper's §III-B "parity assumed non-erroneous" caveat.)
 func (m *Memory) updateParity(i uint64, cipher, tag []byte) error {
 	pAddr, slot := m.layout.ParityAddr(i)
-	newSlot := integrity.SliceParity((*[LineSize]byte)(cipher))
-	for b := 0; b < 8; b++ {
-		newSlot[b] ^= tag[b]
-	}
+	newSlot := sliceSum((*[LineSize]byte)(cipher)) ^ word(tag)
 
 	pl, err := m.mod.ReadLine(pAddr)
 	if err != nil {
 		return err
 	}
-	var newPP [8]byte
-	for b := 0; b < 8; b++ {
-		newPP[b] = pl.ECC[b] ^ pl.Data[slot*8+b] ^ newSlot[b]
-	}
-	copy(pl.Data[slot*8:slot*8+8], newSlot[:])
-	return m.mod.WriteLine(pAddr, pl.Data[:], newPP[:])
+	s := pl.Data[slot*8 : slot*8+8]
+	putWord(pl.ECC[:], word(pl.ECC[:])^word(s)^newSlot)
+	putWord(s, newSlot)
+	return m.mod.WriteLine(pAddr, pl.Data[:], pl.ECC[:])
 }
 
 // ScrubReport summarizes a scrub pass (or the prefix of one that a

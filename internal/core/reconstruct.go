@@ -15,11 +15,23 @@ import (
 // parity supplies *correction*; the combination gives chipkill-level
 // coverage from a single 9-chip DIMM.
 //
+// Every rebuild here is one identity. Each parity Synergy stores is the
+// XOR of a line's chip slices: ParityC/ParityT (a counter or tree
+// line's ECC slice) of its 8 data slices, the 9-chip parity of a data
+// line's 8 data slices and its MAC, ParityP (a parity line's ECC slice)
+// of its 8 slots. So any one slice c is
+//
+//	parity ⊕ integrity.SliceParity(data) ⊕ slice c  (⊕ the MAC slice for a data line)
+//
+// — slice c cancels out of the XOR of all slices. It is computed on
+// 64-bit words; XOR is byte-wise, so the words' byte order only has to
+// agree between load and store.
+//
 // Every function here runs with the owning Memory's lock held, so none
 // takes a lock of its own. Reconstruction commits corrected lines back
 // to the module and bumps stats/scoreboard state, so it needs the
-// exclusive lock; preemptData and storedDiffers only read, and the
-// shared-lock read paths call them too.
+// exclusive lock; preemptData only reads, and the shared-lock read
+// paths call it too.
 
 // reconstructEntry repairs a counter/tree path line using its intra-line
 // parity (ParityC / ParityT, stored in the line's own ECC chip). A chip
@@ -31,8 +43,7 @@ func (m *Memory) reconstructEntry(e *pathEntry, parentCtr uint64) (int, int, err
 	attempts := 0
 	for chip := 0; chip < dimm.DataChips; chip++ {
 		cand := *e
-		cand.raw = e.raw
-		rebuildSlice(cand.raw.Data[:], chip, e.raw.ECC[:])
+		rebuildSlice(&cand.raw.Data, chip, word(e.raw.ECC[:]))
 		m.entryUnpack(&cand)
 		attempts++
 		m.stats.MACComputations++
@@ -63,20 +74,32 @@ func (m *Memory) noteReconstruction(addr uint64, r Region, attempts int, success
 	})
 }
 
-// rebuildSlice replaces chip's 8-byte slice of a 64-byte line with
-// parity XOR all other slices.
-func rebuildSlice(line []byte, chip int, parity []byte) {
-	var rec [8]byte
-	copy(rec[:], parity)
-	for other := 0; other < 8; other++ {
-		if other == chip {
-			continue
-		}
-		for b := 0; b < 8; b++ {
-			rec[b] ^= line[other*8+b]
-		}
-	}
-	copy(line[chip*8:chip*8+8], rec[:])
+// word loads the 8-byte chip slice at b as one word.
+func word(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
+
+// putWord stores w as the 8-byte chip slice at b.
+func putWord(b []byte, w uint64) { binary.LittleEndian.PutUint64(b, w) }
+
+// sliceSum is integrity.SliceParity(data) as a word.
+func sliceSum(data *[LineSize]byte) uint64 {
+	p := integrity.SliceParity(data)
+	return word(p[:])
+}
+
+// rebuildSlice rebuilds chip's slice of data in place from parity, the
+// XOR of all 8 slices, and returns the rebuilt slice.
+func rebuildSlice(data *[LineSize]byte, chip int, parity uint64) uint64 {
+	s := data[chip*8 : chip*8+8]
+	w := parity ^ sliceSum(data) ^ word(s)
+	putWord(s, w)
+	return w
+}
+
+// rebuildChip rebuilds chip's slice of data line l, a data slice or the
+// MAC, in place from the line's 9-chip parity.
+func rebuildChip(l *dimm.Line, chip int, parity uint64) {
+	s := l.Slice(chip)
+	putWord(s, parity^parity9(l)^word(s))
 }
 
 // reconstructData repairs a data line (8 data chips + MAC chip) using
@@ -93,8 +116,7 @@ func (m *Memory) reconstructData(i uint64, ctr uint64, raw *dimm.Line) (fixed di
 	if rerr != nil {
 		return dimm.Line{}, -1, 0, false, rerr
 	}
-	var p1 [8]byte
-	copy(p1[:], pl.Data[slot*8:slot*8+8])
+	p1 := word(pl.Data[slot*8:])
 	defer func() {
 		m.noteReconstruction(dataAddr, RegionData, attempts, err == nil)
 	}()
@@ -104,38 +126,22 @@ func (m *Memory) reconstructData(i uint64, ctr uint64, raw *dimm.Line) (fixed di
 	dataMAC := m.mac.SumLine(dataAddr, ctr, &raw.Data)
 	m.stats.MACComputations++
 
-	try := func(p [8]byte) (dimm.Line, int, bool) {
-		// Attempt 1: the MAC chip. Candidate stored MAC = parity XOR
-		// the 8 data slices; accept if it equals the computed MAC.
+	try := func(p uint64) (dimm.Line, int, bool) {
+		// rebuildChip's word for every chip c is base ⊕ slice c.
+		base := p ^ parity9(raw)
+		// Attempt 1: the MAC chip; accept if the rebuilt MAC equals the
+		// computed one.
 		m.stats.ReconstructionAttempts++
-		candMAC := p
-		for c := 0; c < dimm.DataChips; c++ {
-			for b := 0; b < 8; b++ {
-				candMAC[b] ^= raw.Data[c*8+b]
-			}
-		}
-		if binary.BigEndian.Uint64(candMAC[:]) == dataMAC {
-			f := *raw
-			copy(f.ECC[:], candMAC[:])
+		f := *raw
+		putWord(f.ECC[:], base^word(raw.ECC[:]))
+		if binary.BigEndian.Uint64(f.ECC[:]) == dataMAC {
 			return f, dimm.ECCChip, true
 		}
 		// Attempts 2..9: each data chip in turn.
 		for c := 0; c < dimm.DataChips; c++ {
 			cand := *raw
-			var rec [8]byte
-			copy(rec[:], p[:])
-			for other := 0; other < dimm.DataChips; other++ {
-				if other == c {
-					continue
-				}
-				for b := 0; b < 8; b++ {
-					rec[b] ^= raw.Data[other*8+b]
-				}
-			}
-			for b := 0; b < 8; b++ {
-				rec[b] ^= raw.ECC[b]
-			}
-			copy(cand.Data[c*8:c*8+8], rec[:])
+			s := cand.Data[c*8 : c*8+8]
+			putWord(s, base^word(s))
 			attempts++
 			m.stats.MACComputations++
 			m.stats.ReconstructionAttempts++
@@ -153,24 +159,13 @@ func (m *Memory) reconstructData(i uint64, ctr uint64, raw *dimm.Line) (fixed di
 	// The parity itself may live on the failed chip: rebuild parity
 	// slot `slot` through ParityP (stored in the parity line's ECC
 	// chip) and retry (§III-B "erroneous parity" scenario).
-	var p2 [8]byte
-	copy(p2[:], pl.ECC[:])
-	for s := 0; s < 8; s++ {
-		if s == slot {
-			continue
-		}
-		for b := 0; b < 8; b++ {
-			p2[b] ^= pl.Data[s*8+b]
-		}
-	}
+	p2 := rebuildSlice(&pl.Data, slot, word(pl.ECC[:]))
 	if p2 != p1 {
 		m.stats.ParityPUses++
 		if f, c, ok := try(p2); ok {
 			// Also repair the parity line so later accesses see a
-			// consistent slot.
-			copy(pl.Data[slot*8:slot*8+8], p2[:])
-			pp := integrity.SliceParity(&pl.Data)
-			if werr := m.mod.WriteLine(pAddr, pl.Data[:], pp[:]); werr != nil {
+			// consistent slot; its ParityP covers the rebuilt slot.
+			if werr := m.mod.WriteLine(pAddr, pl.Data[:], pl.ECC[:]); werr != nil {
 				return dimm.Line{}, -1, attempts, true, werr
 			}
 			return f, c, attempts, true, nil
@@ -194,15 +189,8 @@ func (m *Memory) preemptNode(e *pathEntry) {
 		e.raw.ECC = integrity.SliceParity(&e.raw.Data)
 		return
 	}
-	rebuildSlice(e.raw.Data[:], m.knownBad, e.raw.ECC[:])
+	rebuildSlice(&e.raw.Data, m.knownBad, word(e.raw.ECC[:]))
 	m.entryUnpack(e)
-}
-
-// storedDiffers reports whether the cells stored at addr differ from l,
-// i.e. whether serving l leaves a repair unwritten.
-func (m *Memory) storedDiffers(addr uint64, l *dimm.Line) bool {
-	stored, _ := m.mod.PeekLine(addr)
-	return stored != *l
 }
 
 // preemptData rebuilds the condemned chip's slice of data line i, as
@@ -219,47 +207,12 @@ func (m *Memory) preemptData(i uint64, dl *dimm.Line) (stale bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	var p [8]byte
-	if slot == m.knownBad && m.knownBad < dimm.DataChips {
-		// The parity slot itself sits on the condemned chip: rebuild
-		// it through ParityP first.
-		copy(p[:], pl.ECC[:])
-		for s := 0; s < 8; s++ {
-			if s == slot {
-				continue
-			}
-			for b := 0; b < 8; b++ {
-				p[b] ^= pl.Data[s*8+b]
-			}
-		}
-	} else {
-		copy(p[:], pl.Data[slot*8:slot*8+8])
+	p := word(pl.Data[slot*8:])
+	if slot == m.knownBad {
+		// The parity slot itself sits on the condemned chip: rebuild it
+		// through ParityP first.
+		p = rebuildSlice(&pl.Data, slot, word(pl.ECC[:]))
 	}
-	if m.knownBad == dimm.ECCChip {
-		// Rebuild the MAC slice: parity XOR the 8 data slices.
-		rec := p
-		for c := 0; c < dimm.DataChips; c++ {
-			for b := 0; b < 8; b++ {
-				rec[b] ^= dl.Data[c*8+b]
-			}
-		}
-		copy(dl.ECC[:], rec[:])
-		return m.storedDiffers(m.layout.DataAddr(i), dl), nil
-	}
-	// Rebuild the data slice: parity XOR other data slices XOR MAC.
-	var rec [8]byte
-	copy(rec[:], p[:])
-	for c := 0; c < dimm.DataChips; c++ {
-		if c == m.knownBad {
-			continue
-		}
-		for b := 0; b < 8; b++ {
-			rec[b] ^= dl.Data[c*8+b]
-		}
-	}
-	for b := 0; b < 8; b++ {
-		rec[b] ^= dl.ECC[b]
-	}
-	copy(dl.Data[m.knownBad*8:m.knownBad*8+8], rec[:])
-	return m.storedDiffers(m.layout.DataAddr(i), dl), nil
+	rebuildChip(dl, m.knownBad, p)
+	return !m.mod.Holds(m.layout.DataAddr(i), dl), nil
 }

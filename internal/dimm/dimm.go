@@ -11,6 +11,7 @@
 package dimm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -76,17 +77,24 @@ func (k FaultKind) String() string {
 type fault struct {
 	chip     int
 	lo, hi   uint64 // line-address range [lo, hi], inclusive
-	mask     [SliceSize]byte
+	mask     uint64 // the injected mask as a word (see xorSlice)
 	disabled bool
+}
+
+// xorSlice XORs mask, a mask's bytes as a little-endian word, into the
+// 8-byte chip slice s in one operation.
+func xorSlice(s []byte, mask uint64) {
+	binary.LittleEndian.PutUint64(s, binary.LittleEndian.Uint64(s)^mask)
 }
 
 // Module is one rank of a 9-chip ECC-DIMM addressed by line index.
 // The memory controller above it serializes mutation, as real command
 // buses do: WriteLine and every fault-injection call require exclusive
-// access. ReadLine and PeekLine are safe to run concurrently with each
-// other (the access counters are atomic and the stored cells are only
-// read) but not with a concurrent mutator — core.Memory's rank RWMutex
-// provides exactly that discipline for its shared-lock read path.
+// access. ReadLine, PeekLine and Holds are safe to run concurrently with
+// each other (the access counters are atomic and the stored cells are
+// only read) but not with a concurrent mutator — core.Memory's rank
+// RWMutex provides exactly that discipline for its shared-lock read
+// path.
 type Module struct {
 	lines      uint64
 	store      []Line
@@ -145,10 +153,7 @@ func (m *Module) ReadLine(addr uint64) (Line, error) {
 		if f.disabled || addr < f.lo || addr > f.hi {
 			continue
 		}
-		s := l.Slice(f.chip)
-		for b := range s {
-			s[b] ^= f.mask[b]
-		}
+		xorSlice(l.Slice(f.chip), f.mask)
 	}
 	m.readCount.Add(1)
 	return l, nil
@@ -165,6 +170,16 @@ func (m *Module) PeekLine(addr uint64) (Line, bool) {
 		return Line{}, false
 	}
 	return m.store[addr], true
+}
+
+// Holds reports whether the cells stored at addr equal l, or false when
+// addr is out of range. It compares in place: no read-path faults, no
+// copy of the line, no device access counted. It is how a rebuilt line
+// is checked against the cells to decide whether it must be written
+// back. Like PeekLine it mutates nothing, so concurrent Holds, PeekLine
+// and ReadLine calls are safe as long as no writer is active.
+func (m *Module) Holds(addr uint64, l *Line) bool {
+	return addr < m.lines && m.store[addr] == *l
 }
 
 // ImageSize returns the byte length of the module's raw cell image
@@ -216,10 +231,7 @@ func (m *Module) InjectTransient(addr uint64, chip int, mask [SliceSize]byte) er
 	if err := m.checkChipAddr(addr, chip); err != nil {
 		return err
 	}
-	s := m.store[addr].Slice(chip)
-	for b := range s {
-		s[b] ^= mask[b]
-	}
+	xorSlice(m.store[addr].Slice(chip), binary.LittleEndian.Uint64(mask[:]))
 	return nil
 }
 
@@ -236,7 +248,7 @@ func (m *Module) InjectPermanent(chip int, lo, hi uint64, mask [SliceSize]byte) 
 	if mask == ([SliceSize]byte{}) {
 		return 0, errors.New("dimm: permanent fault mask must be non-zero")
 	}
-	m.faults = append(m.faults, fault{chip: chip, lo: lo, hi: hi, mask: mask})
+	m.faults = append(m.faults, fault{chip: chip, lo: lo, hi: hi, mask: binary.LittleEndian.Uint64(mask[:])})
 	return FaultID(len(m.faults) - 1), nil
 }
 

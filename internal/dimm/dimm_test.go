@@ -232,3 +232,68 @@ func TestFaultKindString(t *testing.T) {
 		t.Error("unknown FaultKind should still stringify")
 	}
 }
+
+// Fault masks are applied as one word XOR; each byte of the mask must
+// land on the same byte of the chip's slice, on every chip, for
+// permanent faults (on reads) and transients (in the cells) alike.
+func TestFaultMasksApplyBytewise(t *testing.T) {
+	mask := [SliceSize]byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF}
+	data := bytes.Repeat([]byte{0x5A}, LineSize)
+	ecc := bytes.Repeat([]byte{0xC3}, SliceSize)
+	for chip := 0; chip < Chips; chip++ {
+		var want Line
+		copy(want.Data[:], data)
+		copy(want.ECC[:], ecc)
+		for b, v := range mask {
+			want.Slice(chip)[b] ^= v
+		}
+
+		m := newModule(t, 2)
+		m.WriteLine(0, data, ecc)
+		m.WriteLine(1, data, ecc)
+		if _, err := m.InjectPermanent(chip, 0, 0, mask); err != nil {
+			t.Fatal(err)
+		}
+		if l, _ := m.ReadLine(0); l != want {
+			t.Fatalf("chip %d: permanent fault read %x|%x, want %x|%x", chip, l.Data, l.ECC, want.Data, want.ECC)
+		}
+		if err := m.InjectTransient(1, chip, mask); err != nil {
+			t.Fatal(err)
+		}
+		if l, _ := m.PeekLine(1); l != want {
+			t.Fatalf("chip %d: transient stored %x|%x, want %x|%x", chip, l.Data, l.ECC, want.Data, want.ECC)
+		}
+	}
+}
+
+// Holds compares against the stored cells: read-path faults do not
+// affect it, transients do, and it counts no device access.
+func TestHolds(t *testing.T) {
+	m := newModule(t, 4)
+	data := bytes.Repeat([]byte{0x11}, LineSize)
+	ecc := bytes.Repeat([]byte{0x22}, SliceSize)
+	m.WriteLine(2, data, ecc)
+	stored, _ := m.PeekLine(2)
+	if _, err := m.InjectPermanent(3, 0, m.Lines()-1, [SliceSize]byte{0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	reads := m.Reads()
+	if !m.Holds(2, &stored) {
+		t.Fatal("Holds(stored cells) = false under a read-path fault")
+	}
+	if read, _ := m.ReadLine(2); m.Holds(2, &read) {
+		t.Fatal("Holds(faulted read) = true")
+	}
+	if m.Holds(m.Lines(), &stored) {
+		t.Fatal("Holds past capacity = true")
+	}
+	if err := m.InjectTransient(2, ECCChip, [SliceSize]byte{7: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if m.Holds(2, &stored) {
+		t.Fatal("Holds = true after a transient changed the cells")
+	}
+	if got := m.Reads() - reads; got != 1 {
+		t.Fatalf("%d device reads counted, want 1 (the ReadLine)", got)
+	}
+}

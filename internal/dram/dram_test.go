@@ -184,7 +184,7 @@ func TestAvgReadLatencyGrowsUnderLoad(t *testing.T) {
 func BenchmarkRead(b *testing.B) {
 	s, _ := New(DefaultConfig())
 	for i := 0; i < b.N; i++ {
-		s.Read(uint64(i)*4, uint64(i*2654435761)%(1<<24))
+		s.Read(uint64(i)*4, uint64(i)*2654435761%(1<<24))
 	}
 }
 

@@ -206,6 +206,6 @@ func TestBackendsBroadlyAgree(t *testing.T) {
 func BenchmarkDetailedRead(b *testing.B) {
 	c, _ := New(DefaultConfig())
 	for i := 0; i < b.N; i++ {
-		c.Read(uint64(i)*4, uint64(i*2654435761)%(1<<24))
+		c.Read(uint64(i)*4, uint64(i)*2654435761%(1<<24))
 	}
 }

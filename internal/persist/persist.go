@@ -59,7 +59,7 @@ const (
 	macSize     = 8
 	footerSize  = 4 + sha256.Size + 8 // sentinel id | sha256 | total length
 	// footerID marks the footer pseudo-section; no real section may use it.
-	footerID = 0xFFFFFFFF
+	footerID uint32 = 0xFFFFFFFF
 	// maxSectionLen bounds one section so a corrupted length field cannot
 	// drive a huge allocation before the checksum is consulted.
 	maxSectionLen = 1 << 32

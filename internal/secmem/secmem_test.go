@@ -316,7 +316,7 @@ func TestSynergyTrafficBelowSGXO(t *testing.T) {
 func BenchmarkReadExpansionSGXO(b *testing.B) {
 	h, _ := New(DefaultConfig(SGXO))
 	for i := 0; i < b.N; i++ {
-		h.Read(uint64(i*2654435761) % (1 << 26))
+		h.Read(uint64(i) * 2654435761 % (1 << 26))
 	}
 }
 
