@@ -16,11 +16,10 @@ package synergy
 //
 // The performance and reliability simulators are exposed through
 // convenience entry points (RunExperiment, SimulateReliability); the
-// full knob set lives in the commands (cmd/synergy-sim,
-// cmd/synergy-faultsim) and benchmarks.
+// full knob set lives in the one command, cmd/synergy (its sim and
+// faultsim subcommands).
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -241,46 +240,6 @@ var TelemetryDisabled = telemetry.Disabled
 // NewTelemetry builds a registry to pass in Config.Telemetry.
 func NewTelemetry(opts ...TelemetryOption) *Telemetry { return telemetry.New(opts...) }
 
-// DefaultTelemetry returns the process-wide shared registry —
-// what ServeMetrics serves when no registry is passed explicitly.
-func DefaultTelemetry() *Telemetry { return telemetry.Default() }
-
-// Tracing and the anomaly flight recorder (internal/telemetry):
-// TraceSpan is one request's span — mint with BeginTraceSpan, hand it
-// to Array.ReadTraced/WriteTraced for per-stage events, then offer it
-// to a FlightRecorder, which tail-samples anomalous spans into
-// per-rank ring buffers (served on /debug/flight).
-type (
-	TraceSpan      = telemetry.Span
-	FlightRecorder = telemetry.FlightRecorder
-	FlightConfig   = telemetry.FlightConfig
-	FlightStats    = telemetry.FlightStats
-	FlightRecord   = telemetry.FlightRecord
-)
-
-// BeginTraceSpan starts a span for op, minting a fresh trace ID.
-func BeginTraceSpan(op telemetry.Op) *TraceSpan {
-	return telemetry.BeginSpan(op, telemetry.TraceID{}, telemetry.SpanID{})
-}
-
-// NewFlightRecorder builds an anomaly flight recorder (zero cfg =
-// defaults); attach it with Telemetry.SetFlight.
-func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	return telemetry.NewFlightRecorder(cfg)
-}
-
-// SLO trackers: per-tenant availability/latency objectives with
-// multi-window burn-rate alerting, exported as synergy_slo_* series.
-type (
-	SLOConfig   = telemetry.SLOConfig
-	SLOTracker  = telemetry.SLOTracker
-	SLOSnapshot = telemetry.SLOSnapshot
-)
-
-// NewSLO builds a tracker (zero cfg = 99.9% availability, p99 < 5ms);
-// register it with Telemetry.RegisterSLO to export and snapshot it.
-func NewSLO(cfg SLOConfig) *SLOTracker { return telemetry.NewSLO(cfg) }
-
 // Reliability policies for SimulateReliability.
 const (
 	PolicyNoECC    = reliability.NoECC
@@ -292,12 +251,6 @@ const (
 // ReliabilityResult is a Monte Carlo outcome (probability of system
 // failure over the configured lifetime).
 type ReliabilityResult = reliability.Result
-
-// ReliabilityConfig parameterizes the Monte Carlo engine: trials,
-// lifetime, scrub interval, ranks, worker-pool size, early stopping
-// (TargetCIWidth) and a Progress callback. Per-trial deterministic
-// seeding makes results bit-identical for any Workers value.
-type ReliabilityConfig = reliability.Config
 
 // SimulateReliability runs the Fig. 11 Monte Carlo for one policy with
 // the paper's defaults (Table I rates, 7-year lifetime, 4 ranks × 9
@@ -311,45 +264,11 @@ func SimulateReliability(policy reliability.Policy, trials int) (ReliabilityResu
 	return reliability.Simulate(policy, cfg)
 }
 
-// SimulateReliabilityContext is SimulateReliability with cancellation:
-// when ctx is cancelled the Monte Carlo stops at the next block
-// boundary and returns the partial result with ctx's error.
-func SimulateReliabilityContext(ctx context.Context, policy reliability.Policy, trials int) (ReliabilityResult, error) {
-	cfg := reliability.DefaultConfig()
-	if trials > 0 {
-		cfg.Trials = trials
-	}
-	return reliability.SimulateContext(ctx, policy, cfg)
-}
-
-// SimulateReliabilityAll runs the full Fig. 11 policy sweep (NoECC,
-// SECDED, Chipkill, Synergy) under one configuration; all policies are
-// evaluated against the same deterministic fault histories, so the
-// reported ratios use common random numbers. Start from
-// DefaultReliabilityConfig and override the knobs you need.
-func SimulateReliabilityAll(cfg ReliabilityConfig) ([]ReliabilityResult, error) {
-	return reliability.SimulateAll(cfg)
-}
-
-// SimulateReliabilityAllContext is SimulateReliabilityAll with
-// cancellation: the sweep stops at the first interrupted policy and
-// returns the policies completed before it with ctx's error.
-func SimulateReliabilityAllContext(ctx context.Context, cfg ReliabilityConfig) ([]ReliabilityResult, error) {
-	return reliability.SimulateAllContext(ctx, cfg)
-}
-
-// DefaultReliabilityConfig returns the paper's Fig. 11 evaluation
-// setup (Table I rates, 7-year lifetime, 4 ranks × 9 chips, 200k
-// trials).
-func DefaultReliabilityConfig() ReliabilityConfig {
-	return reliability.DefaultConfig()
-}
-
 // Experiment identifies one of the paper's figures.
 type Experiment string
 
 // The regenerable performance experiments (Fig. 11 is reliability; use
-// SimulateReliability or cmd/synergy-faultsim).
+// SimulateReliability or `synergy faultsim`).
 const (
 	Figure6  Experiment = "fig6"
 	Figure8  Experiment = "fig8"
@@ -374,9 +293,7 @@ type ExperimentResult struct {
 // experimentOptions collects the knobs ExperimentOption functions set.
 type experimentOptions struct {
 	baseInstr uint64
-	workers   int
 	progress  func(completed, total int)
-	ctx       context.Context
 }
 
 // ExperimentOption configures RunExperiment.
@@ -388,25 +305,11 @@ func WithInstructionBudget(n uint64) ExperimentOption {
 	return func(o *experimentOptions) { o.baseInstr = n }
 }
 
-// WithWorkers sets the number of goroutines pre-running the sweep's
-// (workload, spec) pairs (0 = one per CPU). Each pair is an independent
-// simulation, so the worker count never changes results.
-func WithWorkers(n int) ExperimentOption {
-	return func(o *experimentOptions) { o.workers = n }
-}
-
 // WithProgress installs a callback invoked after each (workload, spec)
 // pair of the sweep completes. Calls are serialized; keep the callback
 // fast.
 func WithProgress(fn func(completed, total int)) ExperimentOption {
 	return func(o *experimentOptions) { o.progress = fn }
-}
-
-// WithContext makes the sweep cancellable: once ctx is done, pending
-// (workload, spec) pairs are skipped and RunExperiment returns ctx's
-// error (wrapped). Pairs already simulating finish first.
-func WithContext(ctx context.Context) ExperimentOption {
-	return func(o *experimentOptions) { o.ctx = ctx }
 }
 
 // RunExperiment regenerates one figure of the paper's evaluation over
@@ -417,7 +320,7 @@ func RunExperiment(exp Experiment, opts ...ExperimentOption) (ExperimentResult, 
 		opt(&o)
 	}
 	r := experiments.ParallelRunner(experiments.Options{
-		BaseInstr: o.baseInstr, Parallelism: o.workers, Progress: o.progress, Context: o.ctx,
+		BaseInstr: o.baseInstr, Progress: o.progress,
 	})
 	for _, f := range experiments.PerfFigures {
 		if f.ID != string(exp) {

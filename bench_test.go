@@ -4,8 +4,8 @@
 //
 //	go test -bench=Figure -benchmem
 //
-// regenerates the whole evaluation. cmd/synergy-sim and
-// cmd/synergy-faultsim produce the full per-workload tables.
+// regenerates the whole evaluation. `synergy sim` and
+// `synergy faultsim` produce the full per-workload tables.
 package synergy_test
 
 import (

@@ -88,9 +88,6 @@ type DegradedReport struct {
 	Violations []string
 }
 
-// Failed reports whether any invariant broke.
-func (r *DegradedReport) Failed() bool { return len(r.SDCs) > 0 || len(r.Violations) > 0 }
-
 // RunDegraded drives one complete poison → shed → repair → recover
 // cycle against a synergy-server, entirely as an RPC client:
 //

@@ -124,3 +124,19 @@ func TestBatchErrorOrNilNoAlloc(t *testing.T) {
 		t.Fatalf("add built %+v, want one failure at index 2 line 40", be.Failed)
 	}
 }
+
+// The text of a batch failure is what a batch caller sees: one failure
+// is named in full, several are counted with the first named.
+func TestBatchErrorText(t *testing.T) {
+	var be *BatchError
+	be = be.add(2, 40, ErrPoisoned)
+	want := "core: batch: 1 line failed: batch index 2 (line 40): " + ErrPoisoned.Error()
+	if got := be.Error(); got != want {
+		t.Errorf("one failure: %q, want %q", got, want)
+	}
+	be = be.add(5, 43, ErrAttack)
+	want = "core: batch: 2 lines failed (first: batch index 2 (line 40): " + ErrPoisoned.Error() + ")"
+	if got := be.Error(); got != want {
+		t.Errorf("two failures: %q, want %q", got, want)
+	}
+}

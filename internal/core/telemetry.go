@@ -117,12 +117,3 @@ func (m *Memory) flush() error {
 	}
 	return err
 }
-
-// Telemetry returns the registry the array's ranks record into
-// (Disabled when none was configured).
-func (a *Array) Telemetry() *telemetry.Registry {
-	if len(a.ranks) == 0 {
-		return telemetry.Disabled
-	}
-	return a.ranks[0].tel
-}

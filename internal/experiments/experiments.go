@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§V–§VII): it wires workloads, secure-memory designs, the
 // DRAM model and the energy model together, runs the sweeps, and formats
-// the same rows/series the paper reports. Both cmd/synergy-sim and the
+// the same rows/series the paper reports. Both `synergy sim` and the
 // repository's benchmark suite drive experiments through this package.
 package experiments
 

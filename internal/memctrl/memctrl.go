@@ -162,9 +162,6 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Stats returns a copy of the counters.
 func (c *Controller) Stats() Stats { return c.stats }
 

@@ -26,9 +26,6 @@ func NewFileStore(path string) *FileStore {
 	return &FileStore{path: path}
 }
 
-// Path returns the snapshot file path.
-func (s *FileStore) Path() string { return s.path }
-
 // tmpPath is the staging file. One fixed name keeps Begin idempotent
 // after a crash: the next snapshot attempt truncates whatever torn
 // remnant the last one left.

@@ -62,13 +62,6 @@ func (s *MemStore) SetBytes(b []byte) {
 	s.has = true
 }
 
-// Clear drops the committed snapshot.
-func (s *MemStore) Clear() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.committed, s.has = nil, false
-}
-
 type memWriter struct {
 	store *MemStore
 	buf   *bytes.Buffer

@@ -381,17 +381,6 @@ func (s *Server) Tenant(name string) *core.Array {
 	return nil
 }
 
-// ShedEngagements returns how many times the named tenant's watcher
-// has transitioned into shedding (0 for unknown tenants).
-func (s *Server) ShedEngagements(name string) uint64 {
-	for _, t := range s.tenants {
-		if t.name == name {
-			return t.shedEngaged.Load()
-		}
-	}
-	return 0
-}
-
 // routes builds the endpoint table.
 func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()

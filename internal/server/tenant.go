@@ -29,8 +29,6 @@ type tenant struct {
 	// shedding is flipped by the analysis watcher; data-plane handlers
 	// read it on every request.
 	shedding atomic.Bool
-	// shedEngaged counts watcher transitions into shedding.
-	shedEngaged atomic.Uint64
 
 	// slo tracks this tenant's availability/latency objectives (nil
 	// when the server runs without telemetry).
@@ -134,8 +132,5 @@ func (t *tenant) analyze(minCorrections uint64) {
 		}
 	}
 	shed := suspected && delta >= minCorrections
-	if shed && !t.shedding.Load() {
-		t.shedEngaged.Add(1)
-	}
 	t.shedding.Store(shed)
 }

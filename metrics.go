@@ -11,7 +11,7 @@ package synergy
 //	srv, _ := synergy.ServeMetrics("localhost:9091", reg)
 //	defer srv.Close()
 //
-// cmd/synergy-top polls /metrics.json and renders live rates; any
+// `synergy top` polls /metrics.json and renders live rates; any
 // Prometheus scraper can consume /metrics directly.
 
 import (

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# CI smoke test for crash-safe durability: boot synergy-server with a
+# CI smoke test for crash-safe durability: boot `synergy server` with a
 # durable -data directory, write a known pattern, poison a line over
 # the wire, checkpoint via POST /v1/snapshot, then SIGKILL the process
 # with load still in flight (the crash — no drain, no shutdown
@@ -16,13 +16,14 @@ ADDR="${1:-127.0.0.1:7495}"
 LOAD_DURATION="${2:-2s}"
 TOKEN="crash-token"
 DATA="$(mktemp -d)"
-trap 'rm -rf "$DATA"; kill "$SRV_PID" 2>/dev/null || true' EXIT
+BIN="$(mktemp -d)"
+trap 'rm -rf "$DATA" "$BIN"; kill "$SRV_PID" 2>/dev/null || true' EXIT
 SRV_PID=""
 
-go build -o /tmp/synergy-server-crash ./cmd/synergy-server
+go build -o "$BIN/synergy" ./cmd/synergy
 
 start_server() {
-    /tmp/synergy-server-crash -addr "$ADDR" -data "$DATA" -allow-inject \
+    "$BIN/synergy" server -addr "$ADDR" -data "$DATA" -allow-inject \
         -tenant "crash:$TOKEN:256:2" &
     SRV_PID=$!
     up=0
@@ -82,7 +83,7 @@ EOF
 
 # The crash: SIGKILL with load in flight. No drain, no shutdown
 # checkpoint — only the sealed snapshot survives.
-go run ./cmd/synergy-load -addr "$ADDR" -token "$TOKEN" \
+"$BIN/synergy" load -addr "$ADDR" -token "$TOKEN" \
     -duration "$LOAD_DURATION" -workers 4 -read-frac 0.5 >/dev/null 2>&1 &
 LOAD_PID=$!
 sleep 0.5
@@ -152,7 +153,7 @@ img[len(img) // 2] ^= 0x20
 open(path, "wb").write(bytes(img))
 print(f"crash_smoke: flipped one bit in {path} ({len(img)} bytes)")
 EOF
-if /tmp/synergy-server-crash -addr "$ADDR" -data "$DATA" \
+if "$BIN/synergy" server -addr "$ADDR" -data "$DATA" \
     -tenant "crash:$TOKEN:256:2" >/dev/null 2>&1; then
     echo "crash_smoke: server booted from a tampered snapshot" >&2
     exit 1

@@ -12,12 +12,14 @@ cd "$(dirname "$0")/.."
 ADDR="${1:-127.0.0.1:9477}"
 DURATION="${2:-10s}"
 OUT="$(mktemp)"
-trap 'rm -f "$OUT"' EXIT
+BIN="$(mktemp -d)"
+trap 'rm -rf "$OUT" "$BIN"' EXIT
 
-go run ./cmd/synergy-chaos -duration "$DURATION" -permanent -metrics "$ADDR" &
+go build -o "$BIN/synergy" ./cmd/synergy
+"$BIN/synergy" chaos -duration "$DURATION" -permanent -metrics "$ADDR" &
 CHAOS_PID=$!
 
-# The cmd binds the listener before traffic starts; poll until it is up.
+# chaos binds the listener before traffic starts; poll until it is up.
 up=0
 for _ in $(seq 1 50); do
     if curl -fsS "http://$ADDR/metrics" >/dev/null 2>&1; then

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# CI smoke test for the network service: boot synergy-server, poison a
-# line over the wire, drive a synergy-load mix against it (so the
+# CI smoke test for the network service: boot `synergy server`, poison
+# a line over the wire, drive a `synergy load` mix against it (so the
 # traffic includes poisoned-line reads), scrape /metrics for the
 # per-RPC series, and assert a clean SIGTERM shutdown.
 #
@@ -14,10 +14,11 @@ DURATION="${3:-5s}"
 TOKEN="smoke-token"
 LOAD_OUT="$(mktemp)"
 METRICS_OUT="$(mktemp)"
-trap 'rm -f "$LOAD_OUT" "$METRICS_OUT"' EXIT
+BIN="$(mktemp -d)"
+trap 'rm -rf "$LOAD_OUT" "$METRICS_OUT" "$BIN"' EXIT
 
-go build -o /tmp/synergy-server-smoke ./cmd/synergy-server
-/tmp/synergy-server-smoke -addr "$ADDR" -metrics "$MADDR" -allow-inject \
+go build -o "$BIN/synergy" ./cmd/synergy
+"$BIN/synergy" server -addr "$ADDR" -metrics "$MADDR" -allow-inject \
     -tenant "smoke:$TOKEN:1024:4" &
 SRV_PID=$!
 
@@ -57,7 +58,7 @@ fi
 
 # Drive the mix — reads, writes, batches — against the keyspace that
 # still holds the poisoned line.
-go run ./cmd/synergy-load -addr "$ADDR" -token "$TOKEN" -duration "$DURATION" \
+"$BIN/synergy" load -addr "$ADDR" -token "$TOKEN" -duration "$DURATION" \
     -workers 8 -read-frac 0.8 -batch-frac 0.2 -json >"$LOAD_OUT"
 
 curl -fsS "http://$MADDR/metrics" >"$METRICS_OUT"

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# CI smoke test for the observability surface: boot synergy-server
+# CI smoke test for the observability surface: boot `synergy server`
 # with deep tracing on, drive a poison fast-fail and a corrected-error
 # storm until shedding engages, and assert that
 #
@@ -19,14 +19,15 @@ AUTH="Authorization: Bearer $TOKEN"
 TP="traceparent: 00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
 OUT="$(mktemp)"
 HDRS="$(mktemp)"
+BIN="$(mktemp -d)"
 
-go build -o /tmp/synergy-server-trace-smoke ./cmd/synergy-server
-/tmp/synergy-server-trace-smoke -addr "$ADDR" \
+go build -o "$BIN/synergy" ./cmd/synergy
+"$BIN/synergy" server -addr "$ADDR" \
     -tenant "smoke:$TOKEN:256:1" \
     -allow-inject -trace-sample-every 1 \
     -analyze-every 100ms -shed-min-corrections 4 -scrub-interval 0 &
 SRV_PID=$!
-trap 'rm -f "$OUT" "$HDRS"; kill "$SRV_PID" 2>/dev/null || true' EXIT
+trap 'rm -rf "$OUT" "$HDRS" "$BIN"; kill "$SRV_PID" 2>/dev/null || true' EXIT
 
 up=0
 for _ in $(seq 1 50); do
